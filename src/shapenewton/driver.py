@@ -40,7 +40,7 @@ class ExperimentConfig:
     n: int = 54
     levels: int = 3
     max_sqp_iters: int = 2
-    cg_tol: float = 1e-8
+    cg_tol: float = 1e-10
     step_length: float = 1.0
     line_search: bool = True
     baseline_scaling: float = 1e4
@@ -132,8 +132,11 @@ class DataOracle:
 
 def generate_data(config: ExperimentConfig) -> DataOracle:
     """Solve the state equation on a straight-interface mesh refined two
-    levels above the coarse working mesh."""
-    m = refine_uniform(refine_uniform(build_template(config.n)))
+    levels above the coarse working mesh, and never coarser than the finest
+    working level."""
+    m = build_template(config.n)
+    for _ in range(max(2, config.levels - 1)):
+        m = refine_uniform(m)
     y = fem.solve_state(m, config.f1, config.f2)
     if y.values.min() < -1e-9:
         raise StepFailureError("reference observation is not nonnegative")
@@ -166,29 +169,31 @@ def initial_mesh(config: ExperimentConfig, level: int) -> TriMesh:
     return moved
 
 
-def _objective_on(mesh: TriMesh, data: DataOracle, config: ExperimentConfig) -> float:
-    y = fem.solve_state(mesh, config.f1, config.f2)
-    ybar = data.sample(mesh)
-    return shape.objective(mesh, y, ybar, shape.compute_geometry(mesh), config.mu)
+def _evaluate(mesh: TriMesh, data: DataOracle, config: ExperimentConfig) -> qp.MeshState:
+    """Objective on a mesh, with the state and factorization behind it."""
+    return qp.MeshState(mesh, data.sample(mesh), config.f1, config.f2, config.mu)
 
 
-def _take_step(mesh: TriMesh, w: shape.InterfaceField, geometry: shape.InterfaceGeometry,
-               alphas: list[float], current_objective: float,
-               data: DataOracle, config: ExperimentConfig) -> tuple[TriMesh, float]:
+def _take_step(state: qp.MeshState, w: shape.InterfaceField,
+               geometry: shape.InterfaceGeometry, alphas: list[float],
+               data: DataOracle, config: ExperimentConfig) -> tuple[qp.MeshState, float]:
     """Try the candidate step lengths, keep the best objective; fall back to
     halving below the smallest candidate when all trials fail or increase the
-    objective beyond the acceptance factor."""
+    objective beyond the acceptance factor.  Returns the accepted trial's
+    state, which the next iteration's workspace reuses."""
+    mesh = state.mesh
+    limit = ACCEPT_FACTOR * state.objective
     best = None
     for alpha in alphas:
         try:
             trial, used = shape.retract(mesh, w, geometry, alpha)
         except StepFailureError:
             continue
-        value = _objective_on(trial, data, config)
-        if best is None or value < best[2]:
-            best = (trial, used, value)
-    if best is not None and best[2] <= ACCEPT_FACTOR * current_objective:
-        return best[0], best[1]
+        candidate = _evaluate(trial, data, config)
+        if best is None or candidate.objective < best[0].objective:
+            best = (candidate, used)
+    if best is not None and best[0].objective <= limit:
+        return best
 
     alpha = min(alphas)
     for _ in range(_MAX_HALVINGS):
@@ -197,9 +202,9 @@ def _take_step(mesh: TriMesh, w: shape.InterfaceField, geometry: shape.Interface
             trial, used = shape.retract(mesh, w, geometry, alpha)
         except StepFailureError:
             continue
-        value = _objective_on(trial, data, config)
-        if value <= ACCEPT_FACTOR * current_objective:
-            return trial, used
+        candidate = _evaluate(trial, data, config)
+        if candidate.objective <= limit:
+            return candidate, used
     raise StepFailureError("no acceptable step length found")
 
 
@@ -207,16 +212,17 @@ def _iterate(config: ExperimentConfig, data: DataOracle, level: int,
              step_fn, observer=None, start: TriMesh | None = None) -> SqpTrace:
     """Shared iteration loop; step_fn produces (w, cg_iterations, alphas)
     from the workspace and the gradient."""
-    cur = initial_mesh(config, level) if start is None else start
+    state = _evaluate(initial_mesh(config, level) if start is None else start,
+                      data, config)
     rows = []
     for it in range(config.max_sqp_iters + 1):
-        ybar = data.sample(cur)
-        ws = qp.QpWorkspace(cur, ybar, config.f1, config.f2, config.mu,
-                            cg_tol=config.cg_tol)
+        cur = state.mesh
+        ws = qp.QpWorkspace(cur, state.ybar, config.f1, config.f2, config.mu,
+                            cg_tol=config.cg_tol, state=state)
         g = shape.shape_gradient(cur, ws.geometry, ws.p, config.f1, config.f2,
                                  config.mu)
         grad_norm = shape.s_norm(ws.geometry, g.values)
-        value = shape.objective(cur, ws.y, ybar, ws.geometry, config.mu, ws.mass)
+        value = state.objective
         dist = shape.dist_to_solution(cur)
         snapshot = IterationSnapshot(cur, ws.geometry, ws.y, ws.p, g)
 
@@ -229,12 +235,11 @@ def _iterate(config: ExperimentConfig, data: DataOracle, level: int,
                      level, it, dist, value, grad_norm)
             break
 
-        w, cg_iters, alphas = step_fn(ws, g)
         try:
-            cur, alpha_used = _take_step(cur, w, ws.geometry, alphas, value,
-                                         data, config)
+            w, cg_iters, alphas = step_fn(ws, g)
+            state, alpha_used = _take_step(state, w, ws.geometry, alphas, data, config)
         except StepFailureError as exc:
-            raise StepFailureError(f"iteration {it}: {exc}") from exc
+            raise StepFailureError(f"level {level} iteration {it}: {exc}") from exc
         row = TraceRow(level, it, dist, value, grad_norm, cg_iters, alpha_used)
         rows.append(row)
         if observer is not None:
@@ -255,6 +260,8 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     length by objective value; otherwise the configured length is used
     directly.  Either way a rejected or inverting step is halved.  The run
     starts from the reference curve unless an explicit start mesh is given.
+    CG that meets negative curvature, or stops above cg_tol, raises
+    StepFailureError.
     """
     if data is None:
         data = generate_data(config)
@@ -267,6 +274,14 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
 
     def step_fn(ws, g):
         result = qp.solve_qp_cg(ws)
+        if result.negative_curvature:
+            raise StepFailureError(
+                f"CG met negative curvature after {result.iterations} iterations")
+        if not result.converged:
+            raise StepFailureError(
+                f"CG stopped after {result.iterations} iterations at relative "
+                f"residual {result.residual_norm / result.residual_history[0]:.3e}, "
+                f"above cg_tol {ws.cg_tol:.1e}")
         return result.w, result.iterations, alphas
 
     return _iterate(config, data, level, step_fn, observer, start)

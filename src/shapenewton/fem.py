@@ -11,10 +11,9 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import LinearSolverError
-from .mesh import TriMesh, locate_points
+from .mesh import TriMesh, factor_spd, locate_points
 
 _RESIDUAL_TOL = 1e-10
 
@@ -148,7 +147,7 @@ class DirichletSolver:
         mask[self.constrained] = False
         self.free = np.flatnonzero(mask)
         self._kff = self.matrix[self.free][:, self.free].tocsc()
-        self._lu = spla.splu(self._kff)
+        self._lu = factor_spd(self._kff)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the given full-length rhs; constrained entries are zero."""

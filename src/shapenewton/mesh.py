@@ -19,6 +19,9 @@ from .errors import InvertedElementError, LinearSolverError, MeshInvariantError,
 # Barycentric slack used when deciding containment; corresponds to a geometric
 # tolerance well below 1e-10 on the meshes handled here.
 _BARY_TOL = 1e-9
+# Smallest barycentric coordinate for a nearest-star hit to be final: far
+# enough inside that no neighbouring triangle can be admissible as well.
+_STAR_MARGIN = 1e-6
 
 _INTERFACE_START = (0.5, 0.0)
 _INTERFACE_END = (0.5, 1.0)
@@ -299,6 +302,18 @@ class DeformationField:
         self.displacement.flags.writeable = False
 
 
+def factor_spd(matrix: sp.csc_matrix) -> spla.SuperLU:
+    """SuperLU factorization of a symmetric positive definite matrix.
+
+    Symmetric mode orders by minimum degree on A^T + A and pivots on the
+    diagonal, so the factor keeps the matrix's symmetric structure: less fill
+    and faster solves than the default column ordering.  Minimum degree
+    without symmetric mode is much slower to factor.
+    """
+    return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
 def solve_elastic_deformation(mesh: TriMesh, interface_displacement: np.ndarray,
                               lam: float = 0.0, shear: float = 1.0) -> DeformationField:
     """Extend an interface displacement to the volume by linear elasticity.
@@ -324,7 +339,7 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement: np.ndarray,
         free = np.flatnonzero(~constrained)
         fixed = np.flatnonzero(constrained)
         Kff = K[free][:, free].tocsc()
-        factor = spla.splu(Kff)
+        factor = factor_spd(Kff)
         cache = ((lam, shear), free, fixed, K[free][:, fixed].tocsr(), Kff, factor)
         object.__setattr__(mesh, "_elastic_cache", cache)
     _, free, fixed, Kfc, Kff, factor = cache
@@ -366,7 +381,7 @@ def _assemble_elasticity(mesh: TriMesh, lam: float, shear: float) -> sp.csr_matr
     D = np.array([[lam + 2 * shear, lam, 0.0],
                   [lam, lam + 2 * shear, 0.0],
                   [0.0, 0.0, shear]])
-    Ke = np.einsum("tki,kl,tlj,t->tij", B, D, B, area)
+    Ke = np.einsum("tki,kl,tlj,t->tij", B, D, B, area, optimize=True)
     dofs = np.empty((nt, 6), dtype=np.int64)
     dofs[:, 0::2] = 2 * mesh.triangles
     dofs[:, 1::2] = 2 * mesh.triangles + 1
@@ -440,11 +455,16 @@ class _Locator:
         bary_out = np.zeros((npts, 3))
         for block in np.array_split(np.arange(npts), max(1, npts // 8192)):
             pending = block
-            for k in (8, 64):
+            # Most points lie strictly inside a triangle of their nearest
+            # vertex's star.  A point on or near an edge can also lie in a
+            # triangle outside that star, so it goes on to the wider passes,
+            # where the lowest admissible index wins.
+            for k, lower in ((1, _STAR_MARGIN), (8, -_BARY_TOL), (64, -_BARY_TOL)):
                 if pending.size == 0:
                     break
                 cands = self._candidates(points[pending], k)
-                pending = self._resolve(points, pending, cands, tri_out, bary_out)
+                pending = self._resolve(points, pending, cands, tri_out, bary_out,
+                                        lower)
             if pending.size:
                 all_tris = np.arange(self.mesh.n_triangles)
                 for chunk in np.array_split(pending, max(1, -(-pending.size // 4))):
@@ -455,10 +475,10 @@ class _Locator:
                             f"point {points[left[0]]} lies outside the mesh")
         return tri_out, bary_out
 
-    def _resolve(self, points, pending, cands, tri_out, bary_out):
+    def _resolve(self, points, pending, cands, tri_out, bary_out, lower=-_BARY_TOL):
         bary = self._barycentric(points[pending], cands)
         minb = bary.min(axis=-1)
-        ok = (minb >= -_BARY_TOL) & (cands >= 0)
+        ok = (minb >= lower) & (cands >= 0)
         # lowest triangle index wins among admissible candidates
         ranked = np.where(ok, cands, np.iinfo(np.int64).max)
         pick = np.argmin(ranked, axis=1)

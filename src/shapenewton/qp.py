@@ -20,20 +20,49 @@ from .shape import InterfaceField, InterfaceGeometry
 _CONSISTENCY_TOL = 1e-8
 
 
+class MeshState:
+    """Sampled data, state and objective on one mesh.
+
+    Holds the stiffness factorization that produced the state, so a
+    workspace built on the same mesh reuses it instead of factoring again.
+    """
+
+    def __init__(self, mesh: TriMesh, ybar: fem.NodalField, f1: float, f2: float,
+                 mu: float):
+        if ybar.mesh is not mesh:
+            raise ValueError("ybar belongs to a different mesh")
+        self.mesh = mesh
+        self.ybar = ybar
+        self.problem = (float(f1), float(f2), float(mu))
+        self.geometry: InterfaceGeometry = shape.compute_geometry(mesh)
+        self.stiffness = fem.assemble_stiffness(mesh)
+        self.mass = fem.assemble_mass(mesh)
+        self.load = fem.assemble_load_piecewise(mesh, f1, f2)
+        self.solver = fem.DirichletSolver(mesh, matrix=self.stiffness)
+        self.y = fem.NodalField(mesh=mesh, values=self.solver.solve(self.load))
+        self.objective = shape.objective(mesh, self.y, ybar, self.geometry, mu,
+                                         self.mass)
+
+
 class QpWorkspace:
     """State, adjoint and cached factorization for one outer iteration.
 
     The adjoint is produced by the same solve path as the subproblem dual
     variable at w = 0, which makes the residual identity r(0) = -g hold to
-    the last bit.
+    the last bit.  A MeshState already computed for the same mesh, data and
+    problem can be passed as state; otherwise one is computed here.
     """
 
     def __init__(self, mesh: TriMesh, ybar: fem.NodalField, f1: float, f2: float,
-                 mu: float, cg_tol: float = 1e-8, cg_max_iters: int | None = None):
+                 mu: float, cg_tol: float = 1e-8, cg_max_iters: int | None = None,
+                 *, state: MeshState | None = None):
         if f1 == f2 and mu <= 0.0:
             raise ValueError("degenerate problem: no source jump and no regularization")
-        if ybar.mesh is not mesh:
-            raise ValueError("ybar belongs to a different mesh")
+        if state is None:
+            state = MeshState(mesh, ybar, f1, f2, mu)
+        elif (state.mesh is not mesh or state.ybar is not ybar
+              or state.problem != (float(f1), float(f2), float(mu))):
+            raise ValueError("state belongs to a different mesh, data or problem")
         self.mesh = mesh
         self.ybar = ybar
         self.f1 = float(f1)
@@ -43,14 +72,14 @@ class QpWorkspace:
         self.cg_tol = float(cg_tol)
         self.cg_max_iters = cg_max_iters
 
-        self.geometry: InterfaceGeometry = shape.compute_geometry(mesh)
+        self.geometry = state.geometry
         self.interface = mesh.interface_nodes
-        self.stiffness = fem.assemble_stiffness(mesh)
-        self.mass = fem.assemble_mass(mesh)
-        self.load = fem.assemble_load_piecewise(mesh, f1, f2)
-        self.solver = fem.DirichletSolver(mesh, matrix=self.stiffness)
+        self.stiffness = state.stiffness
+        self.mass = state.mass
+        self.load = state.load
+        self.solver = state.solver
+        self.y = state.y
 
-        self.y = fem.NodalField(mesh=mesh, values=self.solver.solve(self.load))
         resid = self.load - self.stiffness @ self.y.values
         scale = 1.0 + np.abs(self.load).max()
         if np.abs(resid[self.solver.free]).max() > _CONSISTENCY_TOL * scale:
@@ -169,19 +198,23 @@ class CgResult:
     iterations: int
     residual_norm: float
     negative_curvature: bool = False
+    converged: bool = False
     residual_history: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
 
 
-def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "none",
+def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "laplacian",
                 inner: str = "arc", keep_iterates: bool = False) -> CgResult:
     """Solve A w = r(0) by conjugate gradients.
 
     The iteration runs in the lumped arc-length inner product by default
     (inner="euclidean" switches to the plain dot product for comparison).
-    preconditioner="laplacian" applies the inverse of the tridiagonal
-    regularization block.  A non-positive curvature direction stops the
-    iteration at the current iterate with a flag.
+    preconditioner="laplacian" (the default) applies the inverse of the
+    tridiagonal regularization block mu L, which dominates the reduced
+    Hessian, so the iteration count hardly grows with the mesh;
+    preconditioner="none" runs plain CG.  A non-positive curvature direction
+    stops the iteration at the current iterate with a flag.  converged is set
+    only when the residual falls to cg_tol times its initial norm.
     """
     if inner not in ("arc", "euclidean"):
         raise ValueError(f"unknown inner product {inner!r}")
@@ -208,7 +241,7 @@ def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "none",
     iterates: list[np.ndarray] = [w.copy()] if keep_iterates else []
     if norm_b == 0.0:
         return CgResult(w=InterfaceField(mesh=ws.mesh, values=w, role="design-step"),
-                        iterations=0, residual_norm=0.0,
+                        iterations=0, residual_norm=0.0, converged=True,
                         residual_history=history, iterates=iterates)
 
     max_iters = ws.cg_max_iters if ws.cg_max_iters is not None else 2 * (geo.n_nodes - 2)
@@ -217,6 +250,7 @@ def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "none",
     d = z.copy()
     rho = dot(r, z)
     negative = False
+    converged = False
     iterations = 0
     norm_r = norm_b
     for k in range(1, max_iters + 1):
@@ -235,6 +269,7 @@ def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "none",
         if keep_iterates:
             iterates.append(w.copy())
         if norm_r <= ws.cg_tol * norm_b:
+            converged = True
             break
         z = apply_precond(r)
         rho_new = dot(r, z)
@@ -245,5 +280,5 @@ def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "none",
     w[-1] = 0.0
     return CgResult(w=InterfaceField(mesh=ws.mesh, values=w, role="design-step"),
                     iterations=iterations, residual_norm=norm_r,
-                    negative_curvature=negative,
+                    negative_curvature=negative, converged=converged,
                     residual_history=history, iterates=iterates)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from shapenewton import driver, verify
+from shapenewton import driver, qp, verify
 
 # Reference dist table for the two-iteration experiment: rows are iterations
 # 0..2, columns are refinement levels coarse to fine.  Coarse row 2 is the
@@ -117,6 +117,30 @@ def test_reduced_hessian_is_symmetric():
 def test_pure_regularization_matches_direct_solve():
     result = verify.pure_regularization_tridiag()
     assert result.passed, result.detail
+
+
+def test_pure_regularization_check_runs_unpreconditioned_cg(monkeypatch):
+    # The default preconditioner is the direct tridiagonal solve the check
+    # compares against; with it CG would finish in one step.
+    iterations = []
+    solve = qp.solve_qp_cg
+
+    def spy(ws, *args, **kwargs):
+        result = solve(ws, *args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(qp, "solve_qp_cg", spy)
+    result = verify.pure_regularization_tridiag()
+    assert result.passed, result.detail
+    assert len(iterations) == 1 and iterations[0] > 1
+
+
+def test_newton_cg_counts_are_mesh_independent(study_bundle):
+    counts = np.array([[row.cg_iterations for row in trace.rows[:-1]]
+                       for trace in study_bundle.traces])
+    assert counts.max() <= 15
+    assert np.ptp(counts, axis=0).max() <= 2
 
 
 def test_curvature_matches_circle():

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from shapenewton import driver, fem, shape
-from shapenewton.errors import ConfigError
+from shapenewton import driver, fem, qp, shape
+from shapenewton.errors import ConfigError, StepFailureError
 from shapenewton.mesh import build_template
 
 
@@ -28,7 +28,7 @@ def test_config_defaults():
     c = driver.ExperimentConfig()
     assert (c.f1, c.f2, c.mu) == (1000.0, 1.0, 10.0)
     assert (c.n, c.levels, c.max_sqp_iters) == (54, 3, 2)
-    assert (c.cg_tol, c.step_length, c.line_search) == (1e-8, 1.0, True)
+    assert (c.cg_tol, c.step_length, c.line_search) == (1e-10, 1.0, True)
     assert (c.baseline_scaling, c.seed) == (1e4, 0)
 
 
@@ -39,6 +39,12 @@ def test_data_oracle_straight_fine_and_nonnegative():
     assert data.mesh.n_triangles == 16 * 2 * 16 ** 2
     assert shape.dist_to_solution(data.mesh) == 0.0
     assert data.field.values.min() >= -1e-9
+
+
+def test_data_oracle_is_as_fine_as_the_finest_level():
+    config = driver.ExperimentConfig(n=4, levels=4)
+    data = driver.generate_data(config)
+    assert data.mesh.n_triangles >= driver.mesh_at_level(config, 4).n_triangles
 
 
 def test_data_oracle_self_sample_is_exact():
@@ -177,14 +183,28 @@ def test_observer_sees_every_row_with_fields():
 
 
 def test_step_failure_names_the_iteration(monkeypatch):
-    from shapenewton.errors import StepFailureError
-
     def refuse(*args, **kwargs):
         raise StepFailureError("no acceptable step length found")
 
     monkeypatch.setattr(driver, "_take_step", refuse)
     config = driver.ExperimentConfig(n=8, max_sqp_iters=1)
     with pytest.raises(StepFailureError, match="iteration 0:"):
+        driver.sqp_solve(config, driver.generate_data(config))
+
+
+@pytest.mark.parametrize("negative, residual, reason", [
+    (True, 0.5, "negative curvature"),
+    (False, 1e-3, "above cg_tol"),
+])
+def test_cg_failure_names_level_and_iteration(monkeypatch, negative, residual, reason):
+    def failed_cg(ws, *args, **kwargs):
+        return qp.CgResult(w=ws.zero_design(), iterations=2, residual_norm=residual,
+                           negative_curvature=negative,
+                           residual_history=[1.0, 0.5, residual])
+
+    monkeypatch.setattr(driver.qp, "solve_qp_cg", failed_cg)
+    config = driver.ExperimentConfig(n=8, max_sqp_iters=1)
+    with pytest.raises(StepFailureError, match=f"level 1 iteration 0: .*{reason}"):
         driver.sqp_solve(config, driver.generate_data(config))
 
 

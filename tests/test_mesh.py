@@ -205,6 +205,24 @@ def test_locate_edge_point_lowest_triangle_wins():
     assert areas[tri] > 0
 
 
+def test_locate_edge_midpoints_lowest_triangle_wins():
+    # Diagonal-edge midpoints are as far from the edge's endpoints as from the
+    # opposite right-angle vertices, so the nearest vertex's star may hold
+    # only one of the two triangles on the edge.
+    m = mm.refine_uniform(mm.build_template(4))
+    t = m.triangles
+    edges = np.unique(np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
+                              axis=1), axis=0)
+    mids = 0.5 * (m.vertices[edges[:, 0]] + m.vertices[edges[:, 1]])
+    tri, _ = mm.locate_points(m, mids)
+    p = m.vertices[t]                                   # (T, 3, 2)
+    lhs = np.concatenate([p.transpose(0, 2, 1), np.ones((m.n_triangles, 1, 3))], axis=1)
+    rhs = np.concatenate([mids.T, np.ones((1, mids.shape[0]))])
+    bary = np.linalg.solve(lhs[:, None], rhs.T[None, :, :, None])[..., 0]  # (T, P, 3)
+    containing = bary.min(axis=-1) >= -1e-12
+    np.testing.assert_array_equal(tri, np.argmax(containing, axis=0))
+
+
 def test_locate_repeatable():
     m = mm.build_template(6)
     pts = np.random.default_rng(0).uniform(size=(64, 2))

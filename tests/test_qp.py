@@ -60,6 +60,25 @@ def test_workspace_state_matches_standalone_solve(straight_ws):
     np.testing.assert_array_equal(straight_ws.y.values, y_ref.values)
 
 
+def test_workspace_reuses_a_handed_state(bulged_ws):
+    state = qp.MeshState(bulged_ws.mesh, bulged_ws.ybar, F1, F2, MU)
+    ws = qp.QpWorkspace(state.mesh, state.ybar, F1, F2, MU, state=state)
+    assert ws.solver is state.solver
+    np.testing.assert_array_equal(ws.p.values, bulged_ws.p.values)
+    with pytest.raises(ValueError):
+        qp.QpWorkspace(state.mesh, state.ybar, F1, F2, 2.0 * MU, state=state)
+
+
+def test_mesh_state_objective_matches_separate_solves(bulged_ws):
+    # The line search ranks trials by this value, so it must not depend on
+    # whether the state came from a workspace or from standalone solves.
+    m = bulged_ws.mesh
+    state = qp.MeshState(m, bulged_ws.ybar, F1, F2, MU)
+    y = fem.solve_state(m, F1, F2)
+    expected = shape.objective(m, y, bulged_ws.ybar, shape.compute_geometry(m), MU)
+    assert state.objective == expected
+
+
 # ------------------------------------------------------- linearized state
 
 def test_state_correction_vanishes_for_consistent_state(straight_ws):
@@ -236,6 +255,7 @@ def test_cg_returns_zero_in_zero_iterations_for_zero_residual():
     result = qp.solve_qp_cg(ws)
     assert result.iterations == 0
     assert result.residual_norm == 0.0
+    assert result.converged
     np.testing.assert_array_equal(result.w.values, 0.0)
 
 
@@ -243,7 +263,8 @@ def test_cg_matches_tridiagonal_direct_solve():
     ws = curved_regularization_ws()
     r0 = qp.design_residual(ws, ws.zero_design()).values
     direct = qp.solve_tridiagonal_regularization(ws.geometry, MU, r0)
-    result = qp.solve_qp_cg(ws)
+    # Plain CG: preconditioned by this direct solve it would compare it with itself.
+    result = qp.solve_qp_cg(ws, preconditioner="none")
     assert not result.negative_curvature
     assert result.residual_norm <= 1e-12 * shape.s_norm(ws.geometry, r0)
     np.testing.assert_allclose(result.w.values, direct,
@@ -264,7 +285,7 @@ def test_cg_error_decreases_monotonically_in_operator_norm():
     ws = curved_regularization_ws()
     r0 = qp.design_residual(ws, ws.zero_design()).values
     exact = qp.solve_tridiagonal_regularization(ws.geometry, MU, r0)
-    result = qp.solve_qp_cg(ws, keep_iterates=True)
+    result = qp.solve_qp_cg(ws, preconditioner="none", keep_iterates=True)
     energies = []
     for w_k in result.iterates:
         err = w_k - exact
@@ -286,6 +307,15 @@ def test_cg_solves_full_problem_to_tolerance(bulged_ws):
     assert shape.s_norm(bulged_ws.geometry, r_final) <= 1.1e-8 * norm0
     assert result.iterations >= 1
     assert len(result.residual_history) == result.iterations + 1
+    assert result.converged
+
+
+def test_cg_reports_stopping_above_tolerance(bulged_ws):
+    ws = qp.QpWorkspace(bulged_ws.mesh, bulged_ws.ybar, F1, F2, MU, cg_max_iters=1)
+    result = qp.solve_qp_cg(ws)
+    assert result.iterations == 1
+    assert not result.negative_curvature
+    assert not result.converged
 
 
 def test_cg_flags_negative_curvature():
@@ -294,6 +324,7 @@ def test_cg_flags_negative_curvature():
     ws = qp.QpWorkspace(m, ybar, 7.0, 6.999, mu=-5.0)  # concave regularization
     result = qp.solve_qp_cg(ws)
     assert result.negative_curvature
+    assert not result.converged
     np.testing.assert_array_equal(result.w.values, 0.0)
 
 
