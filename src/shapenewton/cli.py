@@ -43,7 +43,6 @@ _CONFIG_PARSERS = {
     "step_length": float,
     "line_search": _parse_bool,
     "baseline_scaling": float,
-    "seed": int,
 }
 
 
@@ -85,8 +84,6 @@ def resolve_config(args) -> driver.ExperimentConfig:
         values["baseline_scaling"] = args.scaling
     if getattr(args, "cg_tol", None) is not None:
         values["cg_tol"] = args.cg_tol
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = args.seed
     return driver.ExperimentConfig(**values)
 
 
@@ -247,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reuse a non-empty output directory")
         p.add_argument("--cg-tol", dest="cg_tol", type=float,
                        help="relative CG tolerance")
-        p.add_argument("--seed", type=int, help="seed recorded in the config")
 
     p_solve = sub.add_parser("solve", help="run the SQP iteration on one level")
     add_common(p_solve)

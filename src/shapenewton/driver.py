@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem, qp, shape
-from .errors import ConfigError, StepFailureError
+from .errors import ConfigError, MeshInvariantError, StepFailureError
 from .mesh import TriMesh, build_template, refine_uniform
 
 log = logging.getLogger(__name__)
@@ -27,6 +27,7 @@ GRAD_TOL = 1e-10
 # factor; rejection triggers step halving.
 ACCEPT_FACTOR = 1.1
 
+# Halvings below the smallest candidate step before a step failure.
 _MAX_HALVINGS = 30
 
 
@@ -44,7 +45,6 @@ class ExperimentConfig:
     step_length: float = 1.0
     line_search: bool = True
     baseline_scaling: float = 1e4
-    seed: int = 0
 
     def __post_init__(self):
         if self.f1 == self.f2:
@@ -163,10 +163,10 @@ def initial_mesh(config: ExperimentConfig, level: int) -> TriMesh:
     offsets = pts[:, 0] - m.interface_points[:, 0]
     geometry = shape.compute_geometry(m)
     field = shape.InterfaceField(mesh=m, values=offsets)
-    moved, used = shape.retract(m, field, geometry, 1.0)
-    if used != 1.0:
-        raise StepFailureError("placing the starting interface required step halving")
-    return moved
+    try:
+        return shape.retract(m, field, geometry, 1.0)
+    except MeshInvariantError as exc:
+        raise StepFailureError(f"starting interface: {exc}") from exc
 
 
 def _evaluate(mesh: TriMesh, data: DataOracle, config: ExperimentConfig) -> qp.MeshState:
@@ -177,35 +177,42 @@ def _evaluate(mesh: TriMesh, data: DataOracle, config: ExperimentConfig) -> qp.M
 def _take_step(state: qp.MeshState, w: shape.InterfaceField,
                geometry: shape.InterfaceGeometry, alphas: list[float],
                data: DataOracle, config: ExperimentConfig) -> tuple[qp.MeshState, float]:
-    """Try the candidate step lengths, keep the best objective; fall back to
-    halving below the smallest candidate when all trials fail or increase the
-    objective beyond the acceptance factor.  Returns the accepted trial's
-    state, which the next iteration's workspace reuses."""
+    """Choose a step length along w; return it with the accepted trial's
+    state, which the next iteration's workspace reuses.
+
+    Each candidate is tried once, skipping any whose mesh is invalid, and the
+    lowest objective is accepted if within ACCEPT_FACTOR of the current one.
+    Otherwise the step is halved from the smallest candidate, up to
+    _MAX_HALVINGS times, until a trial is.  This is the solver's only halving
+    loop: a step costs at most len(alphas) + _MAX_HALVINGS elastic solves.
+    """
     mesh = state.mesh
     limit = ACCEPT_FACTOR * state.objective
+
+    def trial(alpha):
+        try:
+            moved = shape.retract(mesh, w, geometry, alpha)
+        except MeshInvariantError:
+            return None
+        return _evaluate(moved, data, config)
+
     best = None
     for alpha in alphas:
-        try:
-            trial, used = shape.retract(mesh, w, geometry, alpha)
-        except StepFailureError:
-            continue
-        candidate = _evaluate(trial, data, config)
-        if best is None or candidate.objective < best[0].objective:
-            best = (candidate, used)
+        candidate = trial(alpha)
+        if candidate is not None and (best is None
+                                      or candidate.objective < best[0].objective):
+            best = (candidate, alpha)
     if best is not None and best[0].objective <= limit:
         return best
 
     alpha = min(alphas)
     for _ in range(_MAX_HALVINGS):
         alpha *= 0.5
-        try:
-            trial, used = shape.retract(mesh, w, geometry, alpha)
-        except StepFailureError:
-            continue
-        candidate = _evaluate(trial, data, config)
-        if candidate.objective <= limit:
-            return candidate, used
-    raise StepFailureError("no acceptable step length found")
+        candidate = trial(alpha)
+        if candidate is not None and candidate.objective <= limit:
+            return candidate, alpha
+    raise StepFailureError(f"no acceptable step length in {len(alphas)} candidates "
+                           f"and {_MAX_HALVINGS} halvings")
 
 
 def _iterate(config: ExperimentConfig, data: DataOracle, level: int,
@@ -258,8 +265,10 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     steps along the resulting normal displacement.  With line_search enabled
     the step length is chosen among {1, 1.25, 1.5} times the configured
     length by objective value; otherwise the configured length is used
-    directly.  Either way a rejected or inverting step is halved.  The run
-    starts from the reference curve unless an explicit start mesh is given.
+    directly.  When no candidate is acceptable, the step is halved from the
+    smallest one at most _MAX_HALVINGS times before the run fails with
+    StepFailureError.  The run starts from the reference curve unless an
+    explicit start mesh is given.
     CG that meets negative curvature, or stops above cg_tol, raises
     StepFailureError.
     """
@@ -305,7 +314,6 @@ def steepest_descent_solve(config: ExperimentConfig, data: DataOracle | None = N
         w = shape.InterfaceField(
             mesh=ws.mesh,
             values=config.baseline_scaling * (-g.values) / jump_sq,
-            role="descent",
         )
         return w, 0, alphas
 

@@ -27,7 +27,8 @@ class LinearSolverError(ShapeNewtonError):
 
 
 class StepFailureError(ShapeNewtonError):
-    """Retraction failed after exhausting automatic step halving."""
+    """No acceptable step within the driver's halving budget, a CG failure,
+    or an invalid start curve or reference observation."""
 
 
 class ConfigError(ShapeNewtonError):

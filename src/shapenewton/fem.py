@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import LinearSolverError
-from .mesh import TriMesh, factor_spd, locate_points
+from .mesh import TriMesh, factor_spd, locate_points, p1_gradients
 
 _RESIDUAL_TOL = 1e-10
 
@@ -39,38 +39,9 @@ def _check_same_mesh(mesh: TriMesh, *fields: NodalField) -> None:
             raise ValueError("field belongs to a different mesh")
 
 
-def _gradients(mesh: TriMesh):
-    """Per-triangle shape-function gradient coefficients and areas.
-
-    Returns (b, c, area) with grad(phi_i) = (b_i, c_i) / (2 area).
-    """
-    p = mesh.vertices[mesh.triangles]
-    x, y = p[..., 0], p[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    return b, c, area
-
-
-def element_stiffness(coords: np.ndarray) -> np.ndarray:
-    """Stiffness matrix of a single triangle given its (3, 2) vertex coords."""
-    x, y = coords[:, 0], coords[:, 1]
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    area = 0.5 * (b[0] * c[1] - b[1] * c[0])
-    return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
-
-
-def element_mass(coords: np.ndarray) -> np.ndarray:
-    """Consistent mass matrix of a single triangle."""
-    x, y = coords[:, 0], coords[:, 1]
-    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
-    return area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-
-
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     """Global P1 stiffness matrix (no boundary conditions applied)."""
-    b, c, area = _gradients(mesh)
+    b, c, area = p1_gradients(mesh)
     Ke = (np.einsum("ti,tj->tij", b, b) + np.einsum("ti,tj->tij", c, c)) \
         / (4.0 * area)[:, None, None]
     return _scatter(mesh, Ke)
@@ -78,7 +49,7 @@ def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
 
 def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
     """Global consistent P1 mass matrix."""
-    _, _, area = _gradients(mesh)
+    _, _, area = p1_gradients(mesh)
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     Me = area[:, None, None] * base
     return _scatter(mesh, Me)
@@ -95,7 +66,7 @@ def _scatter(mesh: TriMesh, element_matrices: np.ndarray) -> sp.csr_matrix:
 
 def assemble_load_piecewise(mesh: TriMesh, f1: float, f2: float) -> np.ndarray:
     """Load vector for a source that is constant on each subdomain."""
-    _, _, area = _gradients(mesh)
+    _, _, area = p1_gradients(mesh)
     f = np.where(mesh.subdomain == 1, f1, f2)
     contrib = (area * f / 3.0)[:, None] * np.ones(3)
     load = np.zeros(mesh.n_vertices)
@@ -106,7 +77,7 @@ def assemble_load_piecewise(mesh: TriMesh, f1: float, f2: float) -> np.ndarray:
 def assemble_load_function(mesh: TriMesh, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Load vector for a smooth source, edge-midpoint quadrature."""
     p = mesh.vertices[mesh.triangles]
-    _, _, area = _gradients(mesh)
+    _, _, area = p1_gradients(mesh)
     mids = 0.5 * (p + np.roll(p, -1, axis=1))  # m01, m12, m20
     fm = f(mids.reshape(-1, 2)).reshape(-1, 3)
     # vertex i is supported on the two midpoints of its incident edges
@@ -119,32 +90,19 @@ def assemble_load_function(mesh: TriMesh, f: Callable[[np.ndarray], np.ndarray])
     return load
 
 
-@dataclass(frozen=True)
-class SparseSpdSystem:
-    """Linear system with homogeneous Dirichlet rows to eliminate."""
-
-    mesh: TriMesh
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    constrained: np.ndarray  # node indices with value pinned to zero
-
-
 class DirichletSolver:
-    """Factorized solver for one matrix with a fixed constrained set.
+    """Factorized solver for one matrix with homogeneous Dirichlet data on
+    the outer boundary.
 
     The factorization is computed once and reused across right-hand sides,
     which keeps repeated solves on the same mesh cheap and deterministic.
     """
 
-    def __init__(self, mesh: TriMesh, matrix: sp.csr_matrix | None = None,
-                 constrained: np.ndarray | None = None):
+    def __init__(self, mesh: TriMesh, matrix: sp.csr_matrix | None = None):
         self.mesh = mesh
         self.matrix = assemble_stiffness(mesh) if matrix is None else matrix
-        if constrained is None:
-            constrained = mesh.outer_boundary_nodes
-        self.constrained = np.asarray(constrained, dtype=np.int64)
         mask = np.ones(mesh.n_vertices, dtype=bool)
-        mask[self.constrained] = False
+        mask[mesh.outer_boundary_nodes] = False
         self.free = np.flatnonzero(mask)
         self._kff = self.matrix[self.free][:, self.free].tocsc()
         self._lu = factor_spd(self._kff)
@@ -165,32 +123,17 @@ class DirichletSolver:
         return out
 
 
-def solve_dirichlet(system: SparseSpdSystem) -> NodalField:
-    """Solve a symmetric positive definite system with homogeneous Dirichlet data."""
-    solver = DirichletSolver(system.mesh, system.matrix, system.constrained)
-    return NodalField(system.mesh, solver.solve(system.rhs))
-
-
-def solve_state(mesh: TriMesh, f1: float, f2: float,
-                solver: DirichletSolver | None = None) -> NodalField:
+def solve_state(mesh: TriMesh, f1: float, f2: float) -> NodalField:
     """State solve: -lap y = f with f = f1 left of the interface, f2 right."""
-    if solver is None:
-        solver = DirichletSolver(mesh)
     load = assemble_load_piecewise(mesh, f1, f2)
-    return NodalField(mesh, solver.solve(load))
+    return NodalField(mesh, DirichletSolver(mesh).solve(load))
 
 
-def solve_adjoint(mesh: TriMesh, y: NodalField, ybar: NodalField,
-                  solver: DirichletSolver | None = None,
-                  mass: sp.csr_matrix | None = None) -> NodalField:
+def solve_adjoint(mesh: TriMesh, y: NodalField, ybar: NodalField) -> NodalField:
     """Adjoint solve: -lap p = -(y - ybar) with homogeneous Dirichlet data."""
     _check_same_mesh(mesh, y, ybar)
-    if solver is None:
-        solver = DirichletSolver(mesh)
-    if mass is None:
-        mass = assemble_mass(mesh)
-    rhs = -(mass @ (y.values - ybar.values))
-    return NodalField(mesh, solver.solve(rhs))
+    rhs = -(assemble_mass(mesh) @ (y.values - ybar.values))
+    return NodalField(mesh, DirichletSolver(mesh).solve(rhs))
 
 
 def evaluate_field(mesh: TriMesh, field: NodalField, points: np.ndarray) -> np.ndarray:
@@ -200,15 +143,6 @@ def evaluate_field(mesh: TriMesh, field: NodalField, points: np.ndarray) -> np.n
     tri, bary = locate_points(mesh, pts)
     vals = np.einsum("pk,pk->p", bary, field.values[mesh.triangles[tri]])
     return vals if np.asarray(points).ndim > 1 else vals[0]
-
-
-def l2_norm(mesh: TriMesh, field: NodalField, mass: sp.csr_matrix | None = None) -> float:
-    """L2 norm of a P1 field, exact via the consistent mass matrix."""
-    _check_same_mesh(mesh, field)
-    if mass is None:
-        mass = assemble_mass(mesh)
-    v = field.values
-    return float(np.sqrt(max(v @ (mass @ v), 0.0)))
 
 
 def objective_misfit(mesh: TriMesh, y: NodalField, ybar: NodalField,
@@ -227,7 +161,7 @@ def quadrature_l2_difference(mesh: TriMesh, field: NodalField,
     _check_same_mesh(mesh, field)
     p = mesh.vertices[mesh.triangles]
     v = field.values[mesh.triangles]
-    _, _, area = _gradients(mesh)
+    _, _, area = p1_gradients(mesh)
     mids = 0.5 * (p + np.roll(p, -1, axis=1))
     vm = 0.5 * (v + np.roll(v, -1, axis=1))
     diff = vm - exact(mids.reshape(-1, 2)).reshape(-1, 3)

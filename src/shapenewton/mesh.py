@@ -69,6 +69,19 @@ class TriMesh:
         return self.vertices[self.interface_nodes]
 
 
+def p1_gradients(mesh: TriMesh):
+    """Per-triangle shape-function gradient coefficients and areas.
+
+    Returns (b, c, area) with grad(phi_i) = (b_i, c_i) / (2 area).
+    """
+    p = mesh.vertices[mesh.triangles]
+    x, y = p[..., 0], p[..., 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    return b, c, area
+
+
 def signed_areas(mesh: TriMesh) -> np.ndarray:
     """Signed triangle areas; positive for counter-clockwise orientation."""
     p = mesh.vertices[mesh.triangles]
@@ -314,12 +327,12 @@ def factor_spd(matrix: sp.csc_matrix) -> spla.SuperLU:
                      options={"SymmetricMode": True})
 
 
-def solve_elastic_deformation(mesh: TriMesh, interface_displacement: np.ndarray,
-                              lam: float = 0.0, shear: float = 1.0) -> DeformationField:
+def solve_elastic_deformation(mesh: TriMesh,
+                              interface_displacement: np.ndarray) -> DeformationField:
     """Extend an interface displacement to the volume by linear elasticity.
 
     Dirichlet data: the given displacement on interface nodes, zero on the
-    outer boundary.  Lame parameters default to lambda = 0, mu = 1.
+    outer boundary.  Lame parameters lambda = 0, mu = 1.
     """
     g = np.asarray(interface_displacement, dtype=np.float64)
     if g.shape != (mesh.interface_nodes.shape[0], 2):
@@ -330,8 +343,8 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement: np.ndarray,
 
     nv = mesh.n_vertices
     cache = getattr(mesh, "_elastic_cache", None)
-    if cache is None or cache[0] != (lam, shear):
-        K = _assemble_elasticity(mesh, lam, shear)
+    if cache is None:
+        K = _assemble_elasticity(mesh)
         constrained = np.zeros(2 * nv, dtype=bool)
         for comp in (0, 1):
             constrained[2 * mesh.outer_boundary_nodes + comp] = True
@@ -340,9 +353,9 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement: np.ndarray,
         fixed = np.flatnonzero(constrained)
         Kff = K[free][:, free].tocsc()
         factor = factor_spd(Kff)
-        cache = ((lam, shear), free, fixed, K[free][:, fixed].tocsr(), Kff, factor)
+        cache = (free, fixed, K[free][:, fixed].tocsr(), Kff, factor)
         object.__setattr__(mesh, "_elastic_cache", cache)
-    _, free, fixed, Kfc, Kff, factor = cache
+    free, fixed, Kfc, Kff, factor = cache
 
     values = np.zeros(2 * nv)
     values[2 * mesh.interface_nodes] = g[:, 0]
@@ -363,12 +376,8 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement: np.ndarray,
     return DeformationField(mesh=mesh, displacement=values.reshape(-1, 2))
 
 
-def _assemble_elasticity(mesh: TriMesh, lam: float, shear: float) -> sp.csr_matrix:
-    p = mesh.vertices[mesh.triangles]
-    x, y = p[..., 0], p[..., 1]
-    bmat = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    cmat = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * (bmat[:, 0] * cmat[:, 1] - bmat[:, 1] * cmat[:, 0])
+def _assemble_elasticity(mesh: TriMesh) -> sp.csr_matrix:
+    bmat, cmat, area = p1_gradients(mesh)
     # rows of B: eps_xx, eps_yy, gamma_xy over dofs (ux0, uy0, ux1, uy1, ux2, uy2)
     nt = mesh.n_triangles
     B = np.zeros((nt, 3, 6))
@@ -378,9 +387,7 @@ def _assemble_elasticity(mesh: TriMesh, lam: float, shear: float) -> sp.csr_matr
         B[:, 1, 2 * i + 1] = cmat[:, i] * inv2a
         B[:, 2, 2 * i] = cmat[:, i] * inv2a
         B[:, 2, 2 * i + 1] = bmat[:, i] * inv2a
-    D = np.array([[lam + 2 * shear, lam, 0.0],
-                  [lam, lam + 2 * shear, 0.0],
-                  [0.0, 0.0, shear]])
+    D = np.diag([2.0, 2.0, 1.0])  # lambda + 2 mu, lambda + 2 mu, mu
     Ke = np.einsum("tki,kl,tlj,t->tij", B, D, B, area, optimize=True)
     dofs = np.empty((nt, 6), dtype=np.int64)
     dofs[:, 0::2] = 2 * mesh.triangles
@@ -506,15 +513,9 @@ def _locator(mesh: TriMesh) -> _Locator:
     return loc
 
 
-def locate_point(mesh: TriMesh, x) -> tuple[int, np.ndarray]:
-    """Containing triangle and barycentric coordinates of a single point.
+def locate_points(mesh: TriMesh, points: np.ndarray):
+    """Vectorized point location; returns (triangle indices, barycentrics).
 
     Points on shared edges resolve to the lowest incident triangle index.
     """
-    tri, bary = _locator(mesh).locate(np.asarray(x, dtype=np.float64)[None, :])
-    return int(tri[0]), bary[0]
-
-
-def locate_points(mesh: TriMesh, points: np.ndarray):
-    """Vectorized point location; returns (triangle indices, barycentrics)."""
     return _locator(mesh).locate(points)

@@ -1,9 +1,10 @@
 """Linear-quadratic subproblem of one interface-Newton step.
 
 A workspace freezes the current mesh, the state and adjoint fields and one
-stiffness factorization.  The reduced design equation A w = r(0) is solved
-matrix-free by conjugate gradients in the lumped arc-length inner product;
-one operator application costs two triangular back-solves.
+stiffness factorization.  The Newton step solves the reduced design equation
+A w = -g, with g the shape gradient, matrix-free by conjugate gradients in the
+lumped arc-length inner product; one operator application costs two
+triangular back-solves.
 """
 from __future__ import annotations
 
@@ -48,9 +49,9 @@ class QpWorkspace:
     """State, adjoint and cached factorization for one outer iteration.
 
     The adjoint is produced by the same solve path as the subproblem dual
-    variable at w = 0, which makes the residual identity r(0) = -g hold to
-    the last bit.  A MeshState already computed for the same mesh, data and
-    problem can be passed as state; otherwise one is computed here.
+    variable at w = 0, so the design residual at w = 0 is -g to the last
+    bit.  A MeshState already computed for the same mesh, data and problem
+    can be passed as state; otherwise one is computed here.
     """
 
     def __init__(self, mesh: TriMesh, ybar: fem.NodalField, f1: float, f2: float,
@@ -123,34 +124,14 @@ def qp_adjoint_solve(ws: QpWorkspace, z: fem.NodalField) -> fem.NodalField:
     return fem.NodalField(mesh=ws.mesh, values=ws.solver.solve(rhs))
 
 
-def design_residual(ws: QpWorkspace, w: InterfaceField) -> InterfaceField:
-    """Residual of the reduced design equation at displacement w.
-
-    r(w) = (f1 - f2)(q(w) + kappa p w) - mu kappa - mu d^2w/dtau^2 nodally
-    on the interface, with pinned endpoints; r(0) is the negative shape
-    gradient.
-    """
-    ws._check_design(w)
-    z = qp_state_solve(ws, w)
-    q = qp_adjoint_solve(ws, z)
-    q_u = q.values[ws.interface]
-    p_u = ws.p.values[ws.interface]
-    kappa = ws.geometry.curvature
-    r = (ws.jump * (q_u + kappa * p_u * w.values)
-         - ws.mu * kappa
-         - ws.mu * shape.tangential_laplacian_apply(ws.geometry, w.values))
-    r[0] = 0.0
-    r[-1] = 0.0
-    return InterfaceField(mesh=ws.mesh, values=r, role="residual")
-
-
 def reduced_hessian_apply(ws: QpWorkspace, w: InterfaceField) -> InterfaceField:
-    """Matrix-free application of A w = r(0) - r(w).
+    """Matrix-free application of the reduced Hessian A.
 
-    Uses the homogeneous solve path, so the affine offsets cancel exactly:
     A w = mu L w - (f1 - f2)(dq(w) + kappa p w) with dq the dual increment of
-    the interface source alone.  A is symmetric positive semi-definite in the
-    arc inner product, plus the indefinite diagonal curvature coupling.
+    the interface source alone: the homogeneous solve path, on which the
+    affine offsets of the state and dual equations cancel exactly.  A is
+    symmetric positive semi-definite in the arc inner product, plus the
+    indefinite diagonal curvature coupling.
     """
     ws._check_design(w)
     rhs = np.zeros(ws.mesh.n_vertices)
@@ -163,7 +144,7 @@ def reduced_hessian_apply(ws: QpWorkspace, w: InterfaceField) -> InterfaceField:
            - ws.jump * (dq[ws.interface] + kappa * p_u * w.values))
     out[0] = 0.0
     out[-1] = 0.0
-    return InterfaceField(mesh=ws.mesh, values=out, role="hessian-apply")
+    return InterfaceField(mesh=ws.mesh, values=out)
 
 
 def _laplacian_banded(geometry: InterfaceGeometry, mu: float):
@@ -200,15 +181,12 @@ class CgResult:
     negative_curvature: bool = False
     converged: bool = False
     residual_history: list[float] = field(default_factory=list)
-    iterates: list[np.ndarray] = field(default_factory=list)
 
 
-def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "laplacian",
-                inner: str = "arc", keep_iterates: bool = False) -> CgResult:
-    """Solve A w = r(0) by conjugate gradients.
+def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "laplacian") -> CgResult:
+    """Solve A w = -g by conjugate gradients in the lumped arc-length inner
+    product, with g the shape gradient of the workspace adjoint.
 
-    The iteration runs in the lumped arc-length inner product by default
-    (inner="euclidean" switches to the plain dot product for comparison).
     preconditioner="laplacian" (the default) applies the inverse of the
     tridiagonal regularization block mu L, which dominates the reduced
     Hessian, so the iteration count hardly grows with the mesh;
@@ -216,33 +194,28 @@ def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "laplacian",
     stops the iteration at the current iterate with a flag.  converged is set
     only when the residual falls to cg_tol times its initial norm.
     """
-    if inner not in ("arc", "euclidean"):
-        raise ValueError(f"unknown inner product {inner!r}")
     if preconditioner not in ("none", "laplacian"):
         raise ValueError(f"unknown preconditioner {preconditioner!r}")
 
     geo = ws.geometry
-    weights = geo.arc_weights if inner == "arc" else np.ones(geo.n_nodes)
 
     def dot(a, b):
-        return float(np.sum(weights * a * b))
+        return float(np.sum(geo.arc_weights * a * b))
 
     def apply_precond(r):
         if preconditioner == "laplacian":
             return solve_tridiagonal_regularization(geo, ws.mu, r)
         return r
 
-    r0_field = design_residual(ws, ws.zero_design())
-    b = r0_field.values
+    b = -shape.shape_gradient(ws.mesh, geo, ws.p, ws.f1, ws.f2, ws.mu).values
     norm_b = np.sqrt(max(dot(b, b), 0.0))
 
     w = np.zeros_like(b)
     history: list[float] = [norm_b]
-    iterates: list[np.ndarray] = [w.copy()] if keep_iterates else []
     if norm_b == 0.0:
-        return CgResult(w=InterfaceField(mesh=ws.mesh, values=w, role="design-step"),
+        return CgResult(w=InterfaceField(mesh=ws.mesh, values=w),
                         iterations=0, residual_norm=0.0, converged=True,
-                        residual_history=history, iterates=iterates)
+                        residual_history=history)
 
     max_iters = ws.cg_max_iters if ws.cg_max_iters is not None else 2 * (geo.n_nodes - 2)
     r = b.copy()
@@ -266,8 +239,6 @@ def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "laplacian",
         iterations = k
         norm_r = np.sqrt(max(dot(r, r), 0.0))
         history.append(norm_r)
-        if keep_iterates:
-            iterates.append(w.copy())
         if norm_r <= ws.cg_tol * norm_b:
             converged = True
             break
@@ -278,7 +249,7 @@ def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "laplacian",
 
     w[0] = 0.0
     w[-1] = 0.0
-    return CgResult(w=InterfaceField(mesh=ws.mesh, values=w, role="design-step"),
+    return CgResult(w=InterfaceField(mesh=ws.mesh, values=w),
                     iterations=iterations, residual_norm=norm_r,
                     negative_curvature=negative, converged=converged,
-                    residual_history=history, iterates=iterates)
+                    residual_history=history)

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import fem
-from .errors import InvertedElementError, MeshInvariantError, StepFailureError
 from .mesh import TriMesh, apply_deformation, solve_elastic_deformation
 
 log = logging.getLogger(__name__)
@@ -51,7 +50,6 @@ class InterfaceField:
 
     mesh: TriMesh
     values: np.ndarray
-    role: str = ""
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.float64)
@@ -129,56 +127,7 @@ def shape_gradient(mesh: TriMesh, geometry: InterfaceGeometry, p: fem.NodalField
     g = -(f1 - f2) * p.values[mesh.interface_nodes] + mu * geometry.curvature
     g[0] = 0.0
     g[-1] = 0.0
-    return InterfaceField(mesh=mesh, values=g, role="gradient")
-
-
-def shape_gradient_domain(mesh: TriMesh, y: fem.NodalField, p: fem.NodalField,
-                          ybar: fem.NodalField, f1: float, f2: float,
-                          V: np.ndarray) -> float:
-    """Volumetric shape derivative of the misfit-plus-PDE Lagrangian along V.
-
-    Evaluates the distributed expression
-        int_Omega -grad(y)^T (DV + DV^T) grad(p) - p V.grad(f)
-                  + div(V) (0.5 (y - ybar)^2 + grad(y).grad(p) - f p) dx.
-    The source is constant on each subdomain and transported with the
-    deformation, so the V.grad(f) term vanishes elementwise.  The perimeter
-    term is not included here.
-    """
-    for fld in (y, p, ybar):
-        if fld.mesh is not mesh:
-            raise ValueError("field belongs to a different mesh")
-    Vv = np.asarray(V, dtype=np.float64)
-    if Vv.shape != (mesh.n_vertices, 2):
-        raise ValueError("V must be a nodal vector field on the mesh")
-
-    b, c, area = fem._gradients(mesh)
-    inv2a = 1.0 / (2.0 * area)
-    tv = mesh.triangles
-
-    def grad(vals):
-        return np.stack([np.einsum("ti,ti->t", b, vals[tv]) * inv2a,
-                         np.einsum("ti,ti->t", c, vals[tv]) * inv2a], axis=1)
-
-    gy = grad(y.values)
-    gp = grad(p.values)
-    # DV[t, i, j] = d V_i / d x_j, constant per triangle
-    DV = np.empty((mesh.n_triangles, 2, 2))
-    for comp in (0, 1):
-        g = grad(Vv[:, comp])
-        DV[:, comp, 0] = g[:, 0]
-        DV[:, comp, 1] = g[:, 1]
-    divV = DV[:, 0, 0] + DV[:, 1, 1]
-    sym = DV + np.transpose(DV, (0, 2, 1))
-
-    term_strain = -np.einsum("ti,tij,tj->t", gy, sym, gp)
-    misfit = y.values - ybar.values
-    mis_tri = misfit[tv]
-    mis_mid = 0.5 * (mis_tri + np.roll(mis_tri, -1, axis=1))
-    mis_sq = (mis_mid ** 2).mean(axis=1)  # edge-midpoint rule, exact for P1^2
-    fvals = np.where(mesh.subdomain == 1, f1, f2)
-    p_mean = p.values[tv].mean(axis=1)
-    term_div = divV * (0.5 * mis_sq + np.einsum("ti,ti->t", gy, gp) - fvals * p_mean)
-    return float(np.sum(area * (term_strain + term_div)))
+    return InterfaceField(mesh=mesh, values=g)
 
 
 def objective(mesh: TriMesh, y: fem.NodalField, ybar: fem.NodalField,
@@ -201,30 +150,21 @@ def tangential_laplacian_apply(geometry: InterfaceGeometry, w: np.ndarray) -> np
 
 
 def retract(mesh: TriMesh, w: InterfaceField, geometry: InterfaceGeometry,
-            step: float) -> tuple[TriMesh, float]:
+            step: float) -> TriMesh:
     """Move interface nodes by step * w * n and extend elastically.
 
-    On element inversion the step is halved, at most ten times.  Returns the
-    new mesh and the step actually applied.
+    Takes exactly the given step; choosing and halving it is the driver's
+    job.  Raises MeshInvariantError (InvertedElementError when a triangle
+    inverts) if the moved mesh is not valid.
     """
     if w.mesh is not mesh:
         raise ValueError("design field belongs to a different mesh")
     if geometry.n_nodes != mesh.interface_nodes.shape[0]:
         raise ValueError("geometry does not match the mesh interface")
-    current = float(step)
-    last_error: Exception | None = None
-    for _ in range(11):
-        disp = current * w.values[:, None] * geometry.normals
-        disp[0] = 0.0
-        disp[-1] = 0.0
-        try:
-            deformation = solve_elastic_deformation(mesh, disp)
-            return apply_deformation(mesh, deformation), current
-        except (InvertedElementError, MeshInvariantError) as exc:
-            last_error = exc
-            current *= 0.5
-    raise StepFailureError(
-        f"retraction failed after 10 step halvings (last: {last_error})")
+    disp = float(step) * w.values[:, None] * geometry.normals
+    disp[0] = 0.0
+    disp[-1] = 0.0
+    return apply_deformation(mesh, solve_elastic_deformation(mesh, disp))
 
 
 def polyline_distance(points: np.ndarray) -> float:

@@ -41,10 +41,8 @@ def fem_manufactured_convergence() -> CheckResult:
         def exact(p):
             return np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
 
-        system = fem.SparseSpdSystem(m, fem.assemble_stiffness(m),
-                                     fem.assemble_load_function(m, f),
-                                     m.outer_boundary_nodes)
-        return fem.quadrature_l2_difference(m, fem.solve_dirichlet(system), exact)
+        y = fem.DirichletSolver(m).solve(fem.assemble_load_function(m, f))
+        return fem.quadrature_l2_difference(m, fem.NodalField(m, y), exact)
 
     errs = [error(n) for n in (8, 16, 32)]
     order = float(np.log2(errs[0] / errs[2]) / 2.0)
@@ -63,7 +61,7 @@ def gradient_fd_check() -> CheckResult:
     heights = np.arange(nodes) / (nodes - 1)
     bump = shape.InterfaceField(
         mesh=base, values=_pinned(0.02 * np.sin(np.pi * heights)))
-    m, _ = shape.retract(base, bump, shape.compute_geometry(base), 1.0)
+    m = shape.retract(base, bump, shape.compute_geometry(base), 1.0)
 
     ybar = data.sample(m)
     ws = qp.QpWorkspace(m, ybar, config.f1, config.f2, config.mu)
@@ -84,8 +82,8 @@ def gradient_fd_check() -> CheckResult:
                     + c2 * np.sin(2.0 * np.pi * heights))
         field = shape.InterfaceField(mesh=m, values=w)
         pairing = shape.s_inner(ws.geometry, g.values, w)
-        plus, _ = shape.retract(m, field, ws.geometry, eps)
-        minus, _ = shape.retract(m, field, ws.geometry, -eps)
+        plus = shape.retract(m, field, ws.geometry, eps)
+        minus = shape.retract(m, field, ws.geometry, -eps)
         fd = (objective_of(plus) - objective_of(minus)) / (2.0 * eps)
         worst = max(worst, abs(fd - pairing) / abs(fd))
     passed = worst <= 1e-2
@@ -135,11 +133,11 @@ def pure_regularization_tridiag() -> CheckResult:
     comparison a check of the solve against itself."""
     base = build_template(16)
     offsets = _pinned(shape.bspline_initial_interface(17)[:, 0] - 0.5)
-    curved, _ = shape.retract(base, shape.InterfaceField(mesh=base, values=offsets),
-                              shape.compute_geometry(base), 1.0)
+    curved = shape.retract(base, shape.InterfaceField(mesh=base, values=offsets),
+                           shape.compute_geometry(base), 1.0)
     ybar = fem.NodalField(mesh=curved, values=np.zeros(curved.n_vertices))
     ws = qp.QpWorkspace(curved, ybar, 7.0, 7.0, 10.0, cg_tol=1e-12)
-    r0 = qp.design_residual(ws, ws.zero_design()).values
+    r0 = -shape.shape_gradient(curved, ws.geometry, ws.p, 7.0, 7.0, 10.0).values
     direct = qp.solve_tridiagonal_regularization(ws.geometry, 10.0, r0)
     result = qp.solve_qp_cg(ws, preconditioner="none")
     worst = float(np.abs(result.w.values - direct).max() / np.abs(direct).max())

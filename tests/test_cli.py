@@ -79,13 +79,12 @@ def test_flags_override_config_file(tmp_path):
     cfg = write_config(tmp_path, "n = 8\nmax_sqp_iters = 0\nstep_length = 0.5\n")
     out = tmp_path / "run"
     code = cli.main(["solve", "--out", str(out), "--config", cfg,
-                     "--alpha", "0.25", "--cg-tol", "1e-6", "--seed", "7"])
+                     "--alpha", "0.25", "--cg-tol", "1e-6"])
     assert code == 0
     saved = json.loads((out / "manifest.json").read_text())["config"]
     assert saved["n"] == 8
     assert saved["step_length"] == 0.25
     assert saved["cg_tol"] == 1e-6
-    assert saved["seed"] == 7
 
 
 def test_invalid_level_exits_one(tmp_path, capsys):

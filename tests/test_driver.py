@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from shapenewton import driver, fem, qp, shape
-from shapenewton.errors import ConfigError, StepFailureError
+from shapenewton.errors import ConfigError, InvertedElementError, StepFailureError
 from shapenewton.mesh import build_template
 
 
@@ -29,7 +29,7 @@ def test_config_defaults():
     assert (c.f1, c.f2, c.mu) == (1000.0, 1.0, 10.0)
     assert (c.n, c.levels, c.max_sqp_iters) == (54, 3, 2)
     assert (c.cg_tol, c.step_length, c.line_search) == (1e-10, 1.0, True)
-    assert (c.baseline_scaling, c.seed) == (1e4, 0)
+    assert c.baseline_scaling == 1e4
 
 
 def test_data_oracle_straight_fine_and_nonnegative():
@@ -59,6 +59,17 @@ def test_initial_mesh_places_reference_curve():
     m = driver.initial_mesh(config, 1)
     expected = shape.bspline_initial_interface(m.interface_nodes.shape[0])
     np.testing.assert_allclose(m.interface_points, expected, atol=1e-13)
+
+
+def test_initial_mesh_rejects_an_inverting_start_curve(monkeypatch):
+    def wild_curve(m):
+        x = np.full(m, 5.0)
+        x[[0, -1]] = 0.5
+        return np.column_stack([x, np.arange(m) / (m - 1)])
+
+    monkeypatch.setattr(driver.shape, "bspline_initial_interface", wild_curve)
+    with pytest.raises(StepFailureError, match="starting interface"):
+        driver.initial_mesh(driver.ExperimentConfig(n=8), 1)
 
 
 def test_initial_mesh_levels_refine():
@@ -180,6 +191,55 @@ def test_observer_sees_every_row_with_fields():
     trace = driver.sqp_solve(config, driver.generate_data(config),
                              observer=observer)
     assert tuple(seen) == trace.rows
+
+
+def step_setup(amplitude):
+    """State on a straight 8-mesh and a sine design field of the given size."""
+    config = driver.ExperimentConfig(n=8)
+    data = driver.generate_data(config)
+    m = build_template(config.n)
+    state = qp.MeshState(m, data.sample(m), config.f1, config.f2, config.mu)
+    heights = m.interface_points[:, 1]
+    values = amplitude * np.sin(np.pi * heights)
+    values[[0, -1]] = 0.0
+    w = shape.InterfaceField(mesh=m, values=values)
+    return state, w, data, config
+
+
+def count_elastic_solves(monkeypatch):
+    calls = []
+    solve = shape.solve_elastic_deformation
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(shape, "solve_elastic_deformation", counted)
+    return calls
+
+
+def test_take_step_halves_an_inverting_step(monkeypatch):
+    state, w, data, config = step_setup(0.9)
+    with pytest.raises(InvertedElementError):
+        shape.retract(state.mesh, w, state.geometry, 1.0)
+    calls = count_elastic_solves(monkeypatch)
+    accepted, alpha = driver._take_step(state, w, state.geometry, [1.0], data, config)
+    halvings = round(-np.log2(alpha))
+    assert alpha == 0.5 ** halvings and halvings >= 1
+    assert len(calls) == 1 + halvings  # each length is tried once
+    assert accepted.objective <= driver.ACCEPT_FACTOR * state.objective
+    expected = shape.retract(state.mesh, w, state.geometry, alpha)
+    np.testing.assert_array_equal(accepted.mesh.vertices, expected.vertices)
+
+
+def test_take_step_fails_after_its_budget(monkeypatch):
+    # inverts at every length down to 2^-30 of the smallest candidate
+    state, w, data, config = step_setup(1e12)
+    alphas = [1.0, 1.25, 1.5]
+    calls = count_elastic_solves(monkeypatch)
+    with pytest.raises(StepFailureError, match="no acceptable step length"):
+        driver._take_step(state, w, state.geometry, alphas, data, config)
+    assert len(calls) == len(alphas) + driver._MAX_HALVINGS
 
 
 def test_step_failure_names_the_iteration(monkeypatch):

@@ -7,6 +7,22 @@ import scipy.sparse.linalg as spla
 from shapenewton import fem, mesh as mm
 
 
+def element_stiffness(coords: np.ndarray) -> np.ndarray:
+    """Stiffness matrix of a single triangle given its (3, 2) vertex coords."""
+    x, y = coords[:, 0], coords[:, 1]
+    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
+    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
+    area = 0.5 * (b[0] * c[1] - b[1] * c[0])
+    return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
+
+
+def element_mass(coords: np.ndarray) -> np.ndarray:
+    """Consistent mass matrix of a single triangle."""
+    x, y = coords[:, 0], coords[:, 1]
+    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
+    return area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+
+
 def unit_triangle_stiffness_oracle():
     # hand integration of grad(phi_i).grad(phi_j) on the triangle (0,0),(1,0),(0,1)
     return np.array([[1.0, -0.5, -0.5],
@@ -16,21 +32,33 @@ def unit_triangle_stiffness_oracle():
 
 def test_element_stiffness_reference_triangle():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(fem.element_stiffness(coords),
+    np.testing.assert_allclose(element_stiffness(coords),
                                unit_triangle_stiffness_oracle(), atol=1e-15)
 
 
 def test_element_stiffness_translation_invariant():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     shifted = coords + np.array([0.3, -0.7])
-    np.testing.assert_allclose(fem.element_stiffness(shifted),
-                               fem.element_stiffness(coords), atol=1e-14)
+    np.testing.assert_allclose(element_stiffness(shifted),
+                               element_stiffness(coords), atol=1e-14)
 
 
 def test_element_mass_reference_triangle():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     oracle = 0.5 / 12.0 * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
-    np.testing.assert_allclose(fem.element_mass(coords), oracle, atol=1e-15)
+    np.testing.assert_allclose(element_mass(coords), oracle, atol=1e-15)
+
+
+def test_assembly_matches_element_oracles():
+    # the vectorized assembly against a loop over the single-element matrices
+    m = mm.refine_uniform(mm.build_template(4))
+    K = np.zeros((m.n_vertices, m.n_vertices))
+    M = np.zeros_like(K)
+    for tri in m.triangles:
+        K[np.ix_(tri, tri)] += element_stiffness(m.vertices[tri])
+        M[np.ix_(tri, tri)] += element_mass(m.vertices[tri])
+    np.testing.assert_allclose(fem.assemble_stiffness(m).toarray(), K, atol=1e-13)
+    np.testing.assert_allclose(fem.assemble_mass(m).toarray(), M, atol=1e-16)
 
 
 def test_stiffness_kernel_and_symmetry():
@@ -75,9 +103,9 @@ def test_misfit_sin_product():
 
 def test_l2_norm_linear_field_exact():
     m = mm.build_template(4)
-    x = fem.NodalField(m, m.vertices[:, 0].copy())
+    x = m.vertices[:, 0]
     # int_0^1 int_0^1 x^2 = 1/3, exact for the consistent mass matrix
-    assert abs(fem.l2_norm(m, x) - np.sqrt(1.0 / 3.0)) < 1e-14
+    assert abs(np.sqrt(x @ (fem.assemble_mass(m) @ x)) - np.sqrt(1.0 / 3.0)) < 1e-14
 
 
 def manufactured_error(n: int) -> float:
@@ -89,11 +117,8 @@ def manufactured_error(n: int) -> float:
     def exact(p):
         return np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
 
-    system = fem.SparseSpdSystem(m, fem.assemble_stiffness(m),
-                                 fem.assemble_load_function(m, f),
-                                 m.outer_boundary_nodes)
-    y = fem.solve_dirichlet(system)
-    return fem.quadrature_l2_difference(m, y, exact)
+    y = fem.DirichletSolver(m).solve(fem.assemble_load_function(m, f))
+    return fem.quadrature_l2_difference(m, fem.NodalField(m, y), exact)
 
 
 def test_manufactured_solution_second_order():

@@ -184,7 +184,7 @@ def test_locate_reconstructs_random_points():
 
 def test_locate_vertex_is_exact():
     m = mm.build_template(4)
-    tri, bary = mm.locate_point(m, m.vertices[7])
+    (tri,), (bary,) = mm.locate_points(m, m.vertices[7:8])
     assert set(np.round(bary, 15)) <= {0.0, 1.0}
     assert m.triangles[tri][np.argmax(bary)] == 7
 
@@ -192,7 +192,7 @@ def test_locate_vertex_is_exact():
 def test_locate_edge_point_lowest_triangle_wins():
     m = mm.build_template(4)
     x = np.array([0.5, 0.375])  # interior point of an interface edge
-    tri, bary = mm.locate_point(m, x)
+    (tri,), _ = mm.locate_points(m, x[None, :])
     areas = mm.signed_areas(m)
     containing = []
     for t in range(m.n_triangles):
@@ -236,4 +236,4 @@ def test_locate_repeatable():
 def test_locate_outside_raises(x):
     m = mm.build_template(4)
     with pytest.raises(PointLocationError):
-        mm.locate_point(m, np.array(x))
+        mm.locate_points(m, np.array([x]))

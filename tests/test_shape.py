@@ -1,11 +1,13 @@
 """Interface geometry, shape gradient, retraction and distance tests."""
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
 
 from shapenewton import fem, mesh, shape
-from shapenewton.errors import StepFailureError
+from shapenewton.errors import InvertedElementError, ShapeNewtonError
 
 
 def straight(n: int) -> mesh.TriMesh:
@@ -122,7 +124,7 @@ def test_interface_field_requires_pinned_endpoints():
         shape.InterfaceField(mesh=m, values=np.ones(5))
     with pytest.raises(ValueError):
         shape.InterfaceField(mesh=m, values=np.zeros(4))
-    f = shape.InterfaceField(mesh=m, values=pinned(np.ones(5)), role="test")
+    f = shape.InterfaceField(mesh=m, values=pinned(np.ones(5)))
     assert not f.values.flags.writeable
 
 
@@ -134,7 +136,6 @@ def test_shape_gradient_combines_adjoint_jump_and_curvature():
     pvals = m.vertices[:, 0] * (1.0 + m.vertices[:, 1])
     p = fem.NodalField(mesh=m, values=pvals)
     g = shape.shape_gradient(m, geo, p, f1=1000.0, f2=1.0, mu=10.0)
-    assert g.role == "gradient"
     expected = -999.0 * pvals[m.interface_nodes]
     expected[0] = 0.0
     expected[-1] = 0.0
@@ -151,8 +152,7 @@ def test_gradient_pushes_a_rightward_bulge_back():
     geo0 = shape.compute_geometry(base)
     w = shape.InterfaceField(
         mesh=base, values=pinned(0.08 * np.sin(np.pi * geo0.points[:, 1])))
-    bulged, used = shape.retract(base, w, geo0, 1.0)
-    assert used == 1.0
+    bulged = shape.retract(base, w, geo0, 1.0)
 
     data_mesh = mesh.refine_uniform(mesh.refine_uniform(straight(n)))
     ybar_data = fem.solve_state(data_mesh, 1000.0, 1.0)
@@ -165,6 +165,46 @@ def test_gradient_pushes_a_rightward_bulge_back():
     g = shape.shape_gradient(bulged, geo, p, 1000.0, 1.0, 10.0)
     assert np.all(g.values[1:-1] > 0.0)
     assert np.all(geo.curvature[1:-1][5:-5] > 0.0)  # apex region is convex
+
+
+def shape_gradient_domain(m, y, p, ybar, f1, f2, V):
+    """Volumetric shape derivative of the misfit-plus-PDE Lagrangian along V.
+
+    Evaluates the distributed expression
+        int_Omega -grad(y)^T (DV + DV^T) grad(p) - p V.grad(f)
+                  + div(V) (0.5 (y - ybar)^2 + grad(y).grad(p) - f p) dx.
+    The source is constant on each subdomain and transported with the
+    deformation, so the V.grad(f) term vanishes elementwise.  The perimeter
+    term is not included here.
+    """
+    b, c, area = mesh.p1_gradients(m)
+    inv2a = 1.0 / (2.0 * area)
+    tv = m.triangles
+
+    def grad(vals):
+        return np.stack([np.einsum("ti,ti->t", b, vals[tv]) * inv2a,
+                         np.einsum("ti,ti->t", c, vals[tv]) * inv2a], axis=1)
+
+    gy = grad(y.values)
+    gp = grad(p.values)
+    # DV[t, i, j] = d V_i / d x_j, constant per triangle
+    DV = np.empty((m.n_triangles, 2, 2))
+    for comp in (0, 1):
+        g = grad(V[:, comp])
+        DV[:, comp, 0] = g[:, 0]
+        DV[:, comp, 1] = g[:, 1]
+    divV = DV[:, 0, 0] + DV[:, 1, 1]
+    sym = DV + np.transpose(DV, (0, 2, 1))
+
+    term_strain = -np.einsum("ti,tij,tj->t", gy, sym, gp)
+    misfit = y.values - ybar.values
+    mis_tri = misfit[tv]
+    mis_mid = 0.5 * (mis_tri + np.roll(mis_tri, -1, axis=1))
+    mis_sq = (mis_mid ** 2).mean(axis=1)  # edge-midpoint rule, exact for P1^2
+    fvals = np.where(m.subdomain == 1, f1, f2)
+    p_mean = p.values[tv].mean(axis=1)
+    term_div = divV * (0.5 * mis_sq + np.einsum("ti,ti->t", gy, gp) - fvals * p_mean)
+    return float(np.sum(area * (term_strain + term_div)))
 
 
 def test_domain_and_interface_gradient_forms_agree():
@@ -182,7 +222,7 @@ def test_domain_and_interface_gradient_forms_agree():
     V = mesh.solve_elastic_deformation(
         m, w.values[:, None] * geo.normals).displacement
 
-    volumetric = shape.shape_gradient_domain(m, y, p, ybar, 1000.0, 1.0, V)
+    volumetric = shape_gradient_domain(m, y, p, ybar, 1000.0, 1.0, V)
     g = shape.shape_gradient(m, geo, p, 1000.0, 1.0, mu=0.0)
     paired = shape.s_inner(geo, g.values, w.values)
     assert volumetric == pytest.approx(paired, rel=5e-2)
@@ -195,8 +235,7 @@ def test_retract_zero_field_returns_identical_vertices():
     m = straight(8)
     geo = shape.compute_geometry(m)
     w = shape.InterfaceField(mesh=m, values=np.zeros(9))
-    moved, used = shape.retract(m, w, geo, 1.0)
-    assert used == 1.0
+    moved = shape.retract(m, w, geo, 1.0)
     np.testing.assert_array_equal(moved.vertices, m.vertices)
     np.testing.assert_array_equal(moved.triangles, m.triangles)
 
@@ -207,8 +246,7 @@ def test_retract_places_interface_nodes_exactly():
     geo = shape.compute_geometry(m)
     vals = pinned(0.1 * np.sin(np.pi * np.arange(n + 1) / n))
     w = shape.InterfaceField(mesh=m, values=vals)
-    moved, used = shape.retract(m, w, geo, 0.5)
-    assert used == 0.5
+    moved = shape.retract(m, w, geo, 0.5)
     target = geo.points + 0.5 * vals[:, None] * geo.normals
     np.testing.assert_allclose(moved.interface_points, target, atol=1e-14)
 
@@ -218,33 +256,46 @@ def test_retract_round_trip_recovers_interface():
     m = straight(n)
     geo = shape.compute_geometry(m)
     vals = pinned(0.02 * np.sin(np.pi * np.arange(n + 1) / n))
-    forward, _ = shape.retract(m, shape.InterfaceField(mesh=m, values=vals), geo, 1.0)
+    forward = shape.retract(m, shape.InterfaceField(mesh=m, values=vals), geo, 1.0)
     geo_fwd = shape.compute_geometry(forward)
-    back, _ = shape.retract(
+    back = shape.retract(
         forward, shape.InterfaceField(mesh=forward, values=vals), geo_fwd, -1.0)
     # the reverse step rides slightly different normals, hence the loose bound
     err = np.abs(back.interface_points - m.interface_points).max()
     assert err < 1e-3
 
 
-def test_retract_halves_step_on_inversion():
-    n = 8
+def inverting_step(n=8):
+    """A straight mesh and a unit step that inverts an element."""
     m = straight(n)
-    geo = shape.compute_geometry(m)
     vals = pinned(0.9 * np.sin(np.pi * np.arange(n + 1) / n))
-    w = shape.InterfaceField(mesh=m, values=vals)
-    moved, used = shape.retract(m, w, geo, 1.0)
-    assert used < 1.0
-    assert moved.n_triangles == m.n_triangles
+    return m, shape.InterfaceField(mesh=m, values=vals), shape.compute_geometry(m)
 
 
-def test_retract_fails_after_exhausting_halvings():
-    n = 8
-    m = straight(n)
-    geo = shape.compute_geometry(m)
-    vals = pinned(1e6 * np.sin(np.pi * np.arange(n + 1) / n))
-    with pytest.raises(StepFailureError):
-        shape.retract(m, shape.InterfaceField(mesh=m, values=vals), geo, 1.0)
+def test_retract_takes_one_step_and_raises_on_inversion():
+    m, w, geo = inverting_step()
+    with pytest.raises(InvertedElementError):
+        shape.retract(m, w, geo, 1.0)
+    moved = shape.retract(m, w, geo, 0.25)
+    target = geo.points + 0.25 * w.values[:, None] * geo.normals
+    np.testing.assert_allclose(moved.interface_points, target, atol=1e-14)
+
+
+def test_failed_retraction_frees_the_source_mesh_without_gc():
+    # A failed trial must not leave its source mesh, with the cached elastic
+    # factorization, in a reference cycle that only the collector can free.
+    m, w, geo = inverting_step()
+    source = weakref.ref(m)
+    gc.disable()
+    try:
+        try:
+            shape.retract(m, w, geo, 1e6)
+        except ShapeNewtonError:
+            pass
+        del m, w, geo
+        assert source() is None
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------- distance
@@ -274,7 +325,7 @@ def test_distance_matches_parabolic_offset_oracle():
     yi = np.arange(n + 1) / n
     vals = pinned(0.1 * yi * (1.0 - yi))
     w = shape.InterfaceField(mesh=m, values=vals)
-    moved, _ = shape.retract(m, w, shape.compute_geometry(m), 1.0)
+    moved = shape.retract(m, w, shape.compute_geometry(m), 1.0)
     assert shape.dist_to_solution(moved) == pytest.approx(1.0 / 60.0, abs=1e-3)
 
 
