@@ -12,6 +12,7 @@ import dataclasses
 import json
 import logging
 import sys
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,18 +33,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_CONFIG_PARSERS = {
-    "f1": float,
-    "f2": float,
-    "mu": float,
-    "n": int,
-    "levels": int,
-    "max_sqp_iters": int,
-    "cg_tol": float,
-    "step_length": float,
-    "line_search": _parse_bool,
-    "baseline_scaling": float,
-}
+_TYPE_PARSERS = {float: float, int: int, bool: _parse_bool}
+_CONFIG_TYPES = typing.get_type_hints(driver.ExperimentConfig)
+_CONFIG_PARSERS = {field.name: _TYPE_PARSERS[_CONFIG_TYPES[field.name]]
+                   for field in dataclasses.fields(driver.ExperimentConfig)}
 
 
 def load_config_file(path) -> dict:

@@ -174,8 +174,7 @@ def _evaluate(mesh: TriMesh, data: DataOracle, config: ExperimentConfig) -> qp.M
     return qp.MeshState(mesh, data.sample(mesh), config.f1, config.f2, config.mu)
 
 
-def _take_step(state: qp.MeshState, w: shape.InterfaceField,
-               geometry: shape.InterfaceGeometry, alphas: list[float],
+def _take_step(state: qp.MeshState, w: shape.InterfaceField, alphas: list[float],
                data: DataOracle, config: ExperimentConfig) -> tuple[qp.MeshState, float]:
     """Choose a step length along w; return it with the accepted trial's
     state, which the next iteration's workspace reuses.
@@ -191,7 +190,7 @@ def _take_step(state: qp.MeshState, w: shape.InterfaceField,
 
     def trial(alpha):
         try:
-            moved = shape.retract(mesh, w, geometry, alpha)
+            moved = shape.retract(mesh, w, state.geometry, alpha)
         except MeshInvariantError:
             return None
         return _evaluate(moved, data, config)
@@ -224,14 +223,13 @@ def _iterate(config: ExperimentConfig, data: DataOracle, level: int,
     rows = []
     for it in range(config.max_sqp_iters + 1):
         cur = state.mesh
-        ws = qp.QpWorkspace(cur, state.ybar, config.f1, config.f2, config.mu,
-                            cg_tol=config.cg_tol, state=state)
-        g = shape.shape_gradient(cur, ws.geometry, ws.p, config.f1, config.f2,
+        ws = qp.QpWorkspace(state, cg_tol=config.cg_tol)
+        g = shape.shape_gradient(cur, state.geometry, ws.p, config.f1, config.f2,
                                  config.mu)
-        grad_norm = shape.s_norm(ws.geometry, g.values)
+        grad_norm = shape.s_norm(state.geometry, g.values)
         value = state.objective
         dist = shape.dist_to_solution(cur)
-        snapshot = IterationSnapshot(cur, ws.geometry, ws.y, ws.p, g)
+        snapshot = IterationSnapshot(cur, state.geometry, state.y, ws.p, g)
 
         if it == config.max_sqp_iters or grad_norm <= GRAD_TOL:
             row = TraceRow(level, it, dist, value, grad_norm, 0, 0.0)
@@ -244,7 +242,7 @@ def _iterate(config: ExperimentConfig, data: DataOracle, level: int,
 
         try:
             w, cg_iters, alphas = step_fn(ws, g)
-            state, alpha_used = _take_step(state, w, ws.geometry, alphas, data, config)
+            state, alpha_used = _take_step(state, w, alphas, data, config)
         except StepFailureError as exc:
             raise StepFailureError(f"level {level} iteration {it}: {exc}") from exc
         row = TraceRow(level, it, dist, value, grad_norm, cg_iters, alpha_used)
@@ -312,7 +310,7 @@ def steepest_descent_solve(config: ExperimentConfig, data: DataOracle | None = N
 
     def step_fn(ws, g):
         w = shape.InterfaceField(
-            mesh=ws.mesh,
+            mesh=ws.state.mesh,
             values=config.baseline_scaling * (-g.values) / jump_sq,
         )
         return w, 0, alphas

@@ -1,8 +1,8 @@
 """Piecewise-linear finite elements on interface meshes.
 
 Assembly of stiffness, mass and load vectors, homogeneous Dirichlet solves via
-a deterministic sparse factorization, and the state/adjoint solves of the
-two-source Poisson problem.
+a deterministic sparse factorization, and the state solve of the two-source
+Poisson problem.
 """
 from __future__ import annotations
 
@@ -127,13 +127,6 @@ def solve_state(mesh: TriMesh, f1: float, f2: float) -> NodalField:
     """State solve: -lap y = f with f = f1 left of the interface, f2 right."""
     load = assemble_load_piecewise(mesh, f1, f2)
     return NodalField(mesh, DirichletSolver(mesh).solve(load))
-
-
-def solve_adjoint(mesh: TriMesh, y: NodalField, ybar: NodalField) -> NodalField:
-    """Adjoint solve: -lap p = -(y - ybar) with homogeneous Dirichlet data."""
-    _check_same_mesh(mesh, y, ybar)
-    rhs = -(assemble_mass(mesh) @ (y.values - ybar.values))
-    return NodalField(mesh, DirichletSolver(mesh).solve(rhs))
 
 
 def evaluate_field(mesh: TriMesh, field: NodalField, points: np.ndarray) -> np.ndarray:

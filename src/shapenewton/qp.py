@@ -1,10 +1,10 @@
 """Linear-quadratic subproblem of one interface-Newton step.
 
-A workspace freezes the current mesh, the state and adjoint fields and one
-stiffness factorization.  The Newton step solves the reduced design equation
-A w = -g, with g the shape gradient, matrix-free by conjugate gradients in the
-lumped arc-length inner product; one operator application costs two
-triangular back-solves.
+A MeshState holds the data, state and stiffness factorization on one mesh;
+a workspace adds the adjoint, one solve on that factorization.  The Newton
+step solves the reduced design equation A w = -g, with g the shape gradient,
+matrix-free by conjugate gradients in the lumped arc-length inner product;
+one operator application costs two triangular back-solves.
 """
 from __future__ import annotations
 
@@ -25,16 +25,20 @@ class MeshState:
     """Sampled data, state and objective on one mesh.
 
     Holds the stiffness factorization that produced the state, so a
-    workspace built on the same mesh reuses it instead of factoring again.
+    workspace built on it solves the adjoint without factoring again.
     """
 
     def __init__(self, mesh: TriMesh, ybar: fem.NodalField, f1: float, f2: float,
                  mu: float):
         if ybar.mesh is not mesh:
             raise ValueError("ybar belongs to a different mesh")
+        if f1 == f2 and mu <= 0.0:
+            raise ValueError("degenerate problem: no source jump and no regularization")
         self.mesh = mesh
         self.ybar = ybar
-        self.problem = (float(f1), float(f2), float(mu))
+        self.f1 = float(f1)
+        self.f2 = float(f2)
+        self.mu = float(mu)
         self.geometry: InterfaceGeometry = shape.compute_geometry(mesh)
         self.stiffness = fem.assemble_stiffness(mesh)
         self.mass = fem.assemble_mass(mesh)
@@ -46,105 +50,55 @@ class MeshState:
 
 
 class QpWorkspace:
-    """State, adjoint and cached factorization for one outer iteration.
+    """Adjoint of a MeshState and the CG settings for one outer iteration.
 
-    The adjoint is produced by the same solve path as the subproblem dual
-    variable at w = 0, so the design residual at w = 0 is -g to the last
-    bit.  A MeshState already computed for the same mesh, data and problem
-    can be passed as state; otherwise one is computed here.
+    The adjoint p solves K p = -M (y - ybar) once, on the state's own
+    factorization.
     """
 
-    def __init__(self, mesh: TriMesh, ybar: fem.NodalField, f1: float, f2: float,
-                 mu: float, cg_tol: float = 1e-8, cg_max_iters: int | None = None,
-                 *, state: MeshState | None = None):
-        if f1 == f2 and mu <= 0.0:
-            raise ValueError("degenerate problem: no source jump and no regularization")
-        if state is None:
-            state = MeshState(mesh, ybar, f1, f2, mu)
-        elif (state.mesh is not mesh or state.ybar is not ybar
-              or state.problem != (float(f1), float(f2), float(mu))):
-            raise ValueError("state belongs to a different mesh, data or problem")
-        self.mesh = mesh
-        self.ybar = ybar
-        self.f1 = float(f1)
-        self.f2 = float(f2)
-        self.jump = float(f1) - float(f2)
-        self.mu = float(mu)
+    def __init__(self, state: MeshState, cg_tol: float = 1e-8,
+                 cg_max_iters: int | None = None):
+        self.state = state
         self.cg_tol = float(cg_tol)
         self.cg_max_iters = cg_max_iters
 
-        self.geometry = state.geometry
-        self.interface = mesh.interface_nodes
-        self.stiffness = state.stiffness
-        self.mass = state.mass
-        self.load = state.load
-        self.solver = state.solver
-        self.y = state.y
-
-        resid = self.load - self.stiffness @ self.y.values
-        scale = 1.0 + np.abs(self.load).max()
-        if np.abs(resid[self.solver.free]).max() > _CONSISTENCY_TOL * scale:
+        resid = state.load - state.stiffness @ state.y.values
+        scale = 1.0 + np.abs(state.load).max()
+        if np.abs(resid[state.solver.free]).max() > _CONSISTENCY_TOL * scale:
             raise LinearSolverError("workspace state violates the discrete state equation")
 
-        self.z0 = qp_state_solve(self, self.zero_design())
-        self.p = qp_adjoint_solve(self, self.z0)
-        aresid = self.stiffness @ self.p.values + self.mass @ (
-            self.z0.values + self.y.values - ybar.values)
-        ascale = 1.0 + np.abs(self.mass @ (self.y.values - ybar.values)).max()
-        if np.abs(aresid[self.solver.free]).max() > _CONSISTENCY_TOL * ascale:
+        misfit = state.mass @ (state.y.values - state.ybar.values)
+        self.p = fem.NodalField(mesh=state.mesh, values=state.solver.solve(-misfit))
+        aresid = state.stiffness @ self.p.values + misfit
+        ascale = 1.0 + np.abs(misfit).max()
+        if np.abs(aresid[state.solver.free]).max() > _CONSISTENCY_TOL * ascale:
             raise LinearSolverError("workspace adjoint violates the discrete adjoint equation")
-
-    def zero_design(self) -> InterfaceField:
-        return InterfaceField(mesh=self.mesh,
-                              values=np.zeros(self.interface.shape[0]))
-
-    def _check_design(self, w: InterfaceField) -> None:
-        if w.mesh is not self.mesh:
-            raise ValueError("design field belongs to a different mesh")
-
-
-def qp_state_solve(ws: QpWorkspace, w: InterfaceField) -> fem.NodalField:
-    """Linearized state: K z = B w + (F - K y).
-
-    B carries the interface source (f1 - f2) w by trapezoidal line quadrature;
-    the second term is the state residual of y and vanishes to solver
-    tolerance at a consistent workspace.
-    """
-    ws._check_design(w)
-    rhs = ws.load - ws.stiffness @ ws.y.values
-    rhs[ws.interface] += ws.jump * ws.geometry.arc_weights * w.values
-    return fem.NodalField(mesh=ws.mesh, values=ws.solver.solve(rhs))
-
-
-def qp_adjoint_solve(ws: QpWorkspace, z: fem.NodalField) -> fem.NodalField:
-    """Subproblem dual variable: K q = -M (z + y - ybar)."""
-    if z.mesh is not ws.mesh:
-        raise ValueError("field belongs to a different mesh")
-    rhs = -(ws.mass @ (z.values + ws.y.values - ws.ybar.values))
-    return fem.NodalField(mesh=ws.mesh, values=ws.solver.solve(rhs))
 
 
 def reduced_hessian_apply(ws: QpWorkspace, w: InterfaceField) -> InterfaceField:
     """Matrix-free application of the reduced Hessian A.
 
     A w = mu L w - (f1 - f2)(dq(w) + kappa p w) with dq the dual increment of
-    the interface source alone: the homogeneous solve path, on which the
-    affine offsets of the state and dual equations cancel exactly.  A is
-    symmetric positive semi-definite in the arc inner product, plus the
-    indefinite diagonal curvature coupling.
+    the interface source alone: K z = B w, then K dq = -M z.  A is symmetric
+    positive semi-definite in the arc inner product, plus the indefinite
+    diagonal curvature coupling.
     """
-    ws._check_design(w)
-    rhs = np.zeros(ws.mesh.n_vertices)
-    rhs[ws.interface] = ws.jump * ws.geometry.arc_weights * w.values
-    z = ws.solver.solve(rhs)
-    dq = ws.solver.solve(-(ws.mass @ z))
-    p_u = ws.p.values[ws.interface]
-    kappa = ws.geometry.curvature
-    out = (ws.mu * shape.tangential_laplacian_apply(ws.geometry, w.values)
-           - ws.jump * (dq[ws.interface] + kappa * p_u * w.values))
+    state = ws.state
+    if w.mesh is not state.mesh:
+        raise ValueError("design field belongs to a different mesh")
+    jump = state.f1 - state.f2
+    interface = state.mesh.interface_nodes
+    rhs = np.zeros(state.mesh.n_vertices)
+    rhs[interface] = jump * state.geometry.arc_weights * w.values
+    z = state.solver.solve(rhs)
+    dq = state.solver.solve(-(state.mass @ z))
+    p_u = ws.p.values[interface]
+    kappa = state.geometry.curvature
+    out = (state.mu * shape.tangential_laplacian_apply(state.geometry, w.values)
+           - jump * (dq[interface] + kappa * p_u * w.values))
     out[0] = 0.0
     out[-1] = 0.0
-    return InterfaceField(mesh=ws.mesh, values=out)
+    return InterfaceField(mesh=state.mesh, values=out)
 
 
 def _laplacian_banded(geometry: InterfaceGeometry, mu: float):
@@ -197,23 +151,22 @@ def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "laplacian") -> CgResult:
     if preconditioner not in ("none", "laplacian"):
         raise ValueError(f"unknown preconditioner {preconditioner!r}")
 
-    geo = ws.geometry
-
-    def dot(a, b):
-        return float(np.sum(geo.arc_weights * a * b))
+    state = ws.state
+    geo = state.geometry
 
     def apply_precond(r):
         if preconditioner == "laplacian":
-            return solve_tridiagonal_regularization(geo, ws.mu, r)
+            return solve_tridiagonal_regularization(geo, state.mu, r)
         return r
 
-    b = -shape.shape_gradient(ws.mesh, geo, ws.p, ws.f1, ws.f2, ws.mu).values
-    norm_b = np.sqrt(max(dot(b, b), 0.0))
+    b = -shape.shape_gradient(state.mesh, geo, ws.p, state.f1, state.f2,
+                              state.mu).values
+    norm_b = shape.s_norm(geo, b)
 
     w = np.zeros_like(b)
     history: list[float] = [norm_b]
     if norm_b == 0.0:
-        return CgResult(w=InterfaceField(mesh=ws.mesh, values=w),
+        return CgResult(w=InterfaceField(mesh=state.mesh, values=w),
                         iterations=0, residual_norm=0.0, converged=True,
                         residual_history=history)
 
@@ -221,15 +174,15 @@ def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "laplacian") -> CgResult:
     r = b.copy()
     z = apply_precond(r)
     d = z.copy()
-    rho = dot(r, z)
+    rho = shape.s_inner(geo, r, z)
     negative = False
     converged = False
     iterations = 0
     norm_r = norm_b
     for k in range(1, max_iters + 1):
         Ad = reduced_hessian_apply(
-            ws, InterfaceField(mesh=ws.mesh, values=d)).values
-        dAd = dot(d, Ad)
+            ws, InterfaceField(mesh=state.mesh, values=d)).values
+        dAd = shape.s_inner(geo, d, Ad)
         if dAd <= 0.0:
             negative = True
             break
@@ -237,19 +190,19 @@ def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "laplacian") -> CgResult:
         w = w + alpha * d
         r = r - alpha * Ad
         iterations = k
-        norm_r = np.sqrt(max(dot(r, r), 0.0))
+        norm_r = shape.s_norm(geo, r)
         history.append(norm_r)
         if norm_r <= ws.cg_tol * norm_b:
             converged = True
             break
         z = apply_precond(r)
-        rho_new = dot(r, z)
+        rho_new = shape.s_inner(geo, r, z)
         d = z + (rho_new / rho) * d
         rho = rho_new
 
     w[0] = 0.0
     w[-1] = 0.0
-    return CgResult(w=InterfaceField(mesh=ws.mesh, values=w),
+    return CgResult(w=InterfaceField(mesh=state.mesh, values=w),
                     iterations=iterations, residual_norm=norm_r,
                     negative_curvature=negative, converged=converged,
                     residual_history=history)

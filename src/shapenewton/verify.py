@@ -63,10 +63,10 @@ def gradient_fd_check() -> CheckResult:
         mesh=base, values=_pinned(0.02 * np.sin(np.pi * heights)))
     m = shape.retract(base, bump, shape.compute_geometry(base), 1.0)
 
-    ybar = data.sample(m)
-    ws = qp.QpWorkspace(m, ybar, config.f1, config.f2, config.mu)
-    g = shape.shape_gradient(m, ws.geometry, ws.p, config.f1, config.f2,
-                             config.mu)
+    state = qp.MeshState(m, data.sample(m), config.f1, config.f2, config.mu)
+    geometry = state.geometry
+    g = shape.shape_gradient(m, geometry, qp.QpWorkspace(state).p, config.f1,
+                             config.f2, config.mu)
 
     def objective_of(mesh):
         y = fem.solve_state(mesh, config.f1, config.f2)
@@ -81,9 +81,9 @@ def gradient_fd_check() -> CheckResult:
         w = _pinned(c1 * np.sin(np.pi * heights)
                     + c2 * np.sin(2.0 * np.pi * heights))
         field = shape.InterfaceField(mesh=m, values=w)
-        pairing = shape.s_inner(ws.geometry, g.values, w)
-        plus = shape.retract(m, field, ws.geometry, eps)
-        minus = shape.retract(m, field, ws.geometry, -eps)
+        pairing = shape.s_inner(geometry, g.values, w)
+        plus = shape.retract(m, field, geometry, eps)
+        minus = shape.retract(m, field, geometry, -eps)
         fd = (objective_of(plus) - objective_of(minus)) / (2.0 * eps)
         worst = max(worst, abs(fd - pairing) / abs(fd))
     passed = worst <= 1e-2
@@ -96,7 +96,7 @@ def hessian_symmetry() -> CheckResult:
     be symmetric in the arc-length inner product."""
     m = build_template(54)
     ybar = fem.solve_state(m, 1000.0, 1.0)
-    ws = qp.QpWorkspace(m, ybar, 1000.0, 1.0, 10.0)
+    ws = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0))
     rng = np.random.default_rng(1)
     nodes = m.interface_nodes.shape[0]
     worst = 0.0
@@ -105,8 +105,8 @@ def hessian_symmetry() -> CheckResult:
         w2 = _pinned(rng.uniform(-1.0, 1.0, nodes))
         a1 = qp.reduced_hessian_apply(ws, shape.InterfaceField(mesh=m, values=w1))
         a2 = qp.reduced_hessian_apply(ws, shape.InterfaceField(mesh=m, values=w2))
-        left = shape.s_inner(ws.geometry, a1.values, w2)
-        right = shape.s_inner(ws.geometry, a2.values, w1)
+        left = shape.s_inner(ws.state.geometry, a1.values, w2)
+        right = shape.s_inner(ws.state.geometry, a2.values, w1)
         worst = max(worst, abs(left - right) / max(abs(left), abs(right)))
     passed = worst <= 1e-8
     return CheckResult("hessian_symmetry", passed,
@@ -136,9 +136,10 @@ def pure_regularization_tridiag() -> CheckResult:
     curved = shape.retract(base, shape.InterfaceField(mesh=base, values=offsets),
                            shape.compute_geometry(base), 1.0)
     ybar = fem.NodalField(mesh=curved, values=np.zeros(curved.n_vertices))
-    ws = qp.QpWorkspace(curved, ybar, 7.0, 7.0, 10.0, cg_tol=1e-12)
-    r0 = -shape.shape_gradient(curved, ws.geometry, ws.p, 7.0, 7.0, 10.0).values
-    direct = qp.solve_tridiagonal_regularization(ws.geometry, 10.0, r0)
+    ws = qp.QpWorkspace(qp.MeshState(curved, ybar, 7.0, 7.0, 10.0), cg_tol=1e-12)
+    geometry = ws.state.geometry
+    r0 = -shape.shape_gradient(curved, geometry, ws.p, 7.0, 7.0, 10.0).values
+    direct = qp.solve_tridiagonal_regularization(geometry, 10.0, r0)
     result = qp.solve_qp_cg(ws, preconditioner="none")
     worst = float(np.abs(result.w.values - direct).max() / np.abs(direct).max())
     passed = (not result.negative_curvature) and worst <= 1e-8
@@ -151,8 +152,8 @@ def optimality_fixed_point() -> CheckResult:
     is stationary: tiny gradient and a tiny first QP step."""
     m = build_template(54)
     ybar = fem.solve_state(m, 1000.0, 1.0)
-    ws = qp.QpWorkspace(m, ybar, 1000.0, 1.0, 10.0)
-    g = shape.shape_gradient(m, ws.geometry, ws.p, 1000.0, 1.0, 10.0)
+    ws = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0))
+    g = shape.shape_gradient(m, ws.state.geometry, ws.p, 1000.0, 1.0, 10.0)
     g_inf = float(np.abs(g.values).max())
     w_inf = float(np.abs(qp.solve_qp_cg(ws).w.values).max())
     passed = g_inf <= 1e-8 and w_inf <= 1e-8

@@ -1,4 +1,5 @@
 """Command line: config handling, artifacts, exit codes, output shapes."""
+import dataclasses
 import json
 
 from shapenewton import cli, driver
@@ -38,6 +39,18 @@ def test_invalid_config_combination_exits_one(tmp_path, capsys):
     code = cli.main(["solve", "--out", str(tmp_path / "out"), "--config", cfg])
     assert code == 1
     assert "f1" in capsys.readouterr().err
+
+
+def test_config_file_round_trips_every_field(tmp_path):
+    config = driver.ExperimentConfig(
+        f1=500.0, f2=2.0, mu=3.5, n=16, levels=2, max_sqp_iters=4,
+        cg_tol=1e-9, step_length=0.5, line_search=False, baseline_scaling=2e3)
+    changed = dataclasses.asdict(config)
+    assert all(value != getattr(driver.ExperimentConfig(), key)
+               for key, value in changed.items())
+    cfg = write_config(tmp_path, "".join(f"{key} = {value}\n"
+                                         for key, value in changed.items()))
+    assert driver.ExperimentConfig(**cli.load_config_file(cfg)) == config
 
 
 def test_solve_default_prints_three_row_table(tmp_path, capsys):

@@ -223,7 +223,7 @@ def test_take_step_halves_an_inverting_step(monkeypatch):
     with pytest.raises(InvertedElementError):
         shape.retract(state.mesh, w, state.geometry, 1.0)
     calls = count_elastic_solves(monkeypatch)
-    accepted, alpha = driver._take_step(state, w, state.geometry, [1.0], data, config)
+    accepted, alpha = driver._take_step(state, w, [1.0], data, config)
     halvings = round(-np.log2(alpha))
     assert alpha == 0.5 ** halvings and halvings >= 1
     assert len(calls) == 1 + halvings  # each length is tried once
@@ -238,7 +238,7 @@ def test_take_step_fails_after_its_budget(monkeypatch):
     alphas = [1.0, 1.25, 1.5]
     calls = count_elastic_solves(monkeypatch)
     with pytest.raises(StepFailureError, match="no acceptable step length"):
-        driver._take_step(state, w, state.geometry, alphas, data, config)
+        driver._take_step(state, w, alphas, data, config)
     assert len(calls) == len(alphas) + driver._MAX_HALVINGS
 
 
@@ -258,7 +258,9 @@ def test_step_failure_names_the_iteration(monkeypatch):
 ])
 def test_cg_failure_names_level_and_iteration(monkeypatch, negative, residual, reason):
     def failed_cg(ws, *args, **kwargs):
-        return qp.CgResult(w=ws.zero_design(), iterations=2, residual_norm=residual,
+        zero = shape.InterfaceField(mesh=ws.state.mesh,
+                                    values=np.zeros(ws.state.geometry.n_nodes))
+        return qp.CgResult(w=zero, iterations=2, residual_norm=residual,
                            negative_curvature=negative,
                            residual_history=[1.0, 0.5, residual])
 

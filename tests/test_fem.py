@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from shapenewton import fem, mesh as mm
+from shapenewton import fem, mesh as mm, qp
 
 
 def element_stiffness(coords: np.ndarray) -> np.ndarray:
@@ -155,7 +155,7 @@ def test_state_solve_positive_and_peaked_left():
 def test_adjoint_zero_for_matching_data():
     m = mm.build_template(8)
     y = fem.solve_state(m, 1000.0, 1.0)
-    p = fem.solve_adjoint(m, y, y)
+    p = qp.QpWorkspace(qp.MeshState(m, y, 1000.0, 1.0, 10.0)).p
     assert np.abs(p.values).max() == 0.0
 
 
@@ -163,7 +163,7 @@ def test_adjoint_weak_form_consistency():
     m = mm.build_template(10)
     y = fem.solve_state(m, 1000.0, 1.0)
     ybar = fem.NodalField(m, np.zeros(m.n_vertices))
-    p = fem.solve_adjoint(m, y, ybar)
+    p = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0)).p
     K = fem.assemble_stiffness(m)
     M = fem.assemble_mass(m)
     rng = np.random.default_rng(2)

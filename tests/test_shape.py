@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from shapenewton import fem, mesh, shape
+from shapenewton import fem, mesh, qp, shape
 from shapenewton.errors import InvertedElementError, ShapeNewtonError
 
 
@@ -159,8 +159,7 @@ def test_gradient_pushes_a_rightward_bulge_back():
     ybar = fem.NodalField(mesh=bulged, values=fem.evaluate_field(
         data_mesh, ybar_data, bulged.vertices))
 
-    y = fem.solve_state(bulged, 1000.0, 1.0)
-    p = fem.solve_adjoint(bulged, y, ybar)
+    p = qp.QpWorkspace(qp.MeshState(bulged, ybar, 1000.0, 1.0, 10.0)).p
     geo = shape.compute_geometry(bulged)
     g = shape.shape_gradient(bulged, geo, p, 1000.0, 1.0, 10.0)
     assert np.all(g.values[1:-1] > 0.0)
@@ -214,7 +213,7 @@ def test_domain_and_interface_gradient_forms_agree():
     m = straight(n)
     y = fem.solve_state(m, 1000.0, 1.0)
     ybar = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
-    p = fem.solve_adjoint(m, y, ybar)
+    p = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0)).p
     geo = shape.compute_geometry(m)
 
     w = shape.InterfaceField(
