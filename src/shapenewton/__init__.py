@@ -21,6 +21,7 @@ from .shape import (  # noqa: E402
     bspline_initial_interface,
     compute_geometry,
     dist_to_solution,
+    extend,
     retract,
     shape_gradient,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "compute_geometry",
     "convergence_study",
     "dist_to_solution",
+    "extend",
     "generate_data",
     "refine_uniform",
     "retract",

@@ -153,7 +153,7 @@ def cmd_solve(args) -> int:
         log.info("solve: level %d, config %s", args.level, config)
         data = driver.generate_data(config)
         log.info("data mesh: %d triangles, straight interface",
-                 data.mesh.n_triangles)
+                 data.field.mesh.n_triangles)
         trace = driver.sqp_solve(config, data, level=args.level,
                                  observer=_snapshot_writer(out))
         export.write_trace_csv(out / "trace.csv", trace.rows)

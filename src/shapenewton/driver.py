@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fem, qp, shape
 from .errors import ConfigError, MeshInvariantError, StepFailureError
-from .mesh import TriMesh, build_template, refine_uniform
+from .mesh import Locator, TriMesh, build_template, refine_uniform
 
 log = logging.getLogger(__name__)
 
@@ -116,17 +116,17 @@ class IterationSnapshot:
 
 @dataclass(frozen=True)
 class DataOracle:
-    """Reference observation held on its own fine mesh.
+    """Reference observation on its own fine mesh, with that mesh's locator.
 
     sample() interpolates the observation onto another mesh's vertices, so
     every working level sees the same underlying data.
     """
 
-    mesh: TriMesh
     field: fem.NodalField
+    locator: Locator
 
     def sample(self, target: TriMesh) -> fem.NodalField:
-        values = fem.evaluate_field(self.mesh, self.field, target.vertices)
+        values = fem.evaluate_field(self.locator, self.field, target.vertices)
         return fem.NodalField(mesh=target, values=values)
 
 
@@ -140,7 +140,7 @@ def generate_data(config: ExperimentConfig) -> DataOracle:
     y = fem.solve_state(m, config.f1, config.f2)
     if y.values.min() < -1e-9:
         raise StepFailureError("reference observation is not nonnegative")
-    return DataOracle(mesh=m, field=y)
+    return DataOracle(field=y, locator=Locator(m))
 
 
 def mesh_at_level(config: ExperimentConfig, level: int) -> TriMesh:
@@ -164,7 +164,7 @@ def initial_mesh(config: ExperimentConfig, level: int) -> TriMesh:
     geometry = shape.compute_geometry(m)
     field = shape.InterfaceField(mesh=m, values=offsets)
     try:
-        return shape.retract(m, field, geometry, 1.0)
+        return shape.retract(m, shape.extend(m, field, geometry), 1.0)
     except MeshInvariantError as exc:
         raise StepFailureError(f"starting interface: {exc}") from exc
 
@@ -183,14 +183,17 @@ def _take_step(state: qp.MeshState, w: shape.InterfaceField, alphas: list[float]
     lowest objective is accepted if within ACCEPT_FACTOR of the current one.
     Otherwise the step is halved from the smallest candidate, up to
     _MAX_HALVINGS times, until a trial is.  This is the solver's only halving
-    loop: a step costs at most len(alphas) + _MAX_HALVINGS elastic solves.
+    loop.  The step w is extended to the volume once, and each trial scales
+    that extension: a step costs one elastic solve and at most
+    len(alphas) + _MAX_HALVINGS trial meshes.
     """
     mesh = state.mesh
     limit = ACCEPT_FACTOR * state.objective
+    extension = shape.extend(mesh, w, state.geometry)
 
     def trial(alpha):
         try:
-            moved = shape.retract(mesh, w, state.geometry, alpha)
+            moved = shape.retract(mesh, extension, alpha)
         except MeshInvariantError:
             return None
         return _evaluate(moved, data, config)
@@ -263,8 +266,9 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     steps along the resulting normal displacement.  With line_search enabled
     the step length is chosen among {1, 1.25, 1.5} times the configured
     length by objective value; otherwise the configured length is used
-    directly.  When no candidate is acceptable, the step is halved from the
-    smallest one at most _MAX_HALVINGS times before the run fails with
+    directly; every trial length scales the step's one elastic extension.
+    When no candidate is acceptable, the step is halved from the smallest
+    one at most _MAX_HALVINGS times before the run fails with
     StepFailureError.  The run starts from the reference curve unless an
     explicit start mesh is given.
     CG that meets negative curvature, or stops above cg_tol, raises

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import LinearSolverError
-from .mesh import TriMesh, factor_spd, locate_points, p1_gradients
+from .mesh import Locator, TriMesh, factor_spd, locate_points, p1_gradients
 
 _RESIDUAL_TOL = 1e-10
 
@@ -91,16 +91,16 @@ def assemble_load_function(mesh: TriMesh, f: Callable[[np.ndarray], np.ndarray])
 
 
 class DirichletSolver:
-    """Factorized solver for one matrix with homogeneous Dirichlet data on
-    the outer boundary.
+    """Factorized solver for the P1 stiffness matrix with homogeneous
+    Dirichlet data on the outer boundary.
 
     The factorization is computed once and reused across right-hand sides,
     which keeps repeated solves on the same mesh cheap and deterministic.
     """
 
-    def __init__(self, mesh: TriMesh, matrix: sp.csr_matrix | None = None):
+    def __init__(self, mesh: TriMesh):
         self.mesh = mesh
-        self.matrix = assemble_stiffness(mesh) if matrix is None else matrix
+        self.matrix = assemble_stiffness(mesh)
         mask = np.ones(mesh.n_vertices, dtype=bool)
         mask[mesh.outer_boundary_nodes] = False
         self.free = np.flatnonzero(mask)
@@ -129,12 +129,12 @@ def solve_state(mesh: TriMesh, f1: float, f2: float) -> NodalField:
     return NodalField(mesh, DirichletSolver(mesh).solve(load))
 
 
-def evaluate_field(mesh: TriMesh, field: NodalField, points: np.ndarray) -> np.ndarray:
-    """Evaluate a nodal field at arbitrary points inside the mesh."""
-    _check_same_mesh(mesh, field)
+def evaluate_field(locator: Locator, field: NodalField, points: np.ndarray) -> np.ndarray:
+    """Evaluate a nodal field at arbitrary points inside the locator's mesh."""
+    _check_same_mesh(locator.mesh, field)
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    tri, bary = locate_points(mesh, pts)
-    vals = np.einsum("pk,pk->p", bary, field.values[mesh.triangles[tri]])
+    tri, bary = locate_points(locator, pts)
+    vals = np.einsum("pk,pk->p", bary, field.values[locator.mesh.triangles[tri]])
     return vals if np.asarray(points).ndim > 1 else vals[0]
 
 

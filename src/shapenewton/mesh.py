@@ -123,8 +123,7 @@ def validate(mesh: TriMesh) -> None:
     areas = signed_areas(mesh)
     if areas.size and areas.min() <= 0.0:
         bad = int(np.argmin(areas))
-        raise MeshInvariantError(
-            f"triangle {bad} is degenerate or inverted (signed area {areas[bad]:.6e})")
+        raise InvertedElementError(bad, float(areas[bad]))
 
     if not np.isin(mesh.subdomain, (1, 2)).all():
         raise MeshInvariantError("subdomain labels must be 1 or 2")
@@ -342,30 +341,21 @@ def solve_elastic_deformation(mesh: TriMesh,
         raise ValueError("displacement at the pinned interface endpoints must be zero")
 
     nv = mesh.n_vertices
-    cache = getattr(mesh, "_elastic_cache", None)
-    if cache is None:
-        K = _assemble_elasticity(mesh)
-        constrained = np.zeros(2 * nv, dtype=bool)
-        for comp in (0, 1):
-            constrained[2 * mesh.outer_boundary_nodes + comp] = True
-            constrained[2 * mesh.interface_nodes + comp] = True
-        free = np.flatnonzero(~constrained)
-        fixed = np.flatnonzero(constrained)
-        Kff = K[free][:, free].tocsc()
-        factor = factor_spd(Kff)
-        cache = (free, fixed, K[free][:, fixed].tocsr(), Kff, factor)
-        object.__setattr__(mesh, "_elastic_cache", cache)
-    free, fixed, Kfc, Kff, factor = cache
+    K = _assemble_elasticity(mesh)
+    constrained = np.zeros(2 * nv, dtype=bool)
+    for comp in (0, 1):
+        constrained[2 * mesh.outer_boundary_nodes + comp] = True
+        constrained[2 * mesh.interface_nodes + comp] = True
+    free = np.flatnonzero(~constrained)
+    fixed = np.flatnonzero(constrained)
+    Kff = K[free][:, free].tocsc()
 
     values = np.zeros(2 * nv)
     values[2 * mesh.interface_nodes] = g[:, 0]
     values[2 * mesh.interface_nodes + 1] = g[:, 1]
-    # Endpoint nodes sit in both sets; their prescribed value is zero either way.
-    values[2 * mesh.outer_boundary_nodes] = 0.0
-    values[2 * mesh.outer_boundary_nodes + 1] = 0.0
 
-    rhs = -(Kfc @ values[fixed])
-    sol = factor.solve(rhs)
+    rhs = -(K[free][:, fixed] @ values[fixed])
+    sol = factor_spd(Kff).solve(rhs)
     if not np.all(np.isfinite(sol)):
         raise LinearSolverError("elastic extension solve produced non-finite values")
     resid = np.linalg.norm(Kff @ sol - rhs)
@@ -399,25 +389,18 @@ def _assemble_elasticity(mesh: TriMesh) -> sp.csr_matrix:
 
 
 def apply_deformation(mesh: TriMesh, deformation: DeformationField) -> TriMesh:
-    """Move vertices by the displacement field and re-validate the mesh."""
+    """Move vertices by the displacement field and re-validate the mesh,
+    which shares the source's read-only connectivity arrays."""
     if deformation.mesh is not mesh:
         raise ValueError("deformation was computed on a different mesh")
-    vertices = mesh.vertices + deformation.displacement
-    moved = TriMesh(vertices,
-                    mesh.triangles.copy(),
-                    mesh.subdomain.copy(),
-                    mesh.outer_boundary_nodes.copy(),
-                    mesh.interface_nodes.copy())
-    areas = signed_areas(moved)
-    if areas.min() <= 0.0:
-        bad = int(np.argmin(areas))
-        raise InvertedElementError(bad, float(areas[bad]))
+    moved = TriMesh(mesh.vertices + deformation.displacement, mesh.triangles,
+                    mesh.subdomain, mesh.outer_boundary_nodes, mesh.interface_nodes)
     validate(moved)
     return moved
 
 
-class _Locator:
-    """KD-tree point-location accelerator over one mesh."""
+class Locator:
+    """KD-tree point-location accelerator over one mesh; build it once."""
 
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
@@ -505,17 +488,10 @@ class _Locator:
         return pending[~found]
 
 
-def _locator(mesh: TriMesh) -> _Locator:
-    loc = getattr(mesh, "_locator_cache", None)
-    if loc is None:
-        loc = _Locator(mesh)
-        object.__setattr__(mesh, "_locator_cache", loc)
-    return loc
-
-
-def locate_points(mesh: TriMesh, points: np.ndarray):
-    """Vectorized point location; returns (triangle indices, barycentrics).
+def locate_points(locator: Locator, points: np.ndarray):
+    """Vectorized point location in the locator's mesh; returns (triangle
+    indices, barycentrics).
 
     Points on shared edges resolve to the lowest incident triangle index.
     """
-    return _locator(mesh).locate(points)
+    return locator.locate(points)

@@ -40,10 +40,10 @@ class MeshState:
         self.f2 = float(f2)
         self.mu = float(mu)
         self.geometry: InterfaceGeometry = shape.compute_geometry(mesh)
-        self.stiffness = fem.assemble_stiffness(mesh)
         self.mass = fem.assemble_mass(mesh)
         self.load = fem.assemble_load_piecewise(mesh, f1, f2)
-        self.solver = fem.DirichletSolver(mesh, matrix=self.stiffness)
+        self.solver = fem.DirichletSolver(mesh)
+        self.stiffness = self.solver.matrix
         self.y = fem.NodalField(mesh=mesh, values=self.solver.solve(self.load))
         self.objective = shape.objective(mesh, self.y, ybar, self.geometry, mu,
                                          self.mass)

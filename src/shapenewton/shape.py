@@ -14,7 +14,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import fem
-from .mesh import TriMesh, apply_deformation, solve_elastic_deformation
+from .mesh import DeformationField, TriMesh, apply_deformation, solve_elastic_deformation
 
 log = logging.getLogger(__name__)
 
@@ -149,22 +149,30 @@ def tangential_laplacian_apply(geometry: InterfaceGeometry, w: np.ndarray) -> np
     return out
 
 
-def retract(mesh: TriMesh, w: InterfaceField, geometry: InterfaceGeometry,
-            step: float) -> TriMesh:
-    """Move interface nodes by step * w * n and extend elastically.
+def extend(mesh: TriMesh, w: InterfaceField,
+           geometry: InterfaceGeometry) -> DeformationField:
+    """Elastic extension of the unit step w * n to the volume.
 
-    Takes exactly the given step; choosing and halving it is the driver's
-    job.  Raises MeshInvariantError (InvertedElementError when a triangle
-    inverts) if the moved mesh is not valid.
+    The extension is linear in the step, so retract() scales this one field
+    to every trial length along w.
     """
     if w.mesh is not mesh:
         raise ValueError("design field belongs to a different mesh")
     if geometry.n_nodes != mesh.interface_nodes.shape[0]:
         raise ValueError("geometry does not match the mesh interface")
-    disp = float(step) * w.values[:, None] * geometry.normals
-    disp[0] = 0.0
-    disp[-1] = 0.0
-    return apply_deformation(mesh, solve_elastic_deformation(mesh, disp))
+    # w vanishes at the pinned endpoints, so the displacement does as well.
+    return solve_elastic_deformation(mesh, w.values[:, None] * geometry.normals)
+
+
+def retract(mesh: TriMesh, extension: DeformationField, step: float) -> TriMesh:
+    """Move the mesh by step times an extension from extend().
+
+    Takes exactly the given step; choosing and halving it is the driver's
+    job.  Raises MeshInvariantError (InvertedElementError when a triangle
+    inverts) if the moved mesh is not valid.
+    """
+    return apply_deformation(mesh, DeformationField(
+        mesh=extension.mesh, displacement=float(step) * extension.displacement))
 
 
 def polyline_distance(points: np.ndarray) -> float:

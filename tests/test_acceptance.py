@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from shapenewton import driver, qp, verify
+from shapenewton import driver, fem, qp, verify
 
 # Reference dist table for the two-iteration experiment: rows are iterations
 # 0..2, columns are refinement levels coarse to fine.  Coarse row 2 is the
@@ -107,6 +107,21 @@ def test_fem_manufactured_solution_second_order():
 def test_straight_interface_is_a_fixed_point():
     result = verify.optimality_fixed_point()
     assert result.passed, result.detail
+
+
+def test_fixed_point_check_catches_an_adjoint_without_mass(monkeypatch):
+    # Planted error: K p = -(y - ybar).  The gradient then no longer falls as
+    # O(h^2), so the check must fail.
+    def planted(self, state, cg_tol=1e-8, cg_max_iters=None):
+        self.state = state
+        self.cg_tol = cg_tol
+        self.cg_max_iters = cg_max_iters
+        misfit = state.y.values - state.ybar.values
+        self.p = fem.NodalField(mesh=state.mesh, values=state.solver.solve(-misfit))
+
+    monkeypatch.setattr(qp.QpWorkspace, "__init__", planted)
+    result = verify.optimality_fixed_point()
+    assert not result.passed, result.detail
 
 
 def test_reduced_hessian_is_symmetric():

@@ -1,10 +1,18 @@
 """Experiment driver: configuration, data generation, and the solver loops."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from shapenewton import driver, fem, qp, shape
 from shapenewton.errors import ConfigError, InvertedElementError, StepFailureError
-from shapenewton.mesh import build_template
+from shapenewton.mesh import (
+    Locator,
+    TriMesh,
+    apply_deformation,
+    build_template,
+    solve_elastic_deformation,
+)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -36,21 +44,21 @@ def test_data_oracle_straight_fine_and_nonnegative():
     config = driver.ExperimentConfig(n=16)
     data = driver.generate_data(config)
     # two uniform refinements quadruple the triangle count twice
-    assert data.mesh.n_triangles == 16 * 2 * 16 ** 2
-    assert shape.dist_to_solution(data.mesh) == 0.0
+    assert data.field.mesh.n_triangles == 16 * 2 * 16 ** 2
+    assert shape.dist_to_solution(data.field.mesh) == 0.0
     assert data.field.values.min() >= -1e-9
 
 
 def test_data_oracle_is_as_fine_as_the_finest_level():
     config = driver.ExperimentConfig(n=4, levels=4)
     data = driver.generate_data(config)
-    assert data.mesh.n_triangles >= driver.mesh_at_level(config, 4).n_triangles
+    assert data.field.mesh.n_triangles >= driver.mesh_at_level(config, 4).n_triangles
 
 
 def test_data_oracle_self_sample_is_exact():
     config = driver.ExperimentConfig(n=16)
     data = driver.generate_data(config)
-    resampled = data.sample(data.mesh)
+    resampled = data.sample(data.field.mesh)
     np.testing.assert_array_equal(resampled.values, data.field.values)
 
 
@@ -87,7 +95,8 @@ def test_stationary_start_stops_immediately():
     # a discrete fixed point, so the gradient test ends the run at once
     config = driver.ExperimentConfig()
     m = build_template(config.n)
-    data = driver.DataOracle(mesh=m, field=fem.solve_state(m, config.f1, config.f2))
+    data = driver.DataOracle(field=fem.solve_state(m, config.f1, config.f2),
+                             locator=Locator(m))
     trace = driver.sqp_solve(config, data, start=m)
     assert len(trace.rows) == 1
     row = trace.final
@@ -206,29 +215,36 @@ def step_setup(amplitude):
     return state, w, data, config
 
 
-def count_elastic_solves(monkeypatch):
+def count_calls(monkeypatch, name):
+    """Count the calls shape makes to one of the mesh functions it binds."""
     calls = []
-    solve = shape.solve_elastic_deformation
+    fn = getattr(shape, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return solve(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(shape, "solve_elastic_deformation", counted)
+    monkeypatch.setattr(shape, name, counted)
     return calls
 
 
 def test_take_step_halves_an_inverting_step(monkeypatch):
     state, w, data, config = step_setup(0.9)
+    m = state.mesh
     with pytest.raises(InvertedElementError):
-        shape.retract(state.mesh, w, state.geometry, 1.0)
-    calls = count_elastic_solves(monkeypatch)
+        shape.retract(m, shape.extend(m, w, state.geometry), 1.0)
+    solves = count_calls(monkeypatch, "solve_elastic_deformation")
+    trials = count_calls(monkeypatch, "apply_deformation")
     accepted, alpha = driver._take_step(state, w, [1.0], data, config)
     halvings = round(-np.log2(alpha))
     assert alpha == 0.5 ** halvings and halvings >= 1
-    assert len(calls) == 1 + halvings  # each length is tried once
+    assert len(solves) == 1  # one extension per step
+    assert len(trials) == 1 + halvings  # each length is tried once
     assert accepted.objective <= driver.ACCEPT_FACTOR * state.objective
-    expected = shape.retract(state.mesh, w, state.geometry, alpha)
+    # Oracle: the elastic extension solved afresh at the accepted length.
+    # Scaling by a power of two is exact, so the meshes agree to the bit.
+    disp = alpha * w.values[:, None] * state.geometry.normals
+    expected = apply_deformation(m, solve_elastic_deformation(m, disp))
     np.testing.assert_array_equal(accepted.mesh.vertices, expected.vertices)
 
 
@@ -236,10 +252,29 @@ def test_take_step_fails_after_its_budget(monkeypatch):
     # inverts at every length down to 2^-30 of the smallest candidate
     state, w, data, config = step_setup(1e12)
     alphas = [1.0, 1.25, 1.5]
-    calls = count_elastic_solves(monkeypatch)
+    solves = count_calls(monkeypatch, "solve_elastic_deformation")
+    trials = count_calls(monkeypatch, "apply_deformation")
     with pytest.raises(StepFailureError, match="no acceptable step length"):
         driver._take_step(state, w, alphas, data, config)
-    assert len(calls) == len(alphas) + driver._MAX_HALVINGS
+    assert len(solves) == 1
+    assert len(trials) == len(alphas) + driver._MAX_HALVINGS
+
+
+def test_solvers_attach_nothing_to_meshes():
+    # Caches live in explicit objects, never as attributes on a frozen mesh.
+    config = driver.ExperimentConfig(n=8)
+    data = driver.generate_data(config)
+    meshes = [data.field.mesh]
+
+    def observer(row, snapshot):
+        meshes.append(snapshot.mesh)
+
+    for solve in (driver.sqp_solve, driver.steepest_descent_solve):
+        meshes.append(solve(config, data, observer=observer).mesh)
+    assert len(meshes) == 1 + 2 * (config.max_sqp_iters + 2)
+    fields = {f.name for f in dataclasses.fields(TriMesh)}
+    for m in meshes:
+        assert set(vars(m)) == fields
 
 
 def test_step_failure_names_the_iteration(monkeypatch):

@@ -176,7 +176,7 @@ def test_locate_reconstructs_random_points():
     m = mm.refine_uniform(mm.build_template(8))
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.0, 1.0, size=(10_000, 2))
-    tri, bary = mm.locate_points(m, pts)
+    tri, bary = mm.locate_points(mm.Locator(m), pts)
     assert np.all(tri >= 0)
     rebuilt = np.einsum("pk,pkd->pd", bary, m.vertices[m.triangles[tri]])
     assert np.abs(rebuilt - pts).max() < 1e-12
@@ -184,7 +184,7 @@ def test_locate_reconstructs_random_points():
 
 def test_locate_vertex_is_exact():
     m = mm.build_template(4)
-    (tri,), (bary,) = mm.locate_points(m, m.vertices[7:8])
+    (tri,), (bary,) = mm.locate_points(mm.Locator(m), m.vertices[7:8])
     assert set(np.round(bary, 15)) <= {0.0, 1.0}
     assert m.triangles[tri][np.argmax(bary)] == 7
 
@@ -192,7 +192,7 @@ def test_locate_vertex_is_exact():
 def test_locate_edge_point_lowest_triangle_wins():
     m = mm.build_template(4)
     x = np.array([0.5, 0.375])  # interior point of an interface edge
-    (tri,), _ = mm.locate_points(m, x[None, :])
+    (tri,), _ = mm.locate_points(mm.Locator(m), x[None, :])
     areas = mm.signed_areas(m)
     containing = []
     for t in range(m.n_triangles):
@@ -214,7 +214,7 @@ def test_locate_edge_midpoints_lowest_triangle_wins():
     edges = np.unique(np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
                               axis=1), axis=0)
     mids = 0.5 * (m.vertices[edges[:, 0]] + m.vertices[edges[:, 1]])
-    tri, _ = mm.locate_points(m, mids)
+    tri, _ = mm.locate_points(mm.Locator(m), mids)
     p = m.vertices[t]                                   # (T, 3, 2)
     lhs = np.concatenate([p.transpose(0, 2, 1), np.ones((m.n_triangles, 1, 3))], axis=1)
     rhs = np.concatenate([mids.T, np.ones((1, mids.shape[0]))])
@@ -226,8 +226,9 @@ def test_locate_edge_midpoints_lowest_triangle_wins():
 def test_locate_repeatable():
     m = mm.build_template(6)
     pts = np.random.default_rng(0).uniform(size=(64, 2))
-    t1, b1 = mm.locate_points(m, pts)
-    t2, b2 = mm.locate_points(m, pts)
+    locator = mm.Locator(m)
+    t1, b1 = mm.locate_points(locator, pts)
+    t2, b2 = mm.locate_points(locator, pts)
     np.testing.assert_array_equal(t1, t2)
     np.testing.assert_array_equal(b1, b2)
 
@@ -236,4 +237,4 @@ def test_locate_repeatable():
 def test_locate_outside_raises(x):
     m = mm.build_template(4)
     with pytest.raises(PointLocationError):
-        mm.locate_points(m, np.array([x]))
+        mm.locate_points(mm.Locator(m), np.array([x]))

@@ -79,11 +79,11 @@ def bulged_ws():
     base = mesh.build_template(16)
     geo = shape.compute_geometry(base)
     w = sine_field(base, amp=0.08)
-    bulged = shape.retract(base, w, geo, 1.0)
+    bulged = shape.retract(base, shape.extend(base, w, geo), 1.0)
     data_mesh = mesh.refine_uniform(mesh.refine_uniform(mesh.build_template(16)))
     ydata = fem.solve_state(data_mesh, F1, F2)
     ybar = fem.NodalField(mesh=bulged, values=fem.evaluate_field(
-        data_mesh, ydata, bulged.vertices))
+        mesh.Locator(data_mesh), ydata, bulged.vertices))
     return workspace(bulged, ybar)
 
 
@@ -172,15 +172,16 @@ def test_state_solve_matches_finite_difference_of_state(bulged_ws):
     z_field = fem.NodalField(mesh=m, values=linearized_state(ws, w))
 
     eps = 1e-4
-    plus = shape.retract(m, w, ws.state.geometry, eps)
-    minus = shape.retract(m, w, ws.state.geometry, -eps)
+    extension = shape.extend(m, w, ws.state.geometry)
+    plus = shape.retract(m, extension, eps)
+    minus = shape.retract(m, extension, -eps)
     y_plus = fem.solve_state(plus, F1, F2)
     y_minus = fem.solve_state(minus, F1, F2)
 
     pts = m.vertices[m.triangles].mean(axis=1)
-    fd = (fem.evaluate_field(plus, y_plus, pts)
-          - fem.evaluate_field(minus, y_minus, pts)) / (2.0 * eps)
-    zc = fem.evaluate_field(m, z_field, pts)
+    fd = (fem.evaluate_field(mesh.Locator(plus), y_plus, pts)
+          - fem.evaluate_field(mesh.Locator(minus), y_minus, pts)) / (2.0 * eps)
+    zc = fem.evaluate_field(mesh.Locator(m), z_field, pts)
     area = np.abs(mesh.signed_areas(m))
     err = np.sqrt(np.sum(area * (fd - zc) ** 2))
     ref = np.sqrt(np.sum(area * zc ** 2))
@@ -261,7 +262,8 @@ def test_hessian_reduces_to_regularization_without_jump():
     geo0 = shape.compute_geometry(base)
     offsets = shape.bspline_initial_interface(17)[:, 0] - 0.5
     curved = shape.retract(
-        base, InterfaceField(mesh=base, values=pinned(offsets)), geo0, 1.0)
+        base, shape.extend(base, InterfaceField(mesh=base, values=pinned(offsets)), geo0),
+        1.0)
     ybar = fem.NodalField(mesh=curved, values=np.zeros(curved.n_vertices))
     ws = workspace(curved, ybar, 7.0, 7.0)
     w = sine_field(ws.state.mesh, amp=0.4)
@@ -306,7 +308,8 @@ def curved_regularization_ws(cg_tol=1e-12):
     geo0 = shape.compute_geometry(base)
     offsets = shape.bspline_initial_interface(17)[:, 0] - 0.5
     curved = shape.retract(
-        base, InterfaceField(mesh=base, values=pinned(offsets)), geo0, 1.0)
+        base, shape.extend(base, InterfaceField(mesh=base, values=pinned(offsets)), geo0),
+        1.0)
     ybar = fem.NodalField(mesh=curved, values=np.zeros(curved.n_vertices))
     return workspace(curved, ybar, 7.0, 7.0, cg_tol=cg_tol)
 

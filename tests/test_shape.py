@@ -152,12 +152,12 @@ def test_gradient_pushes_a_rightward_bulge_back():
     geo0 = shape.compute_geometry(base)
     w = shape.InterfaceField(
         mesh=base, values=pinned(0.08 * np.sin(np.pi * geo0.points[:, 1])))
-    bulged = shape.retract(base, w, geo0, 1.0)
+    bulged = shape.retract(base, shape.extend(base, w, geo0), 1.0)
 
     data_mesh = mesh.refine_uniform(mesh.refine_uniform(straight(n)))
     ybar_data = fem.solve_state(data_mesh, 1000.0, 1.0)
     ybar = fem.NodalField(mesh=bulged, values=fem.evaluate_field(
-        data_mesh, ybar_data, bulged.vertices))
+        mesh.Locator(data_mesh), ybar_data, bulged.vertices))
 
     p = qp.QpWorkspace(qp.MeshState(bulged, ybar, 1000.0, 1.0, 10.0)).p
     geo = shape.compute_geometry(bulged)
@@ -234,7 +234,7 @@ def test_retract_zero_field_returns_identical_vertices():
     m = straight(8)
     geo = shape.compute_geometry(m)
     w = shape.InterfaceField(mesh=m, values=np.zeros(9))
-    moved = shape.retract(m, w, geo, 1.0)
+    moved = shape.retract(m, shape.extend(m, w, geo), 1.0)
     np.testing.assert_array_equal(moved.vertices, m.vertices)
     np.testing.assert_array_equal(moved.triangles, m.triangles)
 
@@ -245,7 +245,7 @@ def test_retract_places_interface_nodes_exactly():
     geo = shape.compute_geometry(m)
     vals = pinned(0.1 * np.sin(np.pi * np.arange(n + 1) / n))
     w = shape.InterfaceField(mesh=m, values=vals)
-    moved = shape.retract(m, w, geo, 0.5)
+    moved = shape.retract(m, shape.extend(m, w, geo), 0.5)
     target = geo.points + 0.5 * vals[:, None] * geo.normals
     np.testing.assert_allclose(moved.interface_points, target, atol=1e-14)
 
@@ -255,13 +255,33 @@ def test_retract_round_trip_recovers_interface():
     m = straight(n)
     geo = shape.compute_geometry(m)
     vals = pinned(0.02 * np.sin(np.pi * np.arange(n + 1) / n))
-    forward = shape.retract(m, shape.InterfaceField(mesh=m, values=vals), geo, 1.0)
+    forward = shape.retract(
+        m, shape.extend(m, shape.InterfaceField(mesh=m, values=vals), geo), 1.0)
     geo_fwd = shape.compute_geometry(forward)
-    back = shape.retract(
-        forward, shape.InterfaceField(mesh=forward, values=vals), geo_fwd, -1.0)
+    back = shape.retract(forward, shape.extend(
+        forward, shape.InterfaceField(mesh=forward, values=vals), geo_fwd), -1.0)
     # the reverse step rides slightly different normals, hence the loose bound
     err = np.abs(back.interface_points - m.interface_points).max()
     assert err < 1e-3
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0 ** -7, 1.25, 1.5])
+def test_retract_scales_one_extension(alpha):
+    # Oracle: the elastic extension solved afresh for the scaled step.  A
+    # power-of-two scale is exact in floating point, so those agree to the bit.
+    n = 16
+    m = straight(n)
+    geo = shape.compute_geometry(m)
+    vals = pinned(0.05 * np.sin(np.pi * np.arange(n + 1) / n))
+    got = shape.retract(m, shape.extend(m, shape.InterfaceField(mesh=m, values=vals),
+                                        geo), alpha)
+    disp = alpha * vals[:, None] * geo.normals
+    expected = mesh.apply_deformation(m, mesh.solve_elastic_deformation(m, disp))
+    if np.log2(alpha).is_integer():
+        np.testing.assert_array_equal(got.vertices, expected.vertices)
+    else:
+        np.testing.assert_allclose(got.vertices, expected.vertices, rtol=0, atol=1e-14)
+    assert not np.array_equal(got.vertices, m.vertices)
 
 
 def inverting_step(n=8):
@@ -273,25 +293,27 @@ def inverting_step(n=8):
 
 def test_retract_takes_one_step_and_raises_on_inversion():
     m, w, geo = inverting_step()
+    extension = shape.extend(m, w, geo)
     with pytest.raises(InvertedElementError):
-        shape.retract(m, w, geo, 1.0)
-    moved = shape.retract(m, w, geo, 0.25)
+        shape.retract(m, extension, 1.0)
+    moved = shape.retract(m, extension, 0.25)
     target = geo.points + 0.25 * w.values[:, None] * geo.normals
     np.testing.assert_allclose(moved.interface_points, target, atol=1e-14)
 
 
 def test_failed_retraction_frees_the_source_mesh_without_gc():
-    # A failed trial must not leave its source mesh, with the cached elastic
-    # factorization, in a reference cycle that only the collector can free.
+    # A failed trial must not leave its source mesh, or the extension that
+    # refers to it, in a reference cycle that only the collector can free.
     m, w, geo = inverting_step()
+    extension = shape.extend(m, w, geo)
     source = weakref.ref(m)
     gc.disable()
     try:
         try:
-            shape.retract(m, w, geo, 1e6)
+            shape.retract(m, extension, 1e6)
         except ShapeNewtonError:
             pass
-        del m, w, geo
+        del m, w, geo, extension
         assert source() is None
     finally:
         gc.enable()
@@ -324,7 +346,7 @@ def test_distance_matches_parabolic_offset_oracle():
     yi = np.arange(n + 1) / n
     vals = pinned(0.1 * yi * (1.0 - yi))
     w = shape.InterfaceField(mesh=m, values=vals)
-    moved = shape.retract(m, w, shape.compute_geometry(m), 1.0)
+    moved = shape.retract(m, shape.extend(m, w, shape.compute_geometry(m)), 1.0)
     assert shape.dist_to_solution(moved) == pytest.approx(1.0 / 60.0, abs=1e-3)
 
 
