@@ -1,8 +1,8 @@
 """Piecewise-linear finite elements on interface meshes.
 
-Assembly of stiffness, mass and load vectors, homogeneous Dirichlet solves via
-a deterministic sparse factorization, and the state solve of the two-source
-Poisson problem.
+Assembly of stiffness, mass and load vectors, the homogeneous Dirichlet
+Poisson solve on a mesh.DirichletSystem, and the state solve of the
+two-source Poisson problem.
 """
 from __future__ import annotations
 
@@ -12,10 +12,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import LinearSolverError
-from .mesh import Locator, TriMesh, factor_spd, locate_points, p1_gradients
-
-_RESIDUAL_TOL = 1e-10
+from .mesh import DirichletSystem, Locator, TriMesh, locate_points, p1_gradients, scatter
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     b, c, area = p1_gradients(mesh)
     Ke = (np.einsum("ti,tj->tij", b, b) + np.einsum("ti,tj->tij", c, c)) \
         / (4.0 * area)[:, None, None]
-    return _scatter(mesh, Ke)
+    return scatter(mesh.triangles, Ke, mesh.n_vertices)
 
 
 def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
@@ -52,16 +49,7 @@ def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
     _, _, area = p1_gradients(mesh)
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     Me = area[:, None, None] * base
-    return _scatter(mesh, Me)
-
-
-def _scatter(mesh: TriMesh, element_matrices: np.ndarray) -> sp.csr_matrix:
-    t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    nv = mesh.n_vertices
-    return sp.coo_matrix((element_matrices.ravel(), (rows, cols)),
-                         shape=(nv, nv)).tocsr()
+    return scatter(mesh.triangles, Me, mesh.n_vertices)
 
 
 def assemble_load_piecewise(mesh: TriMesh, f1: float, f2: float) -> np.ndarray:
@@ -91,8 +79,8 @@ def assemble_load_function(mesh: TriMesh, f: Callable[[np.ndarray], np.ndarray])
 
 
 class DirichletSolver:
-    """Factorized solver for the P1 stiffness matrix with homogeneous
-    Dirichlet data on the outer boundary.
+    """The P1 stiffness matrix of one mesh with homogeneous Dirichlet data on
+    the outer boundary, held as a DirichletSystem.
 
     The factorization is computed once and reused across right-hand sides,
     which keeps repeated solves on the same mesh cheap and deterministic.
@@ -100,27 +88,11 @@ class DirichletSolver:
 
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
-        self.matrix = assemble_stiffness(mesh)
-        mask = np.ones(mesh.n_vertices, dtype=bool)
-        mask[mesh.outer_boundary_nodes] = False
-        self.free = np.flatnonzero(mask)
-        self._kff = self.matrix[self.free][:, self.free].tocsc()
-        self._lu = factor_spd(self._kff)
+        self.system = DirichletSystem(assemble_stiffness(mesh), mesh.outer_boundary_nodes)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the given full-length rhs; constrained entries are zero."""
-        bf = rhs[self.free]
-        xf = self._lu.solve(bf)
-        if not np.all(np.isfinite(xf)):
-            raise LinearSolverError("sparse solve produced non-finite values")
-        resid = np.linalg.norm(self._kff @ xf - bf)
-        scale = max(np.linalg.norm(bf), 1e-300)
-        if resid > _RESIDUAL_TOL * scale:
-            raise LinearSolverError(
-                f"relative residual {resid/scale:.3e} exceeds {_RESIDUAL_TOL:.1e}")
-        out = np.zeros(self.mesh.n_vertices)
-        out[self.free] = xf
-        return out
+        return self.system.solve(rhs)
 
 
 def solve_state(mesh: TriMesh, f1: float, f2: float) -> NodalField:
@@ -139,11 +111,9 @@ def evaluate_field(locator: Locator, field: NodalField, points: np.ndarray) -> n
 
 
 def objective_misfit(mesh: TriMesh, y: NodalField, ybar: NodalField,
-                     mass: sp.csr_matrix | None = None) -> float:
-    """Tracking term 0.5 * ||y - ybar||_L2^2."""
+                     mass: sp.csr_matrix) -> float:
+    """Tracking term 0.5 * ||y - ybar||_L2^2 with the mesh's mass matrix."""
     _check_same_mesh(mesh, y, ybar)
-    if mass is None:
-        mass = assemble_mass(mesh)
     d = y.values - ybar.values
     return float(0.5 * (d @ (mass @ d)))
 

@@ -23,6 +23,9 @@ _BARY_TOL = 1e-9
 # enough inside that no neighbouring triangle can be admissible as well.
 _STAR_MARGIN = 1e-6
 
+# Largest relative residual ||K_ff x_f - b_f|| / ||b_f|| of a Dirichlet solve.
+_RESIDUAL_TOL = 1e-10
+
 _INTERFACE_START = (0.5, 0.0)
 _INTERFACE_END = (0.5, 1.0)
 
@@ -314,16 +317,55 @@ class DeformationField:
         self.displacement.flags.writeable = False
 
 
-def factor_spd(matrix: sp.csc_matrix) -> spla.SuperLU:
-    """SuperLU factorization of a symmetric positive definite matrix.
+def scatter(dofs: np.ndarray, element_matrices: np.ndarray, size: int) -> sp.csr_matrix:
+    """Sum element matrices (ne, k, k) into a size x size sparse matrix; row
+    e of dofs (ne, k) holds the global indices of element e's local dofs."""
+    k = dofs.shape[1]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    return sp.coo_matrix((element_matrices.ravel(), (rows, cols)),
+                         shape=(size, size)).tocsr()
 
-    Symmetric mode orders by minimum degree on A^T + A and pivots on the
-    diagonal, so the factor keeps the matrix's symmetric structure: less fill
-    and faster solves than the default column ordering.  Minimum degree
-    without symmetric mode is much slower to factor.
+
+class DirichletSystem:
+    """A symmetric positive definite matrix with Dirichlet data on the
+    constrained dofs, its free block factored once.
+
+    SuperLU runs in symmetric mode: minimum-degree ordering on A^T + A and
+    diagonal pivots keep the factor's symmetric structure, with less fill and
+    faster solves than the default column ordering.  Minimum degree without
+    symmetric mode is much slower to factor.
     """
-    return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
+
+    def __init__(self, matrix: sp.csr_matrix, constrained: np.ndarray):
+        self.matrix = matrix
+        mask = np.zeros(matrix.shape[0], dtype=bool)
+        mask[constrained] = True
+        self.free = np.flatnonzero(~mask)
+        self.fixed = np.flatnonzero(mask)
+        self._kff = matrix[self.free][:, self.free].tocsc()
+        self._lu = spla.splu(self._kff, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    def solve(self, rhs: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+        """Full solution for the full-length rhs, whose constrained entries
+        are ignored; the constrained dofs take the matching entries of the
+        full-length values, or zero when values is None."""
+        out = np.zeros(self.matrix.shape[0])
+        bf = rhs[self.free]
+        if values is not None:
+            out[self.fixed] = values[self.fixed]
+            bf = bf - self.matrix[self.free][:, self.fixed] @ out[self.fixed]
+        xf = self._lu.solve(bf)
+        if not np.all(np.isfinite(xf)):
+            raise LinearSolverError("sparse solve produced non-finite values")
+        resid = np.linalg.norm(self._kff @ xf - bf)
+        scale = max(np.linalg.norm(bf), 1e-300)
+        if resid > _RESIDUAL_TOL * scale:
+            raise LinearSolverError(
+                f"relative residual {resid/scale:.3e} exceeds {_RESIDUAL_TOL:.1e}")
+        out[self.free] = xf
+        return out
 
 
 def solve_elastic_deformation(mesh: TriMesh,
@@ -331,7 +373,8 @@ def solve_elastic_deformation(mesh: TriMesh,
     """Extend an interface displacement to the volume by linear elasticity.
 
     Dirichlet data: the given displacement on interface nodes, zero on the
-    outer boundary.  Lame parameters lambda = 0, mu = 1.
+    outer boundary.  Lame parameters lambda = 0, mu = 1.  Dof 2 v + c is
+    component c of vertex v.
     """
     g = np.asarray(interface_displacement, dtype=np.float64)
     if g.shape != (mesh.interface_nodes.shape[0], 2):
@@ -340,52 +383,30 @@ def solve_elastic_deformation(mesh: TriMesh,
     if np.any(g[0] != 0.0) or np.any(g[-1] != 0.0):
         raise ValueError("displacement at the pinned interface endpoints must be zero")
 
-    nv = mesh.n_vertices
-    K = _assemble_elasticity(mesh)
-    constrained = np.zeros(2 * nv, dtype=bool)
-    for comp in (0, 1):
-        constrained[2 * mesh.outer_boundary_nodes + comp] = True
-        constrained[2 * mesh.interface_nodes + comp] = True
-    free = np.flatnonzero(~constrained)
-    fixed = np.flatnonzero(constrained)
-    Kff = K[free][:, free].tocsc()
-
-    values = np.zeros(2 * nv)
-    values[2 * mesh.interface_nodes] = g[:, 0]
-    values[2 * mesh.interface_nodes + 1] = g[:, 1]
-
-    rhs = -(K[free][:, fixed] @ values[fixed])
-    sol = factor_spd(Kff).solve(rhs)
-    if not np.all(np.isfinite(sol)):
-        raise LinearSolverError("elastic extension solve produced non-finite values")
-    resid = np.linalg.norm(Kff @ sol - rhs)
-    scale = max(np.linalg.norm(rhs), 1e-300)
-    if resid > 1e-8 * scale:
-        raise LinearSolverError(f"elastic extension residual {resid/scale:.3e} too large")
-    values[free] = sol
-    return DeformationField(mesh=mesh, displacement=values.reshape(-1, 2))
+    nodes = np.concatenate([mesh.outer_boundary_nodes, mesh.interface_nodes])
+    system = DirichletSystem(_assemble_elasticity(mesh),
+                             np.concatenate([2 * nodes, 2 * nodes + 1]))
+    values = np.zeros((mesh.n_vertices, 2))
+    values[mesh.interface_nodes] = g
+    out = system.solve(np.zeros(values.size), values.ravel())
+    return DeformationField(mesh=mesh, displacement=out.reshape(-1, 2))
 
 
 def _assemble_elasticity(mesh: TriMesh) -> sp.csr_matrix:
-    bmat, cmat, area = p1_gradients(mesh)
-    # rows of B: eps_xx, eps_yy, gamma_xy over dofs (ux0, uy0, ux1, uy1, ux2, uy2)
-    nt = mesh.n_triangles
-    B = np.zeros((nt, 3, 6))
-    inv2a = 1.0 / (2.0 * area)
-    for i in range(3):
-        B[:, 0, 2 * i] = bmat[:, i] * inv2a
-        B[:, 1, 2 * i + 1] = cmat[:, i] * inv2a
-        B[:, 2, 2 * i] = cmat[:, i] * inv2a
-        B[:, 2, 2 * i + 1] = bmat[:, i] * inv2a
-    D = np.diag([2.0, 2.0, 1.0])  # lambda + 2 mu, lambda + 2 mu, mu
-    Ke = np.einsum("tki,kl,tlj,t->tij", B, D, B, area, optimize=True)
-    dofs = np.empty((nt, 6), dtype=np.int64)
-    dofs[:, 0::2] = 2 * mesh.triangles
-    dofs[:, 1::2] = 2 * mesh.triangles + 1
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    nv2 = 2 * mesh.n_vertices
-    return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(nv2, nv2)).tocsr()
+    """Elasticity matrix for lambda = 0, mu = 1: the element form is
+    2 eps(u) : eps(v) over the element dofs (ux0, ux1, ux2, uy0, uy1, uy2)."""
+    b, c, area = p1_gradients(mesh)
+    bb = b[:, :, None] * b[:, None, :]
+    cc = c[:, :, None] * c[:, None, :]
+    cb = c[:, :, None] * b[:, None, :]
+    Ke = np.empty((mesh.n_triangles, 6, 6))
+    Ke[:, :3, :3] = 2.0 * bb + cc
+    Ke[:, :3, 3:] = cb
+    Ke[:, 3:, :3] = cb.transpose(0, 2, 1)
+    Ke[:, 3:, 3:] = bb + 2.0 * cc
+    Ke /= (4.0 * area)[:, None, None]
+    t = mesh.triangles
+    return scatter(np.hstack([2 * t, 2 * t + 1]), Ke, 2 * mesh.n_vertices)
 
 
 def apply_deformation(mesh: TriMesh, deformation: DeformationField) -> TriMesh:

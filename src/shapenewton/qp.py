@@ -43,7 +43,7 @@ class MeshState:
         self.mass = fem.assemble_mass(mesh)
         self.load = fem.assemble_load_piecewise(mesh, f1, f2)
         self.solver = fem.DirichletSolver(mesh)
-        self.stiffness = self.solver.matrix
+        self.stiffness = self.solver.system.matrix
         self.y = fem.NodalField(mesh=mesh, values=self.solver.solve(self.load))
         self.objective = shape.objective(mesh, self.y, ybar, self.geometry, mu,
                                          self.mass)
@@ -64,14 +64,14 @@ class QpWorkspace:
 
         resid = state.load - state.stiffness @ state.y.values
         scale = 1.0 + np.abs(state.load).max()
-        if np.abs(resid[state.solver.free]).max() > _CONSISTENCY_TOL * scale:
+        if np.abs(resid[state.solver.system.free]).max() > _CONSISTENCY_TOL * scale:
             raise LinearSolverError("workspace state violates the discrete state equation")
 
         misfit = state.mass @ (state.y.values - state.ybar.values)
         self.p = fem.NodalField(mesh=state.mesh, values=state.solver.solve(-misfit))
         aresid = state.stiffness @ self.p.values + misfit
         ascale = 1.0 + np.abs(misfit).max()
-        if np.abs(aresid[state.solver.free]).max() > _CONSISTENCY_TOL * ascale:
+        if np.abs(aresid[state.solver.system.free]).max() > _CONSISTENCY_TOL * ascale:
             raise LinearSolverError("workspace adjoint violates the discrete adjoint equation")
 
 

@@ -131,9 +131,10 @@ def shape_gradient(mesh: TriMesh, geometry: InterfaceGeometry, p: fem.NodalField
 
 
 def objective(mesh: TriMesh, y: fem.NodalField, ybar: fem.NodalField,
-              geometry: InterfaceGeometry, mu: float, mass=None) -> float:
-    """J = 0.5 ||y - ybar||^2 + mu * interface length."""
-    return fem.objective_misfit(mesh, y, ybar, mass=mass) + mu * geometry.length
+              geometry: InterfaceGeometry, mu: float, mass) -> float:
+    """J = 0.5 ||y - ybar||^2 + mu * interface length; mass is the mesh's
+    mass matrix."""
+    return fem.objective_misfit(mesh, y, ybar, mass) + mu * geometry.length
 
 
 def tangential_laplacian_apply(geometry: InterfaceGeometry, w: np.ndarray) -> np.ndarray:

@@ -69,9 +69,8 @@ def gradient_fd_check() -> CheckResult:
                              config.f2, config.mu)
 
     def objective_of(mesh):
-        y = fem.solve_state(mesh, config.f1, config.f2)
-        return shape.objective(mesh, y, data.sample(mesh),
-                               shape.compute_geometry(mesh), config.mu)
+        return qp.MeshState(mesh, data.sample(mesh), config.f1, config.f2,
+                            config.mu).objective
 
     rng = np.random.default_rng(0)
     eps = 1e-5

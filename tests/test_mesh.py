@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from shapenewton import mesh as mm
+from shapenewton import driver, fem, mesh as mm
 from shapenewton.errors import (
     InvertedElementError,
+    LinearSolverError,
     MeshInvariantError,
     PointLocationError,
 )
@@ -141,6 +143,98 @@ def test_elastic_extension_rejects_moving_pinned_ends():
     g[0] = [0.1, 0.0]
     with pytest.raises(ValueError):
         mm.solve_elastic_deformation(m, g)
+
+
+def interface_bump(m: mm.TriMesh) -> np.ndarray:
+    g = np.zeros((m.interface_nodes.shape[0], 2))
+    g[1:-1, 0] = 0.02 * np.sin(np.pi * m.interface_points[1:-1, 1])
+    return g
+
+
+def elasticity_oracle(m: mm.TriMesh) -> sp.csr_matrix:
+    """Elasticity matrix for lambda = 0, mu = 1 as area * B^T D B, with B the
+    strain rows (eps_xx, eps_yy, gamma_xy) over the interleaved element dofs
+    (ux0, uy0, ux1, uy1, ux2, uy2)."""
+    bmat, cmat, area = mm.p1_gradients(m)
+    nt = m.n_triangles
+    B = np.zeros((nt, 3, 6))
+    inv2a = 1.0 / (2.0 * area)
+    for i in range(3):
+        B[:, 0, 2 * i] = bmat[:, i] * inv2a
+        B[:, 1, 2 * i + 1] = cmat[:, i] * inv2a
+        B[:, 2, 2 * i] = cmat[:, i] * inv2a
+        B[:, 2, 2 * i + 1] = bmat[:, i] * inv2a
+    D = np.diag([2.0, 2.0, 1.0])  # lambda + 2 mu, lambda + 2 mu, mu
+    Ke = np.einsum("tki,kl,tlj,t->tij", B, D, B, area, optimize=True)
+    dofs = np.empty((nt, 6), dtype=np.int64)
+    dofs[:, 0::2] = 2 * m.triangles
+    dofs[:, 1::2] = 2 * m.triangles + 1
+    rows = np.repeat(dofs, 6, axis=1).ravel()
+    cols = np.tile(dofs, (1, 6)).ravel()
+    nv2 = 2 * m.n_vertices
+    return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(nv2, nv2)).tocsr()
+
+
+def test_elasticity_matches_strain_oracle_and_splits_into_laplacians():
+    m = driver.initial_mesh(driver.ExperimentConfig(n=16), 1)
+    K = mm._assemble_elasticity(m)
+    oracle = elasticity_oracle(m)
+    assert abs(K - oracle).max() <= 1e-14 * abs(oracle).max()
+
+    # For u vanishing on the outer boundary, a(u, u) = |grad u|^2 + |div u|^2:
+    # the scalar Laplacian on each component plus the divergence term.
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal((m.n_vertices, 2))
+    u[m.outer_boundary_nodes] = 0.0
+    L = fem.assemble_stiffness(m)
+    b, c, area = mm.p1_gradients(m)
+    uk = u[m.triangles]
+    div = ((b * uk[..., 0]).sum(axis=1) + (c * uk[..., 1]).sum(axis=1)) / (2.0 * area)
+    energy = u.ravel() @ (K @ u.ravel())
+    split = u[:, 0] @ (L @ u[:, 0]) + u[:, 1] @ (L @ u[:, 1]) + area @ div ** 2
+    assert abs(energy - split) <= 1e-14 * energy
+
+
+@pytest.mark.parametrize("corrupt", [lambda x: np.full_like(x, np.nan),
+                                     lambda x: x * (1.0 + 1e-6)],
+                         ids=["nan", "relative-error-1e-6"])
+def test_dirichlet_solves_fail_loudly_on_a_bad_factor(monkeypatch, corrupt):
+    splu = mm.spla.splu
+
+    class PlantedFactor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            return corrupt(self.lu.solve(rhs))
+
+    monkeypatch.setattr(mm.spla, "splu", lambda *a, **k: PlantedFactor(splu(*a, **k)))
+    m = mm.build_template(8)
+    with pytest.raises(LinearSolverError):
+        fem.DirichletSolver(m).solve(np.ones(m.n_vertices))
+    with pytest.raises(LinearSolverError):
+        mm.solve_elastic_deformation(m, interface_bump(m))
+
+
+def test_poisson_and_elastic_solves_share_one_dirichlet_path(monkeypatch):
+    systems, factors = [], []
+    init, splu = mm.DirichletSystem.__init__, mm.spla.splu
+
+    def counted_init(self, *args):
+        systems.append(self)
+        init(self, *args)
+
+    def counted_splu(*args, **kwargs):
+        factors.append(args[0])
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(mm.DirichletSystem, "__init__", counted_init)
+    monkeypatch.setattr(mm.spla, "splu", counted_splu)
+    m = mm.build_template(8)
+    fem.DirichletSolver(m)
+    assert (len(systems), len(factors)) == (1, 1)
+    mm.solve_elastic_deformation(m, interface_bump(m))
+    assert (len(systems), len(factors)) == (2, 2)
 
 
 def test_apply_deformation_round_trip():

@@ -138,7 +138,8 @@ def test_mesh_state_objective_matches_separate_solves(bulged_ws):
     m, ybar = bulged_ws.state.mesh, bulged_ws.state.ybar
     state = qp.MeshState(m, ybar, F1, F2, MU)
     y = fem.solve_state(m, F1, F2)
-    expected = shape.objective(m, y, ybar, shape.compute_geometry(m), MU)
+    expected = shape.objective(m, y, ybar, shape.compute_geometry(m), MU,
+                               fem.assemble_mass(m))
     assert state.objective == expected
 
 

@@ -385,5 +385,6 @@ def test_objective_adds_misfit_and_length_penalty():
     y = fem.solve_state(m, 1000.0, 1.0)
     ybar = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
     geo = shape.compute_geometry(m)
-    J = shape.objective(m, y, ybar, geo, mu=10.0)
-    assert J == pytest.approx(fem.objective_misfit(m, y, ybar) + 10.0, rel=1e-14)
+    mass = fem.assemble_mass(m)
+    J = shape.objective(m, y, ybar, geo, mu=10.0, mass=mass)
+    assert J == pytest.approx(fem.objective_misfit(m, y, ybar, mass) + 10.0, rel=1e-14)
