@@ -9,6 +9,8 @@ actually taken.
 from __future__ import annotations
 
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,9 +171,11 @@ def initial_mesh(config: ExperimentConfig, level: int) -> TriMesh:
         raise StepFailureError(f"starting interface: {exc}") from exc
 
 
-def _evaluate(mesh: TriMesh, data: DataOracle, config: ExperimentConfig) -> qp.MeshState:
-    """Objective on a mesh, with the state and factorization behind it."""
-    return qp.MeshState(mesh, data.sample(mesh), config.f1, config.f2, config.mu)
+def _evaluate(mesh: TriMesh, ybar: fem.NodalField,
+              config: ExperimentConfig) -> qp.MeshState:
+    """Objective on a mesh with its sampled data, with the state and
+    factorization behind it."""
+    return qp.MeshState(mesh, ybar, config.f1, config.f2, config.mu)
 
 
 def _take_step(state: qp.MeshState, w: shape.InterfaceField, alphas: list[float],
@@ -180,37 +184,50 @@ def _take_step(state: qp.MeshState, w: shape.InterfaceField, alphas: list[float]
     state, which the next iteration's workspace reuses.
 
     Each candidate is tried once, skipping any whose mesh is invalid, and the
-    lowest objective is accepted if within ACCEPT_FACTOR of the current one.
-    Otherwise the step is halved from the smallest candidate, up to
-    _MAX_HALVINGS times, until a trial is.  This is the solver's only halving
-    loop.  The step w is extended to the volume once, and each trial scales
-    that extension: a step costs one elastic solve and at most
-    len(alphas) + _MAX_HALVINGS trial meshes.
+    lowest objective is accepted if within ACCEPT_FACTOR of the current one;
+    the first in alphas order wins a tie.  Otherwise the step is halved from
+    the smallest candidate, up to _MAX_HALVINGS times, until a trial is.
+    This is the solver's only halving loop.  The step w is extended to the
+    volume once, and each trial scales that extension: a step costs one
+    elastic solve and at most len(alphas) + _MAX_HALVINGS trial meshes.
+
+    The candidates' meshes are moved and sampled concurrently, on
+    min(len(alphas), usable CPUs) threads, while this thread solves the
+    state on each in alphas order.  The states stay on this thread because
+    scipy's SuperLU frees a factor only on the thread that made it.  The
+    halvings run one at a time.  Only a MeshInvariantError makes a trial
+    invalid; any other error propagates.
     """
     mesh = state.mesh
     limit = ACCEPT_FACTOR * state.objective
     extension = shape.extend(mesh, w, state.geometry)
 
     def trial(alpha):
+        """The mesh moved by alpha and its sampled data, or None if invalid."""
         try:
             moved = shape.retract(mesh, extension, alpha)
         except MeshInvariantError:
             return None
-        return _evaluate(moved, data, config)
+        return moved, data.sample(moved)
+
+    def evaluate(moved):
+        return None if moved is None else _evaluate(*moved, config)
 
     best = None
-    for alpha in alphas:
-        candidate = trial(alpha)
-        if candidate is not None and (best is None
-                                      or candidate.objective < best[0].objective):
-            best = (candidate, alpha)
+    workers = min(len(alphas), len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for alpha, moved in zip(alphas, pool.map(trial, alphas)):
+            candidate = evaluate(moved)
+            if candidate is not None and (best is None
+                                          or candidate.objective < best[0].objective):
+                best = (candidate, alpha)
     if best is not None and best[0].objective <= limit:
         return best
 
     alpha = min(alphas)
     for _ in range(_MAX_HALVINGS):
         alpha *= 0.5
-        candidate = trial(alpha)
+        candidate = evaluate(trial(alpha))
         if candidate is not None and candidate.objective <= limit:
             return candidate, alpha
     raise StepFailureError(f"no acceptable step length in {len(alphas)} candidates "
@@ -221,8 +238,8 @@ def _iterate(config: ExperimentConfig, data: DataOracle, level: int,
              step_fn, observer=None, start: TriMesh | None = None) -> SqpTrace:
     """Shared iteration loop; step_fn produces (w, cg_iterations, alphas)
     from the workspace and the gradient."""
-    state = _evaluate(initial_mesh(config, level) if start is None else start,
-                      data, config)
+    first = initial_mesh(config, level) if start is None else start
+    state = _evaluate(first, data.sample(first), config)
     rows = []
     for it in range(config.max_sqp_iters + 1):
         cur = state.mesh
@@ -265,12 +282,13 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     Each iteration solves the quadratic subproblem by conjugate gradients and
     steps along the resulting normal displacement.  With line_search enabled
     the step length is chosen among {1, 1.25, 1.5} times the configured
-    length by objective value; otherwise the configured length is used
-    directly; every trial length scales the step's one elastic extension.
-    When no candidate is acceptable, the step is halved from the smallest
-    one at most _MAX_HALVINGS times before the run fails with
-    StepFailureError.  The run starts from the reference curve unless an
-    explicit start mesh is given.
+    length by objective value, the candidates moved and sampled concurrently
+    (see _take_step); otherwise the configured length is used directly.
+    Every trial length scales the step's one elastic extension, solved by
+    Laplacian-preconditioned CG.  When no candidate is acceptable, the step
+    is halved from the smallest one at most _MAX_HALVINGS times before the
+    run fails with StepFailureError.  The run starts from the reference
+    curve unless an explicit start mesh is given.
     CG that meets negative curvature, or stops above cg_tol, raises
     StepFailureError.
     """

@@ -1,8 +1,9 @@
 """Piecewise-linear finite elements on interface meshes.
 
-Assembly of stiffness, mass and load vectors, the homogeneous Dirichlet
-Poisson solve on a mesh.DirichletSystem, and the state solve of the
-two-source Poisson problem.
+Assembly of mass and load vectors (the stiffness matrix comes from
+mesh.assemble_stiffness, which the elastic extension also uses), the
+homogeneous Dirichlet Poisson solve on a mesh.DirichletSystem, and the state
+solve of the two-source Poisson problem.
 """
 from __future__ import annotations
 
@@ -12,7 +13,15 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DirichletSystem, Locator, TriMesh, locate_points, p1_gradients, scatter
+from .mesh import (
+    DirichletSystem,
+    Locator,
+    TriMesh,
+    assemble_stiffness,
+    locate_points,
+    p1_gradients,
+    scatter,
+)
 
 
 @dataclass(frozen=True)
@@ -34,14 +43,6 @@ def _check_same_mesh(mesh: TriMesh, *fields: NodalField) -> None:
     for f in fields:
         if f.mesh is not mesh:
             raise ValueError("field belongs to a different mesh")
-
-
-def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
-    """Global P1 stiffness matrix (no boundary conditions applied)."""
-    b, c, area = p1_gradients(mesh)
-    Ke = (np.einsum("ti,tj->tij", b, b) + np.einsum("ti,tj->tij", c, c)) \
-        / (4.0 * area)[:, None, None]
-    return scatter(mesh.triangles, Ke, mesh.n_vertices)
 
 
 def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:

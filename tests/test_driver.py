@@ -1,11 +1,20 @@
 """Experiment driver: configuration, data generation, and the solver loops."""
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from shapenewton import driver, fem, qp, shape
-from shapenewton.errors import ConfigError, InvertedElementError, StepFailureError
+from shapenewton.errors import (
+    ConfigError,
+    InvertedElementError,
+    LinearSolverError,
+    MeshInvariantError,
+    PointLocationError,
+    StepFailureError,
+)
 from shapenewton.mesh import (
     Locator,
     TriMesh,
@@ -258,6 +267,88 @@ def test_take_step_fails_after_its_budget(monkeypatch):
         driver._take_step(state, w, alphas, data, config)
     assert len(solves) == 1
     assert len(trials) == len(alphas) + driver._MAX_HALVINGS
+
+
+def newton_step_setup():
+    """State on the curved 8-mesh start and its Newton step."""
+    config = driver.ExperimentConfig(n=8)
+    data = driver.generate_data(config)
+    m = driver.initial_mesh(config, 1)
+    state = driver._evaluate(m, data.sample(m), config)
+    w = qp.solve_qp_cg(qp.QpWorkspace(state, cg_tol=config.cg_tol)).w
+    return state, w, data, config
+
+
+def record_threads(monkeypatch, owner, name, log):
+    """Log, per call of owner.name, whether it ran on the main thread."""
+    fn = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        log.append(threading.current_thread() is threading.main_thread())
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+
+
+def test_concurrent_candidates_match_a_serial_oracle(monkeypatch):
+    state, w, data, config = newton_step_setup()
+    alphas = [1.0, 1.25, 1.5]
+    sampled_on_main, factored_on_main = [], []
+    record_threads(monkeypatch, driver.DataOracle, "sample", sampled_on_main)
+    record_threads(monkeypatch, spla, "splu", factored_on_main)
+    accepted, alpha = driver._take_step(state, w, alphas, data, config)
+    # Every candidate is moved and sampled on the pool, and every factor is
+    # made on the calling thread, which also frees it: scipy frees a SuperLU
+    # factor only on the thread that made it.
+    assert sampled_on_main == [False] * len(alphas)
+    assert factored_on_main and all(factored_on_main)
+    monkeypatch.undo()
+    # Oracle: each candidate evaluated in order, the first lowest one picked.
+    extension = shape.extend(state.mesh, w, state.geometry)
+    best = None
+    for a in alphas:
+        try:
+            moved = shape.retract(state.mesh, extension, a)
+        except MeshInvariantError:
+            continue
+        candidate = driver._evaluate(moved, data.sample(moved), config)
+        if best is None or candidate.objective < best[0].objective:
+            best = (candidate, a)
+    assert best[0].objective <= driver.ACCEPT_FACTOR * state.objective
+    assert alpha == best[1]
+    assert accepted.objective == best[0].objective
+    np.testing.assert_array_equal(accepted.mesh.vertices, best[0].mesh.vertices)
+
+
+@pytest.mark.parametrize("stage", ["sample", "state"])
+def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
+    # Only MeshInvariantError marks a trial invalid.  Any other failure in a
+    # candidate, on the pool (sampling) or on the calling thread (the state
+    # solve), must leave _take_step, not be skipped.
+    state, w, data, config = newton_step_setup()
+    retract, sample, evaluate = shape.retract, driver.DataOracle.sample, driver._evaluate
+    moved_by_step = {}
+
+    def recorded_retract(mesh, extension, step):
+        moved_by_step[step] = retract(mesh, extension, step)
+        return moved_by_step[step]
+
+    def faulty_sample(oracle, target):
+        if stage == "sample" and target is moved_by_step.get(1.25):
+            raise PointLocationError("planted failure at step 1.25")
+        return sample(oracle, target)
+
+    def faulty_evaluate(mesh, ybar, config):
+        if stage == "state" and mesh is moved_by_step.get(1.25):
+            raise LinearSolverError("planted failure at step 1.25")
+        return evaluate(mesh, ybar, config)
+
+    monkeypatch.setattr(shape, "retract", recorded_retract)
+    monkeypatch.setattr(driver.DataOracle, "sample", faulty_sample)
+    monkeypatch.setattr(driver, "_evaluate", faulty_evaluate)
+    with pytest.raises((PointLocationError, LinearSolverError),
+                       match="planted failure at step 1.25"):
+        driver._take_step(state, w, [1.0, 1.25, 1.5], data, config)
 
 
 def test_solvers_attach_nothing_to_meshes():

@@ -195,10 +195,19 @@ def test_elasticity_matches_strain_oracle_and_splits_into_laplacians():
     assert abs(energy - split) <= 1e-14 * energy
 
 
-@pytest.mark.parametrize("corrupt", [lambda x: np.full_like(x, np.nan),
-                                     lambda x: x * (1.0 + 1e-6)],
-                         ids=["nan", "relative-error-1e-6"])
-def test_dirichlet_solves_fail_loudly_on_a_bad_factor(monkeypatch, corrupt):
+def coupled_direct_solve(m: mm.TriMesh, g: np.ndarray) -> np.ndarray:
+    """The extension's coupled system, on the strain-oracle matrix, solved
+    by one SuperLU factorization of its free block."""
+    nodes = np.concatenate([m.outer_boundary_nodes, m.interface_nodes])
+    system = mm.DirichletSystem(elasticity_oracle(m),
+                                np.concatenate([2 * nodes, 2 * nodes + 1]))
+    values = np.zeros((m.n_vertices, 2))
+    values[m.interface_nodes] = g
+    return system.solve(np.zeros(values.size), values.ravel()).reshape(-1, 2)
+
+
+def plant_factor(monkeypatch, corrupt):
+    """Make every SuperLU factor return corrupt(x) for its solution x."""
     splu = mm.spla.splu
 
     class PlantedFactor:
@@ -209,10 +218,56 @@ def test_dirichlet_solves_fail_loudly_on_a_bad_factor(monkeypatch, corrupt):
             return corrupt(self.lu.solve(rhs))
 
     monkeypatch.setattr(mm.spla, "splu", lambda *a, **k: PlantedFactor(splu(*a, **k)))
+
+
+def test_elastic_extension_matches_the_coupled_direct_solve(monkeypatch):
+    m = driver.initial_mesh(driver.ExperimentConfig(n=16), 1)
+    rng = np.random.default_rng(5)
+    g = interface_bump(m)
+    g[1:-1, 1] = 0.01 * rng.standard_normal(g.shape[0] - 2)
+    expected = coupled_direct_solve(m, g)
+    got = mm.solve_elastic_deformation(m, g).displacement
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+    # The Laplacian factor only preconditions the conjugate gradients, so a
+    # factor off by 1e-6 still yields the same displacement.
+    plant_factor(monkeypatch, lambda x: x * (1.0 + 1e-6))
+    got = mm.solve_elastic_deformation(m, g).displacement
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_elastic_extension_iterations_do_not_grow_with_the_mesh(monkeypatch, level):
+    m = driver.initial_mesh(driver.ExperimentConfig(), level)
+    applications = []
+    solve_free = mm.DirichletSystem.solve_free
+
+    def counted(self, bf):
+        applications.append(bf.shape)
+        return solve_free(self, bf)
+
+    monkeypatch.setattr(mm.DirichletSystem, "solve_free", counted)
+    mm.solve_elastic_deformation(m, interface_bump(m))
+    # One preconditioner application per iteration, on both components at once.
+    assert 0 < len(applications) <= 20
+    assert {shape[1] for shape in applications} == {2}
+
+
+@pytest.mark.parametrize("corrupt, pcg_cap, reason", [
+    pytest.param(lambda x: np.full_like(x, np.nan), None, "non-finite", id="nan"),
+    pytest.param(lambda x: x * (1.0 + 1e-6), 3,
+                 "stopped after 3 iterations at relative residual", id="relative-error-1e-6"),
+])
+def test_dirichlet_solves_fail_loudly_on_a_bad_factor(monkeypatch, corrupt, pcg_cap, reason):
+    plant_factor(monkeypatch, corrupt)
     m = mm.build_template(8)
     with pytest.raises(LinearSolverError):
         fem.DirichletSolver(m).solve(np.ones(m.n_vertices))
-    with pytest.raises(LinearSolverError):
+    # A factor off by 1e-6 leaves the extension right, because it only
+    # preconditions CG (test_elastic_extension_matches_the_coupled_direct_solve),
+    # so that case makes the extension wrong by capping CG below convergence.
+    if pcg_cap is not None:
+        monkeypatch.setattr(mm, "_PCG_MAX_ITERS", pcg_cap)
+    with pytest.raises(LinearSolverError, match=reason):
         mm.solve_elastic_deformation(m, interface_bump(m))
 
 
