@@ -166,16 +166,23 @@ def initial_mesh(config: ExperimentConfig, level: int) -> TriMesh:
     geometry = shape.compute_geometry(m)
     field = shape.InterfaceField(mesh=m, values=offsets)
     try:
-        return shape.retract(m, shape.extend(m, field, geometry), 1.0)
+        return shape.retract(
+            m, shape.extend(m, field, geometry, fem.assemble_stiffness(m)), 1.0)
     except MeshInvariantError as exc:
         raise StepFailureError(f"starting interface: {exc}") from exc
+
+
+def _assemble(mesh: TriMesh, ybar: fem.NodalField,
+              config: ExperimentConfig) -> qp.MeshAssembly:
+    """Geometry and matrices on a mesh with its sampled data."""
+    return qp.MeshAssembly(mesh, ybar, config.f1, config.f2, config.mu)
 
 
 def _evaluate(mesh: TriMesh, ybar: fem.NodalField,
               config: ExperimentConfig) -> qp.MeshState:
     """Objective on a mesh with its sampled data, with the state and
     factorization behind it."""
-    return qp.MeshState(mesh, ybar, config.f1, config.f2, config.mu)
+    return qp.MeshState(_assemble(mesh, ybar, config))
 
 
 def _take_step(state: qp.MeshState, w: shape.InterfaceField, alphas: list[float],
@@ -188,36 +195,42 @@ def _take_step(state: qp.MeshState, w: shape.InterfaceField, alphas: list[float]
     the first in alphas order wins a tie.  Otherwise the step is halved from
     the smallest candidate, up to _MAX_HALVINGS times, until a trial is.
     This is the solver's only halving loop.  The step w is extended to the
-    volume once, and each trial scales that extension: a step costs one
-    elastic solve and at most len(alphas) + _MAX_HALVINGS trial meshes.
+    volume once, on the stiffness the state already holds, and each trial
+    scales that extension: a step costs one elastic solve and at most
+    len(alphas) + _MAX_HALVINGS trial meshes.
 
-    The candidates' meshes are moved and sampled concurrently, on
-    min(len(alphas), usable CPUs) threads, while this thread solves the
-    state on each in alphas order.  The states stay on this thread because
-    scipy's SuperLU frees a factor only on the thread that made it.  The
-    halvings run one at a time.  Only a MeshInvariantError makes a trial
-    invalid; any other error propagates.
+    The candidates' meshes are moved, sampled and assembled concurrently,
+    on min(len(alphas), usable CPUs) threads, while this thread factors each
+    candidate's stiffness and solves its state in alphas order.  The
+    factorizations stay on this thread because scipy's SuperLU frees a
+    factor only on the thread that made it.  The halvings run one at a
+    time.  Only a MeshInvariantError makes a trial invalid; any other error
+    propagates.
     """
     mesh = state.mesh
     limit = ACCEPT_FACTOR * state.objective
-    extension = shape.extend(mesh, w, state.geometry)
+    extension = shape.extend(mesh, w, state.geometry, state.stiffness)
 
     def trial(alpha):
-        """The mesh moved by alpha and its sampled data, or None if invalid."""
+        """The mesh moved by alpha, assembled with its sampled data, or None
+        if invalid."""
         try:
             moved = shape.retract(mesh, extension, alpha)
         except MeshInvariantError:
             return None
-        return moved, data.sample(moved)
+        return _assemble(moved, data.sample(moved), config)
 
-    def evaluate(moved):
-        return None if moved is None else _evaluate(*moved, config)
+    def evaluate(assembly):
+        return None if assembly is None else qp.MeshState(assembly)
 
     best = None
-    workers = min(len(alphas), len(os.sched_getaffinity(0)))
+    # sched_getaffinity exists only on some platforms.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(len(alphas), cpus)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for alpha, moved in zip(alphas, pool.map(trial, alphas)):
-            candidate = evaluate(moved)
+        for alpha, assembly in zip(alphas, pool.map(trial, alphas)):
+            candidate = evaluate(assembly)
             if candidate is not None and (best is None
                                           or candidate.objective < best[0].objective):
                 best = (candidate, alpha)
@@ -282,13 +295,14 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     Each iteration solves the quadratic subproblem by conjugate gradients and
     steps along the resulting normal displacement.  With line_search enabled
     the step length is chosen among {1, 1.25, 1.5} times the configured
-    length by objective value, the candidates moved and sampled concurrently
-    (see _take_step); otherwise the configured length is used directly.
-    Every trial length scales the step's one elastic extension, solved by
-    Laplacian-preconditioned CG.  When no candidate is acceptable, the step
-    is halved from the smallest one at most _MAX_HALVINGS times before the
-    run fails with StepFailureError.  The run starts from the reference
-    curve unless an explicit start mesh is given.
+    length by objective value, the candidates moved, sampled and assembled
+    concurrently (see _take_step); otherwise the configured length is used
+    directly.  Every trial length scales the step's one elastic extension,
+    solved by Laplacian-preconditioned CG on the state's own stiffness.
+    When no candidate is acceptable, the step is halved from the smallest
+    one at most _MAX_HALVINGS times before the run fails with
+    StepFailureError.  The run starts from the reference curve unless an
+    explicit start mesh is given.
     CG that meets negative curvature, or stops above cg_tol, raises
     StepFailureError.
     """

@@ -1,9 +1,9 @@
 """Piecewise-linear finite elements on interface meshes.
 
 Assembly of mass and load vectors (the stiffness matrix comes from
-mesh.assemble_stiffness, which the elastic extension also uses), the
-homogeneous Dirichlet Poisson solve on a mesh.DirichletSystem, and the state
-solve of the two-source Poisson problem.
+mesh.assemble_stiffness, and the elastic extension reuses the matrix a state
+already holds), the homogeneous Dirichlet Poisson solve on a
+mesh.DirichletSystem, and the state solve of the two-source Poisson problem.
 """
 from __future__ import annotations
 
@@ -80,16 +80,17 @@ def assemble_load_function(mesh: TriMesh, f: Callable[[np.ndarray], np.ndarray])
 
 
 class DirichletSolver:
-    """The P1 stiffness matrix of one mesh with homogeneous Dirichlet data on
-    the outer boundary, held as a DirichletSystem.
+    """The P1 stiffness matrix of one mesh (assemble_stiffness) with
+    homogeneous Dirichlet data on the outer boundary, held as a
+    DirichletSystem.
 
     The factorization is computed once and reused across right-hand sides,
     which keeps repeated solves on the same mesh cheap and deterministic.
     """
 
-    def __init__(self, mesh: TriMesh):
+    def __init__(self, mesh: TriMesh, stiffness: sp.csr_matrix):
         self.mesh = mesh
-        self.system = DirichletSystem(assemble_stiffness(mesh), mesh.outer_boundary_nodes)
+        self.system = DirichletSystem(stiffness, mesh.outer_boundary_nodes)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the given full-length rhs; constrained entries are zero."""
@@ -99,7 +100,7 @@ class DirichletSolver:
 def solve_state(mesh: TriMesh, f1: float, f2: float) -> NodalField:
     """State solve: -lap y = f with f = f1 left of the interface, f2 right."""
     load = assemble_load_piecewise(mesh, f1, f2)
-    return NodalField(mesh, DirichletSolver(mesh).solve(load))
+    return NodalField(mesh, DirichletSolver(mesh, assemble_stiffness(mesh)).solve(load))
 
 
 def evaluate_field(locator: Locator, field: NodalField, points: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The mesh splits (0,1)^2 into two subdomains separated by a polyline running
 from (0.5, 0) to (0.5, 1).  Subdomain 1 lies left of the directed interface,
-subdomain 2 right.  All construction, refinement and deformation operations
-preserve that structure and re-validate it.
+subdomain 2 right.  Construction and refinement preserve that structure and
+validate it in full; deformation keeps the connectivity and re-checks only
+the invariants that moving vertices can break.
 """
 from __future__ import annotations
 
@@ -127,27 +128,17 @@ def _unique_edges(mesh: TriMesh):
 
 
 def validate(mesh: TriMesh) -> None:
-    """Check all structural invariants; raise MeshInvariantError on violation."""
-    areas = signed_areas(mesh)
-    if areas.size and areas.min() <= 0.0:
-        bad = int(np.argmin(areas))
-        raise InvertedElementError(bad, float(areas[bad]))
+    """Check all structural invariants; raise MeshInvariantError on violation.
 
+    The geometric half (_check_geometry) runs first.  Once every triangle is
+    positively oriented, the rest reads only the connectivity and the labels,
+    which moving the vertices never changes.
+    """
     if not np.isin(mesh.subdomain, (1, 2)).all():
         raise MeshInvariantError("subdomain labels must be 1 or 2")
-
-    inodes = mesh.interface_nodes
-    if inodes.size < 2:
+    if mesh.interface_nodes.size < 2:
         raise MeshInvariantError("interface polyline needs at least two nodes")
-    pts = mesh.vertices[inodes]
-    if tuple(pts[0]) != _INTERFACE_START or tuple(pts[-1]) != _INTERFACE_END:
-        raise MeshInvariantError(
-            f"interface endpoints {pts[0]}, {pts[-1]} are not pinned at "
-            f"{_INTERFACE_START}, {_INTERFACE_END}")
-    interior_x = pts[1:-1, 0]
-    if interior_x.size and (interior_x.min() <= 0.0 or interior_x.max() >= 1.0):
-        raise MeshInvariantError("interface leaves the open strip 0 < x < 1")
-    _check_simple_polyline(pts)
+    _check_geometry(mesh)
 
     uniq, counts, first, second = _unique_edges(mesh)
     ekeys = _edge_key(mesh.interface_edges, mesh.n_vertices)
@@ -160,27 +151,51 @@ def validate(mesh: TriMesh) -> None:
         bad = int(np.argmax(counts[pos] != 2))
         raise MeshInvariantError(f"interface edge {bad} is not shared by two triangles")
 
-    # Each directed interface edge must see subdomain 1 on its left and 2 on
-    # its right.
-    for k in range(ekeys.shape[0]):
-        a, b = mesh.interface_edges[k]
-        labels = set()
-        for tri in (first[pos[k]], second[pos[k]]):
-            tv = mesh.triangles[tri]
-            c = tv[~np.isin(tv, (a, b))][0]
-            e = mesh.vertices[b] - mesh.vertices[a]
-            d = mesh.vertices[c] - mesh.vertices[a]
-            left = e[0] * d[1] - e[1] * d[0] > 0.0
-            expected = 1 if left else 2
-            if mesh.subdomain[tri] != expected:
-                raise MeshInvariantError(
-                    f"triangle {int(tri)} on the {'left' if left else 'right'} of "
-                    f"interface edge {k} has label {int(mesh.subdomain[tri])}")
-            labels.add(int(mesh.subdomain[tri]))
-        if labels != {1, 2}:
-            raise MeshInvariantError(f"interface edge {k} does not separate both subdomains")
+    # Each directed interface edge (a, b) must see subdomain 1 on its left
+    # and 2 on its right.  A positively oriented triangle has its third
+    # vertex left of a -> b exactly when b follows a in its cyclic order.
+    tris = np.column_stack([first[pos], second[pos]])
+    tv = mesh.triangles[tris]
+    a = mesh.interface_nodes[:-1, None, None]
+    b = mesh.interface_nodes[1:, None, None]
+    left = ((tv == a) & (np.roll(tv, -1, axis=2) == b)).any(axis=2)
+    if (left[:, 0] == left[:, 1]).any():
+        bad = int(np.argmax(left[:, 0] == left[:, 1]))
+        raise MeshInvariantError(f"interface edge {bad} does not separate both subdomains")
+    wrong = mesh.subdomain[tris] != np.where(left, 1, 2)
+    if wrong.any():
+        k, j = np.argwhere(wrong)[0]
+        tri = int(tris[k, j])
+        raise MeshInvariantError(
+            f"triangle {tri} on the {'left' if left[k, j] else 'right'} of "
+            f"interface edge {int(k)} has label {int(mesh.subdomain[tri])}")
 
     _check_region_labels(mesh, uniq, counts, first, second, ekeys)
+
+
+def _check_geometry(mesh: TriMesh) -> None:
+    """The invariants that read vertex coordinates: positive orientation,
+    pinned interface endpoints, an interface inside the open strip that does
+    not cross itself, and subdomain 1 at the leftmost triangle."""
+    areas = signed_areas(mesh)
+    if areas.size and areas.min() <= 0.0:
+        bad = int(np.argmin(areas))
+        raise InvertedElementError(bad, float(areas[bad]))
+
+    pts = mesh.vertices[mesh.interface_nodes]
+    if tuple(pts[0]) != _INTERFACE_START or tuple(pts[-1]) != _INTERFACE_END:
+        raise MeshInvariantError(
+            f"interface endpoints {pts[0]}, {pts[-1]} are not pinned at "
+            f"{_INTERFACE_START}, {_INTERFACE_END}")
+    interior_x = pts[1:-1, 0]
+    if interior_x.size and (interior_x.min() <= 0.0 or interior_x.max() >= 1.0):
+        raise MeshInvariantError("interface leaves the open strip 0 < x < 1")
+    _check_simple_polyline(pts)
+
+    centroids_x = mesh.vertices[mesh.triangles, 0].mean(axis=1)
+    leftmost = int(np.argmin(centroids_x))
+    if mesh.subdomain[leftmost] != 1:
+        raise MeshInvariantError("leftmost region is not labelled subdomain 1")
 
 
 def _check_simple_polyline(pts: np.ndarray) -> None:
@@ -218,10 +233,6 @@ def _check_region_labels(mesh, uniq, counts, first, second, interface_keys) -> N
         labels = np.unique(mesh.subdomain[comp == c])
         if labels.size != 1:
             raise MeshInvariantError(f"region {c} carries mixed subdomain labels {labels}")
-    centroids_x = mesh.vertices[mesh.triangles, 0].mean(axis=1)
-    leftmost = int(np.argmin(centroids_x))
-    if mesh.subdomain[leftmost] != 1:
-        raise MeshInvariantError("leftmost region is not labelled subdomain 1")
 
 
 def build_template(n: int) -> TriMesh:
@@ -356,8 +367,8 @@ class DirichletSystem:
         mask[constrained] = True
         self.free = np.flatnonzero(~mask)
         self.fixed = np.flatnonzero(mask)
-        self._kff = matrix[self.free][:, self.free].tocsc()
-        self._lu = spla.splu(self._kff, permc_spec="MMD_AT_PLUS_A",
+        self.kff = matrix[self.free][:, self.free].tocsc()
+        self._lu = spla.splu(self.kff, permc_spec="MMD_AT_PLUS_A",
                              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     def solve(self, rhs: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
@@ -372,7 +383,7 @@ class DirichletSystem:
         xf = self.solve_free(bf)
         if not np.all(np.isfinite(xf)):
             raise LinearSolverError("sparse solve produced non-finite values")
-        resid = np.linalg.norm(self._kff @ xf - bf)
+        resid = np.linalg.norm(self.kff @ xf - bf)
         scale = max(np.linalg.norm(bf), 1e-300)
         if resid > _RESIDUAL_TOL * scale:
             raise LinearSolverError(
@@ -386,15 +397,22 @@ class DirichletSystem:
         return self._lu.solve(bf)
 
 
-def solve_elastic_deformation(mesh: TriMesh,
-                              interface_displacement: np.ndarray) -> DeformationField:
+def solve_elastic_deformation(mesh: TriMesh, interface_displacement: np.ndarray,
+                              stiffness: sp.csr_matrix) -> DeformationField:
     """Extend an interface displacement to the volume by linear elasticity.
 
     Dirichlet data: the given displacement on interface nodes, zero on the
     outer boundary.  Lame parameters lambda = 0, mu = 1.  Dof 2 v + c is
-    component c of vertex v.
+    component c of vertex v; stiffness is the mesh's P1 stiffness matrix
+    (assemble_stiffness).
 
-    The coupled system is solved by conjugate gradients from a zero start,
+    No elasticity matrix is assembled.  For test functions that vanish on
+    the outer boundary and the interface, integration by parts on each
+    subdomain turns grad u : grad v^T into div u div v, so the free rows of
+    the elasticity matrix are K (x) I + D^T D, with K the P1 stiffness and
+    D the per-element divergence scaled by sqrt(area).
+
+    The system is solved by conjugate gradients from a zero start,
     preconditioned by the scalar P1 Laplacian on each component with the
     same Dirichlet nodes (Blaheta's displacement decomposition).  For such
     displacements a(u, u) = |grad u|^2 + |div u|^2 <= 3 |grad u|^2, so the
@@ -410,23 +428,39 @@ def solve_elastic_deformation(mesh: TriMesh,
         raise ValueError("displacement at the pinned interface endpoints must be zero")
 
     laplacian = DirichletSystem(
-        assemble_stiffness(mesh),
-        np.concatenate([mesh.outer_boundary_nodes, mesh.interface_nodes]))
-    # Free dofs in node-major order, so a residual reshaped to (n_free, 2)
-    # holds one component per column, in the Laplacian's free order.
-    free = (2 * laplacian.free[:, None] + np.arange(2)).ravel()
-    fixed = (2 * laplacian.fixed[:, None] + np.arange(2)).ravel()
+        stiffness, np.concatenate([mesh.outer_boundary_nodes, mesh.interface_nodes]))
+    free = laplacian.free
+    # Row t of D holds (b_i, c_i) / (2 sqrt(area_t)) on the dofs 2 v_i and
+    # 2 v_i + 1 of its vertices: six entries, so the pattern is known.
+    b, c, area = p1_gradients(mesh)
+    scale = 0.5 / np.sqrt(area)[:, None]
+    div = sp.csr_matrix((np.stack([b * scale, c * scale], axis=2).ravel(),
+                         (2 * mesh.triangles[:, :, None] + np.arange(2)).ravel(),
+                         np.arange(0, 6 * mesh.n_triangles + 1, 6)),
+                        shape=(mesh.n_triangles, 2 * mesh.n_vertices))
+
+    def div_div(u):
+        """The rows of D^T D u at the free nodes, one column per component."""
+        return (div.T @ (div @ u.ravel())).reshape(-1, 2)[free]
+
+    def operator(x):
+        """Free rows of the elasticity matrix, on free dofs in node-major
+        order, so x reshaped to (n_free, 2) holds one component per column."""
+        xf = x.reshape(-1, 2)
+        u = np.zeros((mesh.n_vertices, 2))
+        u[free] = xf
+        return (laplacian.kff @ xf + div_div(u)).ravel()
+
     u = np.zeros((mesh.n_vertices, 2))
     u[mesh.interface_nodes] = g
-    u = u.ravel()
-    rows = _assemble_elasticity(mesh)[free]
-    u[free] = _pcg(rows[:, free], -(rows[:, fixed] @ u[fixed]),
-                   lambda r: laplacian.solve_free(r.reshape(-1, 2)).ravel())
-    return DeformationField(mesh=mesh, displacement=u.reshape(-1, 2))
+    rhs = -((stiffness @ u)[free] + div_div(u)).ravel()
+    u[free] = _pcg(operator, rhs,
+                   lambda r: laplacian.solve_free(r.reshape(-1, 2)).ravel()).reshape(-1, 2)
+    return DeformationField(mesh=mesh, displacement=u)
 
 
-def _pcg(matrix: sp.csr_matrix, b: np.ndarray, precondition) -> np.ndarray:
-    """Solve matrix x = b by preconditioned conjugate gradients from x = 0.
+def _pcg(operator, b: np.ndarray, precondition) -> np.ndarray:
+    """Solve operator(x) = b by preconditioned conjugate gradients from x = 0.
 
     Stops once the relative residual is at most _PCG_TOL, then checks the
     true residual against _RESIDUAL_TOL.  Raises LinearSolverError on a
@@ -441,7 +475,7 @@ def _pcg(matrix: sp.csr_matrix, b: np.ndarray, precondition) -> np.ndarray:
     p = z.copy()
     rz = r @ z
     for iteration in range(1, _PCG_MAX_ITERS + 1):
-        q = matrix @ p
+        q = operator(p)
         step = rz / (p @ q)
         x += step * p
         r -= step * q
@@ -458,38 +492,27 @@ def _pcg(matrix: sp.csr_matrix, b: np.ndarray, precondition) -> np.ndarray:
         raise LinearSolverError(
             f"conjugate gradients stopped after {_PCG_MAX_ITERS} iterations at "
             f"relative residual {rel:.3e}, above {_PCG_TOL:.0e}")
-    resid = np.linalg.norm(matrix @ x - b) / scale
+    resid = np.linalg.norm(operator(x) - b) / scale
     if not resid <= _RESIDUAL_TOL:  # NaN fails too
         raise LinearSolverError(
             f"relative residual {resid:.3e} exceeds {_RESIDUAL_TOL:.1e}")
     return x
 
 
-def _assemble_elasticity(mesh: TriMesh) -> sp.csr_matrix:
-    """Elasticity matrix for lambda = 0, mu = 1: the element form is
-    2 eps(u) : eps(v) over the element dofs (ux0, ux1, ux2, uy0, uy1, uy2)."""
-    b, c, area = p1_gradients(mesh)
-    bb = b[:, :, None] * b[:, None, :]
-    cc = c[:, :, None] * c[:, None, :]
-    cb = c[:, :, None] * b[:, None, :]
-    Ke = np.empty((mesh.n_triangles, 6, 6))
-    Ke[:, :3, :3] = 2.0 * bb + cc
-    Ke[:, :3, 3:] = cb
-    Ke[:, 3:, :3] = cb.transpose(0, 2, 1)
-    Ke[:, 3:, 3:] = bb + 2.0 * cc
-    Ke /= (4.0 * area)[:, None, None]
-    t = mesh.triangles
-    return scatter(np.hstack([2 * t, 2 * t + 1]), Ke, 2 * mesh.n_vertices)
-
-
 def apply_deformation(mesh: TriMesh, deformation: DeformationField) -> TriMesh:
-    """Move vertices by the displacement field and re-validate the mesh,
-    which shares the source's read-only connectivity arrays."""
+    """Move vertices by the displacement field and check the moved mesh.
+
+    The moved mesh shares the source's read-only connectivity arrays, which
+    validate() has checked, so only the geometric invariants are checked
+    again (_check_geometry).  The interface labels need no new check: with
+    every triangle positively oriented they are read from the connectivity
+    alone.
+    """
     if deformation.mesh is not mesh:
         raise ValueError("deformation was computed on a different mesh")
     moved = TriMesh(mesh.vertices + deformation.displacement, mesh.triangles,
                     mesh.subdomain, mesh.outer_boundary_nodes, mesh.interface_nodes)
-    validate(moved)
+    _check_geometry(moved)
     return moved
 
 

@@ -1,10 +1,11 @@
 """Linear-quadratic subproblem of one interface-Newton step.
 
-A MeshState holds the data, state and stiffness factorization on one mesh;
-a workspace adds the adjoint, one solve on that factorization.  The Newton
-step solves the reduced design equation A w = -g, with g the shape gradient,
-matrix-free by conjugate gradients in the lumped arc-length inner product;
-one operator application costs two triangular back-solves.
+A MeshAssembly holds the data and matrices on one mesh; a MeshState built
+from it adds the stiffness factorization and the state, and a workspace adds
+the adjoint, one solve on that factorization.  The Newton step solves the
+reduced design equation A w = -g, with g the shape gradient, matrix-free by
+conjugate gradients in the lumped arc-length inner product; one operator
+application costs two triangular back-solves.
 """
 from __future__ import annotations
 
@@ -21,11 +22,12 @@ from .shape import InterfaceField, InterfaceGeometry
 _CONSISTENCY_TOL = 1e-8
 
 
-class MeshState:
-    """Sampled data, state and objective on one mesh.
+class MeshAssembly:
+    """Sampled data and everything assembled on one mesh: geometry, mass,
+    load and P1 stiffness.
 
-    Holds the stiffness factorization that produced the state, so a
-    workspace built on it solves the adjoint without factoring again.
+    Only numpy and scipy.sparse work happens here, so it may run on any
+    thread; MeshState factors the stiffness on the calling thread.
     """
 
     def __init__(self, mesh: TriMesh, ybar: fem.NodalField, f1: float, f2: float,
@@ -42,11 +44,23 @@ class MeshState:
         self.geometry: InterfaceGeometry = shape.compute_geometry(mesh)
         self.mass = fem.assemble_mass(mesh)
         self.load = fem.assemble_load_piecewise(mesh, f1, f2)
-        self.solver = fem.DirichletSolver(mesh)
-        self.stiffness = self.solver.system.matrix
-        self.y = fem.NodalField(mesh=mesh, values=self.solver.solve(self.load))
-        self.objective = shape.objective(mesh, self.y, ybar, self.geometry, mu,
-                                         self.mass)
+        self.stiffness = fem.assemble_stiffness(mesh)
+
+
+class MeshState(MeshAssembly):
+    """An assembly with its stiffness factorization, the state it produced,
+    and the objective; a workspace built on it solves the adjoint without
+    factoring again.  The assembly may come from a worker thread, but the
+    factor is made on the thread that will free it: scipy's SuperLU frees a
+    factor only on the thread that made it.
+    """
+
+    def __init__(self, assembly: MeshAssembly):
+        vars(self).update(vars(assembly))
+        self.solver = fem.DirichletSolver(self.mesh, self.stiffness)
+        self.y = fem.NodalField(mesh=self.mesh, values=self.solver.solve(self.load))
+        self.objective = shape.objective(self.mesh, self.y, self.ybar, self.geometry,
+                                         self.mu, self.mass)
 
 
 class QpWorkspace:

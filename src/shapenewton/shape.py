@@ -150,19 +150,22 @@ def tangential_laplacian_apply(geometry: InterfaceGeometry, w: np.ndarray) -> np
     return out
 
 
-def extend(mesh: TriMesh, w: InterfaceField,
-           geometry: InterfaceGeometry) -> DeformationField:
+def extend(mesh: TriMesh, w: InterfaceField, geometry: InterfaceGeometry,
+           stiffness) -> DeformationField:
     """Elastic extension of the unit step w * n to the volume.
 
-    The extension is linear in the step, so retract() scales this one field
-    to every trial length along w.
+    stiffness is the mesh's P1 stiffness matrix, which a state on the mesh
+    already holds; the extension assembles no matrix of its own.  The
+    extension is linear in the step, so retract() scales this one field to
+    every trial length along w.
     """
     if w.mesh is not mesh:
         raise ValueError("design field belongs to a different mesh")
     if geometry.n_nodes != mesh.interface_nodes.shape[0]:
         raise ValueError("geometry does not match the mesh interface")
     # w vanishes at the pinned endpoints, so the displacement does as well.
-    return solve_elastic_deformation(mesh, w.values[:, None] * geometry.normals)
+    return solve_elastic_deformation(mesh, w.values[:, None] * geometry.normals,
+                                     stiffness)
 
 
 def retract(mesh: TriMesh, extension: DeformationField, step: float) -> TriMesh:
@@ -170,7 +173,7 @@ def retract(mesh: TriMesh, extension: DeformationField, step: float) -> TriMesh:
 
     Takes exactly the given step; choosing and halving it is the driver's
     job.  Raises MeshInvariantError (InvertedElementError when a triangle
-    inverts) if the moved mesh is not valid.
+    inverts) if the moved mesh fails a geometric check of apply_deformation.
     """
     return apply_deformation(mesh, DeformationField(
         mesh=extension.mesh, displacement=float(step) * extension.displacement))

@@ -41,7 +41,8 @@ def fem_manufactured_convergence() -> CheckResult:
         def exact(p):
             return np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
 
-        y = fem.DirichletSolver(m).solve(fem.assemble_load_function(m, f))
+        y = fem.DirichletSolver(m, fem.assemble_stiffness(m)).solve(
+            fem.assemble_load_function(m, f))
         return fem.quadrature_l2_difference(m, fem.NodalField(m, y), exact)
 
     errs = [error(n) for n in (8, 16, 32)]
@@ -61,16 +62,17 @@ def gradient_fd_check() -> CheckResult:
     heights = np.arange(nodes) / (nodes - 1)
     bump = shape.InterfaceField(
         mesh=base, values=_pinned(0.02 * np.sin(np.pi * heights)))
-    m = shape.retract(base, shape.extend(base, bump, shape.compute_geometry(base)), 1.0)
+    m = shape.retract(base, shape.extend(base, bump, shape.compute_geometry(base),
+                                         fem.assemble_stiffness(base)), 1.0)
 
-    state = qp.MeshState(m, data.sample(m), config.f1, config.f2, config.mu)
+    def state_of(mesh):
+        return qp.MeshState(qp.MeshAssembly(mesh, data.sample(mesh), config.f1,
+                                            config.f2, config.mu))
+
+    state = state_of(m)
     geometry = state.geometry
     g = shape.shape_gradient(m, geometry, qp.QpWorkspace(state).p, config.f1,
                              config.f2, config.mu)
-
-    def objective_of(mesh):
-        return qp.MeshState(mesh, data.sample(mesh), config.f1, config.f2,
-                            config.mu).objective
 
     rng = np.random.default_rng(0)
     eps = 1e-5
@@ -79,11 +81,12 @@ def gradient_fd_check() -> CheckResult:
         c1, c2 = rng.uniform(-1.0, 1.0, 2)
         w = _pinned(c1 * np.sin(np.pi * heights)
                     + c2 * np.sin(2.0 * np.pi * heights))
-        extension = shape.extend(m, shape.InterfaceField(mesh=m, values=w), geometry)
+        extension = shape.extend(m, shape.InterfaceField(mesh=m, values=w), geometry,
+                                 state.stiffness)
         pairing = shape.s_inner(geometry, g.values, w)
         plus = shape.retract(m, extension, eps)
         minus = shape.retract(m, extension, -eps)
-        fd = (objective_of(plus) - objective_of(minus)) / (2.0 * eps)
+        fd = (state_of(plus).objective - state_of(minus).objective) / (2.0 * eps)
         worst = max(worst, abs(fd - pairing) / abs(fd))
     passed = worst <= 1e-2
     return CheckResult("gradient_fd_check", passed,
@@ -95,7 +98,7 @@ def hessian_symmetry() -> CheckResult:
     be symmetric in the arc-length inner product."""
     m = build_template(54)
     ybar = fem.solve_state(m, 1000.0, 1.0)
-    ws = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0))
+    ws = qp.QpWorkspace(qp.MeshState(qp.MeshAssembly(m, ybar, 1000.0, 1.0, 10.0)))
     rng = np.random.default_rng(1)
     nodes = m.interface_nodes.shape[0]
     worst = 0.0
@@ -134,9 +137,10 @@ def pure_regularization_tridiag() -> CheckResult:
     offsets = _pinned(shape.bspline_initial_interface(17)[:, 0] - 0.5)
     curved = shape.retract(
         base, shape.extend(base, shape.InterfaceField(mesh=base, values=offsets),
-                           shape.compute_geometry(base)), 1.0)
+                           shape.compute_geometry(base), fem.assemble_stiffness(base)), 1.0)
     ybar = fem.NodalField(mesh=curved, values=np.zeros(curved.n_vertices))
-    ws = qp.QpWorkspace(qp.MeshState(curved, ybar, 7.0, 7.0, 10.0), cg_tol=1e-12)
+    ws = qp.QpWorkspace(qp.MeshState(qp.MeshAssembly(curved, ybar, 7.0, 7.0, 10.0)),
+                        cg_tol=1e-12)
     geometry = ws.state.geometry
     r0 = -shape.shape_gradient(curved, geometry, ws.p, 7.0, 7.0, 10.0).values
     direct = qp.solve_tridiagonal_regularization(geometry, 10.0, r0)
@@ -157,7 +161,8 @@ def optimality_fixed_point() -> CheckResult:
         fine = refine_uniform(m)
         data = driver.DataOracle(field=fem.solve_state(fine, 1000.0, 1.0),
                                  locator=Locator(fine))
-        ws = qp.QpWorkspace(qp.MeshState(m, data.sample(m), 1000.0, 1.0, 10.0))
+        ws = qp.QpWorkspace(qp.MeshState(
+            qp.MeshAssembly(m, data.sample(m), 1000.0, 1.0, 10.0)))
         g = shape.shape_gradient(m, ws.state.geometry, ws.p, 1000.0, 1.0, 10.0)
         return (float(np.abs(g.values).max()),
                 float(np.abs(qp.solve_qp_cg(ws).w.values).max()))

@@ -1,12 +1,13 @@
 """Experiment driver: configuration, data generation, and the solver loops."""
 import dataclasses
+import os
 import threading
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from shapenewton import driver, fem, qp, shape
+from shapenewton import driver, fem, mesh, qp, shape
 from shapenewton.errors import (
     ConfigError,
     InvertedElementError,
@@ -216,7 +217,7 @@ def step_setup(amplitude):
     config = driver.ExperimentConfig(n=8)
     data = driver.generate_data(config)
     m = build_template(config.n)
-    state = qp.MeshState(m, data.sample(m), config.f1, config.f2, config.mu)
+    state = driver._evaluate(m, data.sample(m), config)
     heights = m.interface_points[:, 1]
     values = amplitude * np.sin(np.pi * heights)
     values[[0, -1]] = 0.0
@@ -241,7 +242,7 @@ def test_take_step_halves_an_inverting_step(monkeypatch):
     state, w, data, config = step_setup(0.9)
     m = state.mesh
     with pytest.raises(InvertedElementError):
-        shape.retract(m, shape.extend(m, w, state.geometry), 1.0)
+        shape.retract(m, shape.extend(m, w, state.geometry, state.stiffness), 1.0)
     solves = count_calls(monkeypatch, "solve_elastic_deformation")
     trials = count_calls(monkeypatch, "apply_deformation")
     accepted, alpha = driver._take_step(state, w, [1.0], data, config)
@@ -253,7 +254,7 @@ def test_take_step_halves_an_inverting_step(monkeypatch):
     # Oracle: the elastic extension solved afresh at the accepted length.
     # Scaling by a power of two is exact, so the meshes agree to the bit.
     disp = alpha * w.values[:, None] * state.geometry.normals
-    expected = apply_deformation(m, solve_elastic_deformation(m, disp))
+    expected = apply_deformation(m, solve_elastic_deformation(m, disp, state.stiffness))
     np.testing.assert_array_equal(accepted.mesh.vertices, expected.vertices)
 
 
@@ -290,21 +291,9 @@ def record_threads(monkeypatch, owner, name, log):
     monkeypatch.setattr(owner, name, recorded)
 
 
-def test_concurrent_candidates_match_a_serial_oracle(monkeypatch):
-    state, w, data, config = newton_step_setup()
-    alphas = [1.0, 1.25, 1.5]
-    sampled_on_main, factored_on_main = [], []
-    record_threads(monkeypatch, driver.DataOracle, "sample", sampled_on_main)
-    record_threads(monkeypatch, spla, "splu", factored_on_main)
-    accepted, alpha = driver._take_step(state, w, alphas, data, config)
-    # Every candidate is moved and sampled on the pool, and every factor is
-    # made on the calling thread, which also frees it: scipy frees a SuperLU
-    # factor only on the thread that made it.
-    assert sampled_on_main == [False] * len(alphas)
-    assert factored_on_main and all(factored_on_main)
-    monkeypatch.undo()
-    # Oracle: each candidate evaluated in order, the first lowest one picked.
-    extension = shape.extend(state.mesh, w, state.geometry)
+def serial_oracle(state, w, alphas, data, config):
+    """Each candidate evaluated in order, the first lowest one picked."""
+    extension = shape.extend(state.mesh, w, state.geometry, state.stiffness)
     best = None
     for a in alphas:
         try:
@@ -314,23 +303,85 @@ def test_concurrent_candidates_match_a_serial_oracle(monkeypatch):
         candidate = driver._evaluate(moved, data.sample(moved), config)
         if best is None or candidate.objective < best[0].objective:
             best = (candidate, a)
+    return best
+
+
+def assert_picks_the_oracle(accepted, alpha, best, state):
     assert best[0].objective <= driver.ACCEPT_FACTOR * state.objective
     assert alpha == best[1]
     assert accepted.objective == best[0].objective
     np.testing.assert_array_equal(accepted.mesh.vertices, best[0].mesh.vertices)
 
 
-@pytest.mark.parametrize("stage", ["sample", "state"])
+def test_concurrent_candidates_match_a_serial_oracle(monkeypatch):
+    state, w, data, config = newton_step_setup()
+    alphas = [1.0, 1.25, 1.5]
+    sampled_on_main, assembled_on_main, factored_on_main = [], [], []
+    record_threads(monkeypatch, driver.DataOracle, "sample", sampled_on_main)
+    record_threads(monkeypatch, fem, "assemble_stiffness", assembled_on_main)
+    record_threads(monkeypatch, spla, "splu", factored_on_main)
+    accepted, alpha = driver._take_step(state, w, alphas, data, config)
+    # Every candidate is moved, sampled and assembled on the pool, and every
+    # factor is made on the calling thread, which also frees it: scipy frees
+    # a SuperLU factor only on the thread that made it.
+    assert sampled_on_main == [False] * len(alphas)
+    assert assembled_on_main == [False] * len(alphas)
+    assert factored_on_main and all(factored_on_main)
+    monkeypatch.undo()
+    best = serial_oracle(state, w, alphas, data, config)
+    assert best[1] == 1.5
+    assert_picks_the_oracle(accepted, alpha, best, state)
+
+
+def test_take_step_sizes_its_pool_without_sched_getaffinity(monkeypatch):
+    # os.sched_getaffinity exists only on some platforms; elsewhere the pool
+    # is sized by os.cpu_count().
+    state, w, data, config = newton_step_setup()
+    alphas = [1.0, 1.25, 1.5]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    accepted, alpha = driver._take_step(state, w, alphas, data, config)
+    assert_picks_the_oracle(accepted, alpha,
+                            serial_oracle(state, w, alphas, data, config), state)
+
+
+def test_a_step_assembles_one_stiffness_per_candidate(monkeypatch):
+    # The step is extended on the stiffness its state already holds, so one
+    # _take_step assembles only the candidates' stiffness matrices.
+    state, w, data, config = newton_step_setup()
+    assemble, extend = mesh.assemble_stiffness, shape.solve_elastic_deformation
+    in_extension, assembled_in_extension = [], []
+
+    def counted_assemble(m):
+        assembled_in_extension.append(bool(in_extension))
+        return assemble(m)
+
+    def flagged_extension(*args):
+        in_extension.append(True)
+        try:
+            return extend(*args)
+        finally:
+            in_extension.pop()
+
+    monkeypatch.setattr(fem, "assemble_stiffness", counted_assemble)
+    monkeypatch.setattr(mesh, "assemble_stiffness", counted_assemble)
+    monkeypatch.setattr(shape, "solve_elastic_deformation", flagged_extension)
+    driver._take_step(state, w, [1.0, 1.25, 1.5], data, config)
+    assert assembled_in_extension == [False] * 3
+
+
+@pytest.mark.parametrize("stage", ["sample", "assemble", "state"])
 def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
     # Only MeshInvariantError marks a trial invalid.  Any other failure in a
-    # candidate, on the pool (sampling) or on the calling thread (the state
-    # solve), must leave _take_step, not be skipped.
+    # candidate, on the pool (sampling, assembly) or on the calling thread
+    # (the factorization and state solve), must leave _take_step, not be
+    # skipped.
     state, w, data, config = newton_step_setup()
-    retract, sample, evaluate = shape.retract, driver.DataOracle.sample, driver._evaluate
+    retract, sample = shape.retract, driver.DataOracle.sample
+    assemble, mesh_state = driver._assemble, qp.MeshState
     moved_by_step = {}
 
-    def recorded_retract(mesh, extension, step):
-        moved_by_step[step] = retract(mesh, extension, step)
+    def recorded_retract(m, extension, step):
+        moved_by_step[step] = retract(m, extension, step)
         return moved_by_step[step]
 
     def faulty_sample(oracle, target):
@@ -338,15 +389,21 @@ def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
             raise PointLocationError("planted failure at step 1.25")
         return sample(oracle, target)
 
-    def faulty_evaluate(mesh, ybar, config):
-        if stage == "state" and mesh is moved_by_step.get(1.25):
+    def faulty_assemble(m, ybar, config):
+        if stage == "assemble" and m is moved_by_step.get(1.25):
+            raise ValueError("planted failure at step 1.25")
+        return assemble(m, ybar, config)
+
+    def faulty_state(assembly):
+        if stage == "state" and assembly.mesh is moved_by_step.get(1.25):
             raise LinearSolverError("planted failure at step 1.25")
-        return evaluate(mesh, ybar, config)
+        return mesh_state(assembly)
 
     monkeypatch.setattr(shape, "retract", recorded_retract)
     monkeypatch.setattr(driver.DataOracle, "sample", faulty_sample)
-    monkeypatch.setattr(driver, "_evaluate", faulty_evaluate)
-    with pytest.raises((PointLocationError, LinearSolverError),
+    monkeypatch.setattr(driver, "_assemble", faulty_assemble)
+    monkeypatch.setattr(qp, "MeshState", faulty_state)
+    with pytest.raises((PointLocationError, ValueError, LinearSolverError),
                        match="planted failure at step 1.25"):
         driver._take_step(state, w, [1.0, 1.25, 1.5], data, config)
 

@@ -71,7 +71,7 @@ def test_stiffness_kernel_and_symmetry():
 
 def test_stiffness_positive_definite_after_elimination():
     m = mm.build_template(8)
-    system = fem.DirichletSolver(m).system
+    system = fem.DirichletSolver(m, fem.assemble_stiffness(m)).system
     kff = system.matrix[system.free][:, system.free]
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(system.free.shape[0])
@@ -118,7 +118,8 @@ def manufactured_error(n: int) -> float:
     def exact(p):
         return np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
 
-    y = fem.DirichletSolver(m).solve(fem.assemble_load_function(m, f))
+    y = fem.DirichletSolver(m, fem.assemble_stiffness(m)).solve(
+        fem.assemble_load_function(m, f))
     return fem.quadrature_l2_difference(m, fem.NodalField(m, y), exact)
 
 
@@ -156,7 +157,7 @@ def test_state_solve_positive_and_peaked_left():
 def test_adjoint_zero_for_matching_data():
     m = mm.build_template(8)
     y = fem.solve_state(m, 1000.0, 1.0)
-    p = qp.QpWorkspace(qp.MeshState(m, y, 1000.0, 1.0, 10.0)).p
+    p = qp.QpWorkspace(qp.MeshState(qp.MeshAssembly(m, y, 1000.0, 1.0, 10.0))).p
     assert np.abs(p.values).max() == 0.0
 
 
@@ -164,7 +165,7 @@ def test_adjoint_weak_form_consistency():
     m = mm.build_template(10)
     y = fem.solve_state(m, 1000.0, 1.0)
     ybar = fem.NodalField(m, np.zeros(m.n_vertices))
-    p = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0)).p
+    p = qp.QpWorkspace(qp.MeshState(qp.MeshAssembly(m, ybar, 1000.0, 1.0, 10.0))).p
     K = fem.assemble_stiffness(m)
     M = fem.assemble_mass(m)
     rng = np.random.default_rng(2)

@@ -118,10 +118,43 @@ def test_validate_rejects_collapsed_triangle():
         mm.validate(broken)
 
 
+def interface_label_oracle(m: mm.TriMesh) -> str | None:
+    """The first interface label fault, the side of each triangle read from
+    the coordinates: its third vertex left of the directed edge (a, b)."""
+    for k, (a, b) in enumerate(m.interface_edges):
+        for tri in np.flatnonzero(np.isin(m.triangles, (a, b)).sum(axis=1) == 2):
+            tv = m.triangles[tri]
+            c = tv[~np.isin(tv, (a, b))][0]
+            e = m.vertices[b] - m.vertices[a]
+            d = m.vertices[c] - m.vertices[a]
+            left = e[0] * d[1] - e[1] * d[0] > 0.0
+            if m.subdomain[tri] != (1 if left else 2):
+                return (f"triangle {int(tri)} on the {'left' if left else 'right'} of "
+                        f"interface edge {k} has label {int(m.subdomain[tri])}")
+    return None
+
+
+def test_validate_reads_interface_sides_from_the_connectivity():
+    # validate() takes the side of an interface-edge triangle from its cyclic
+    # vertex order; on positively oriented triangles that is the side its
+    # coordinates give.
+    m = driver.initial_mesh(driver.ExperimentConfig(n=8), 1)
+    assert interface_label_oracle(m) is None
+    edge_tris = np.flatnonzero(np.isin(m.triangles, m.interface_nodes).sum(axis=1) == 2)
+    for tri in edge_tris:
+        sub = m.subdomain.copy()
+        sub[tri] = 3 - sub[tri]
+        broken = mm.TriMesh(m.vertices, m.triangles, sub, m.outer_boundary_nodes,
+                            m.interface_nodes)
+        with pytest.raises(MeshInvariantError) as raised:
+            mm.validate(broken)
+        assert str(raised.value) == interface_label_oracle(broken)
+
+
 def test_elastic_extension_zero_data():
     m = mm.build_template(4)
     g = np.zeros((m.interface_nodes.shape[0], 2))
-    d = mm.solve_elastic_deformation(m, g)
+    d = mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m))
     assert np.all(d.displacement == 0.0)
 
 
@@ -130,8 +163,8 @@ def test_elastic_extension_linearity_and_bcs():
     rng = np.random.default_rng(3)
     g = np.zeros((m.interface_nodes.shape[0], 2))
     g[1:-1] = 0.02 * rng.standard_normal((m.interface_nodes.shape[0] - 2, 2))
-    d1 = mm.solve_elastic_deformation(m, g)
-    d2 = mm.solve_elastic_deformation(m, 2.0 * g)
+    d1 = mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m))
+    d2 = mm.solve_elastic_deformation(m, 2.0 * g, fem.assemble_stiffness(m))
     np.testing.assert_allclose(d2.displacement, 2.0 * d1.displacement, atol=1e-12)
     np.testing.assert_allclose(d1.displacement[m.interface_nodes], g, atol=1e-14)
     assert np.all(d1.displacement[m.outer_boundary_nodes] == 0.0)
@@ -142,7 +175,7 @@ def test_elastic_extension_rejects_moving_pinned_ends():
     g = np.zeros((m.interface_nodes.shape[0], 2))
     g[0] = [0.1, 0.0]
     with pytest.raises(ValueError):
-        mm.solve_elastic_deformation(m, g)
+        mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m))
 
 
 def interface_bump(m: mm.TriMesh) -> np.ndarray:
@@ -175,11 +208,39 @@ def elasticity_oracle(m: mm.TriMesh) -> sp.csr_matrix:
     return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(nv2, nv2)).tocsr()
 
 
-def test_elasticity_matches_strain_oracle_and_splits_into_laplacians():
+def extension_system(monkeypatch, m, g):
+    """The operator and right-hand side the extension hands to its conjugate
+    gradients."""
+    captured = {}
+    pcg = mm._pcg
+
+    def capture(operator, rhs, precondition):
+        captured.update(operator=operator, rhs=rhs)
+        return pcg(operator, rhs, precondition)
+
+    monkeypatch.setattr(mm, "_pcg", capture)
+    mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m))
+    return captured["operator"], captured["rhs"]
+
+
+def test_elasticity_matches_strain_oracle_and_splits_into_laplacians(monkeypatch):
     m = driver.initial_mesh(driver.ExperimentConfig(n=16), 1)
-    K = mm._assemble_elasticity(m)
+    g = interface_bump(m)
+    operator, rhs = extension_system(monkeypatch, m, g)
     oracle = elasticity_oracle(m)
-    assert abs(K - oracle).max() <= 1e-14 * abs(oracle).max()
+    # The extension's free rows, its dofs in node-major order, equal the
+    # strain oracle's, on the free columns (the operator) and on the
+    # Dirichlet lift (the right-hand side).
+    fixed_nodes = np.concatenate([m.outer_boundary_nodes, m.interface_nodes])
+    free_nodes = np.setdiff1d(np.arange(m.n_vertices), fixed_nodes)
+    free = (2 * free_nodes[:, None] + np.arange(2)).ravel()
+    rows = oracle[free]
+    columns = np.column_stack([operator(e) for e in np.eye(free.size)])
+    assert np.abs(columns - rows[:, free].toarray()).max() <= 1e-14 * abs(oracle).max()
+    lift = np.zeros((m.n_vertices, 2))
+    lift[m.interface_nodes] = g
+    expected = -(rows @ lift.ravel())
+    assert np.abs(rhs - expected).max() <= 1e-14 * np.abs(expected).max()
 
     # For u vanishing on the outer boundary, a(u, u) = |grad u|^2 + |div u|^2:
     # the scalar Laplacian on each component plus the divergence term.
@@ -190,7 +251,7 @@ def test_elasticity_matches_strain_oracle_and_splits_into_laplacians():
     b, c, area = mm.p1_gradients(m)
     uk = u[m.triangles]
     div = ((b * uk[..., 0]).sum(axis=1) + (c * uk[..., 1]).sum(axis=1)) / (2.0 * area)
-    energy = u.ravel() @ (K @ u.ravel())
+    energy = u.ravel() @ (oracle @ u.ravel())
     split = u[:, 0] @ (L @ u[:, 0]) + u[:, 1] @ (L @ u[:, 1]) + area @ div ** 2
     assert abs(energy - split) <= 1e-14 * energy
 
@@ -226,12 +287,12 @@ def test_elastic_extension_matches_the_coupled_direct_solve(monkeypatch):
     g = interface_bump(m)
     g[1:-1, 1] = 0.01 * rng.standard_normal(g.shape[0] - 2)
     expected = coupled_direct_solve(m, g)
-    got = mm.solve_elastic_deformation(m, g).displacement
+    got = mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m)).displacement
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
     # The Laplacian factor only preconditions the conjugate gradients, so a
     # factor off by 1e-6 still yields the same displacement.
     plant_factor(monkeypatch, lambda x: x * (1.0 + 1e-6))
-    got = mm.solve_elastic_deformation(m, g).displacement
+    got = mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m)).displacement
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -246,7 +307,7 @@ def test_elastic_extension_iterations_do_not_grow_with_the_mesh(monkeypatch, lev
         return solve_free(self, bf)
 
     monkeypatch.setattr(mm.DirichletSystem, "solve_free", counted)
-    mm.solve_elastic_deformation(m, interface_bump(m))
+    mm.solve_elastic_deformation(m, interface_bump(m), fem.assemble_stiffness(m))
     # One preconditioner application per iteration, on both components at once.
     assert 0 < len(applications) <= 20
     assert {shape[1] for shape in applications} == {2}
@@ -261,14 +322,14 @@ def test_dirichlet_solves_fail_loudly_on_a_bad_factor(monkeypatch, corrupt, pcg_
     plant_factor(monkeypatch, corrupt)
     m = mm.build_template(8)
     with pytest.raises(LinearSolverError):
-        fem.DirichletSolver(m).solve(np.ones(m.n_vertices))
+        fem.DirichletSolver(m, fem.assemble_stiffness(m)).solve(np.ones(m.n_vertices))
     # A factor off by 1e-6 leaves the extension right, because it only
     # preconditions CG (test_elastic_extension_matches_the_coupled_direct_solve),
     # so that case makes the extension wrong by capping CG below convergence.
     if pcg_cap is not None:
         monkeypatch.setattr(mm, "_PCG_MAX_ITERS", pcg_cap)
     with pytest.raises(LinearSolverError, match=reason):
-        mm.solve_elastic_deformation(m, interface_bump(m))
+        mm.solve_elastic_deformation(m, interface_bump(m), fem.assemble_stiffness(m))
 
 
 def test_poisson_and_elastic_solves_share_one_dirichlet_path(monkeypatch):
@@ -286,9 +347,9 @@ def test_poisson_and_elastic_solves_share_one_dirichlet_path(monkeypatch):
     monkeypatch.setattr(mm.DirichletSystem, "__init__", counted_init)
     monkeypatch.setattr(mm.spla, "splu", counted_splu)
     m = mm.build_template(8)
-    fem.DirichletSolver(m)
+    fem.DirichletSolver(m, fem.assemble_stiffness(m))
     assert (len(systems), len(factors)) == (1, 1)
-    mm.solve_elastic_deformation(m, interface_bump(m))
+    mm.solve_elastic_deformation(m, interface_bump(m), fem.assemble_stiffness(m))
     assert (len(systems), len(factors)) == (2, 2)
 
 
@@ -296,7 +357,7 @@ def test_apply_deformation_round_trip():
     m = mm.build_template(6)
     g = np.zeros((m.interface_nodes.shape[0], 2))
     g[1:-1, 0] = 0.05 * np.sin(np.pi * np.arange(1, 6) / 6.0)
-    d = mm.solve_elastic_deformation(m, g)
+    d = mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m))
     moved = mm.apply_deformation(m, d)
     assert moved is not m
     back = mm.apply_deformation(
@@ -311,6 +372,67 @@ def test_apply_deformation_detects_inversion():
     disp[inner] = [5.0, 0.0]
     with pytest.raises(InvertedElementError):
         mm.apply_deformation(m, mm.DeformationField(mesh=m, displacement=disp))
+
+
+def move(m: mm.TriMesh, displacement: np.ndarray) -> mm.TriMesh:
+    return mm.apply_deformation(m, mm.DeformationField(mesh=m, displacement=displacement))
+
+
+def unpin_an_endpoint(m):
+    disp = np.zeros_like(m.vertices)
+    disp[m.interface_nodes[0]] = [0.01, 0.0]
+    return disp
+
+
+def shear_past_the_strip(m):
+    # A shear x -> x + f(y) keeps every triangle positively oriented.
+    y = m.vertices[:, 1]
+    return np.column_stack([2.4 * y * (1.0 - y), np.zeros_like(y)])
+
+
+def loop_the_interface(m):
+    # Squash the square into a thin tube around a looped curve through the
+    # pinned endpoints: every triangle stays positively oriented, but the
+    # interface, the tube's centre line, crosses itself.
+    x, y = m.vertices.T
+    s = np.pi * (2.0 * y - 1.0)
+    curve = np.column_stack([0.5 - 0.16 * (1.0 + np.cos(s)),
+                             0.5 + (s - 2.0 * np.sin(s)) / (2.0 * np.pi)])
+    tangent = np.column_stack([0.16 * np.sin(s), (1.0 - 2.0 * np.cos(s)) / (2.0 * np.pi)])
+    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    target = curve + 0.02 * (x - 0.5)[:, None] * normal
+    target[m.interface_nodes[[0, -1]]] = [[0.5, 0.0], [0.5, 1.0]]
+    return target - m.vertices
+
+
+@pytest.mark.parametrize("displacement, reason", [
+    (unpin_an_endpoint, "not pinned"),
+    (shear_past_the_strip, "open strip"),
+    (loop_the_interface, "interface segments 1 and 6 intersect"),
+])
+def test_apply_deformation_rejects_a_planted_fault(displacement, reason):
+    m = mm.build_template(8)
+    with pytest.raises(MeshInvariantError, match=reason) as raised:
+        move(m, displacement(m))
+    assert not isinstance(raised.value, InvertedElementError)
+
+
+def test_apply_deformation_inverts_before_an_interface_label_can_change():
+    # Moved meshes skip the interface label check.  It is implied: pushing
+    # the third vertex of an interface-edge triangle across the edge, which
+    # would put that triangle on the other side, inverts it.
+    m = mm.build_template(8)
+    a, b = m.interface_edges[3]
+    tri = int(np.flatnonzero(np.isin(m.triangles, (a, b)).sum(axis=1) == 2)[0])
+    c = next(v for v in m.triangles[tri] if v not in (a, b))
+    disp = np.zeros_like(m.vertices)
+    disp[c, 0] = 2.0 * (0.5 - m.vertices[c, 0])
+    with pytest.raises(InvertedElementError):
+        move(m, disp)
+    moved = mm.TriMesh(m.vertices + disp, m.triangles, m.subdomain,
+                       m.outer_boundary_nodes, m.interface_nodes)
+    assert mm.signed_areas(moved)[tri] < 0.0
 
 
 def test_apply_deformation_rejects_foreign_field():

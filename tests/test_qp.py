@@ -21,7 +21,7 @@ def sine_field(m: mesh.TriMesh, amp=1.0, harmonic=1):
 
 
 def workspace(m, ybar, f1=F1, f2=F2, mu=MU, **settings):
-    return qp.QpWorkspace(qp.MeshState(m, ybar, f1, f2, mu), **settings)
+    return qp.QpWorkspace(qp.MeshState(qp.MeshAssembly(m, ybar, f1, f2, mu)), **settings)
 
 
 def zero_design(ws: qp.QpWorkspace) -> InterfaceField:
@@ -79,7 +79,7 @@ def bulged_ws():
     base = mesh.build_template(16)
     geo = shape.compute_geometry(base)
     w = sine_field(base, amp=0.08)
-    bulged = shape.retract(base, shape.extend(base, w, geo), 1.0)
+    bulged = shape.retract(base, shape.extend(base, w, geo, fem.assemble_stiffness(base)), 1.0)
     data_mesh = mesh.refine_uniform(mesh.refine_uniform(mesh.build_template(16)))
     ydata = fem.solve_state(data_mesh, F1, F2)
     ybar = fem.NodalField(mesh=bulged, values=fem.evaluate_field(
@@ -94,10 +94,10 @@ def test_workspace_rejects_mismatched_data_and_degenerate_setup():
     other = mesh.build_template(4)
     ybar = fem.NodalField(mesh=other, values=np.zeros(other.n_vertices))
     with pytest.raises(ValueError):
-        qp.MeshState(m, ybar, F1, F2, MU)
+        qp.MeshAssembly(m, ybar, F1, F2, MU)
     ok = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
     with pytest.raises(ValueError):
-        qp.MeshState(m, ok, 7.0, 7.0, 0.0)
+        qp.MeshAssembly(m, ok, 7.0, 7.0, 0.0)
 
 
 def test_workspace_state_matches_standalone_solve(straight_ws):
@@ -106,14 +106,16 @@ def test_workspace_state_matches_standalone_solve(straight_ws):
 
 
 def test_workspace_reuses_a_handed_state(bulged_ws):
-    state = qp.MeshState(bulged_ws.state.mesh, bulged_ws.state.ybar, F1, F2, MU)
+    state = qp.MeshState(qp.MeshAssembly(bulged_ws.state.mesh, bulged_ws.state.ybar,
+                                          F1, F2, MU))
     ws = qp.QpWorkspace(state)
     assert ws.state is state
     np.testing.assert_array_equal(ws.p.values, bulged_ws.p.values)
 
 
 def test_workspace_makes_one_solve_on_the_state_solver(bulged_ws, monkeypatch):
-    state = qp.MeshState(bulged_ws.state.mesh, bulged_ws.state.ybar, F1, F2, MU)
+    state = qp.MeshState(qp.MeshAssembly(bulged_ws.state.mesh, bulged_ws.state.ybar,
+                                          F1, F2, MU))
     factored, solved_on = [], []
     init, solve = fem.DirichletSolver.__init__, fem.DirichletSolver.solve
 
@@ -136,7 +138,7 @@ def test_mesh_state_objective_matches_separate_solves(bulged_ws):
     # The line search ranks trials by this value, so it must not depend on
     # whether the state came from a workspace or from standalone solves.
     m, ybar = bulged_ws.state.mesh, bulged_ws.state.ybar
-    state = qp.MeshState(m, ybar, F1, F2, MU)
+    state = qp.MeshState(qp.MeshAssembly(m, ybar, F1, F2, MU))
     y = fem.solve_state(m, F1, F2)
     expected = shape.objective(m, y, ybar, shape.compute_geometry(m), MU,
                                fem.assemble_mass(m))
@@ -173,7 +175,7 @@ def test_state_solve_matches_finite_difference_of_state(bulged_ws):
     z_field = fem.NodalField(mesh=m, values=linearized_state(ws, w))
 
     eps = 1e-4
-    extension = shape.extend(m, w, ws.state.geometry)
+    extension = shape.extend(m, w, ws.state.geometry, ws.state.stiffness)
     plus = shape.retract(m, extension, eps)
     minus = shape.retract(m, extension, -eps)
     y_plus = fem.solve_state(plus, F1, F2)
@@ -263,8 +265,8 @@ def test_hessian_reduces_to_regularization_without_jump():
     geo0 = shape.compute_geometry(base)
     offsets = shape.bspline_initial_interface(17)[:, 0] - 0.5
     curved = shape.retract(
-        base, shape.extend(base, InterfaceField(mesh=base, values=pinned(offsets)), geo0),
-        1.0)
+        base, shape.extend(base, InterfaceField(mesh=base, values=pinned(offsets)), geo0,
+                           fem.assemble_stiffness(base)), 1.0)
     ybar = fem.NodalField(mesh=curved, values=np.zeros(curved.n_vertices))
     ws = workspace(curved, ybar, 7.0, 7.0)
     w = sine_field(ws.state.mesh, amp=0.4)
@@ -309,8 +311,8 @@ def curved_regularization_ws(cg_tol=1e-12):
     geo0 = shape.compute_geometry(base)
     offsets = shape.bspline_initial_interface(17)[:, 0] - 0.5
     curved = shape.retract(
-        base, shape.extend(base, InterfaceField(mesh=base, values=pinned(offsets)), geo0),
-        1.0)
+        base, shape.extend(base, InterfaceField(mesh=base, values=pinned(offsets)), geo0,
+                           fem.assemble_stiffness(base)), 1.0)
     ybar = fem.NodalField(mesh=curved, values=np.zeros(curved.n_vertices))
     return workspace(curved, ybar, 7.0, 7.0, cg_tol=cg_tol)
 

@@ -152,14 +152,15 @@ def test_gradient_pushes_a_rightward_bulge_back():
     geo0 = shape.compute_geometry(base)
     w = shape.InterfaceField(
         mesh=base, values=pinned(0.08 * np.sin(np.pi * geo0.points[:, 1])))
-    bulged = shape.retract(base, shape.extend(base, w, geo0), 1.0)
+    bulged = shape.retract(
+        base, shape.extend(base, w, geo0, fem.assemble_stiffness(base)), 1.0)
 
     data_mesh = mesh.refine_uniform(mesh.refine_uniform(straight(n)))
     ybar_data = fem.solve_state(data_mesh, 1000.0, 1.0)
     ybar = fem.NodalField(mesh=bulged, values=fem.evaluate_field(
         mesh.Locator(data_mesh), ybar_data, bulged.vertices))
 
-    p = qp.QpWorkspace(qp.MeshState(bulged, ybar, 1000.0, 1.0, 10.0)).p
+    p = qp.QpWorkspace(qp.MeshState(qp.MeshAssembly(bulged, ybar, 1000.0, 1.0, 10.0))).p
     geo = shape.compute_geometry(bulged)
     g = shape.shape_gradient(bulged, geo, p, 1000.0, 1.0, 10.0)
     assert np.all(g.values[1:-1] > 0.0)
@@ -213,13 +214,13 @@ def test_domain_and_interface_gradient_forms_agree():
     m = straight(n)
     y = fem.solve_state(m, 1000.0, 1.0)
     ybar = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
-    p = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0)).p
+    p = qp.QpWorkspace(qp.MeshState(qp.MeshAssembly(m, ybar, 1000.0, 1.0, 10.0))).p
     geo = shape.compute_geometry(m)
 
     w = shape.InterfaceField(
         mesh=m, values=pinned(np.sin(np.pi * geo.points[:, 1])))
     V = mesh.solve_elastic_deformation(
-        m, w.values[:, None] * geo.normals).displacement
+        m, w.values[:, None] * geo.normals, fem.assemble_stiffness(m)).displacement
 
     volumetric = shape_gradient_domain(m, y, p, ybar, 1000.0, 1.0, V)
     g = shape.shape_gradient(m, geo, p, 1000.0, 1.0, mu=0.0)
@@ -234,7 +235,7 @@ def test_retract_zero_field_returns_identical_vertices():
     m = straight(8)
     geo = shape.compute_geometry(m)
     w = shape.InterfaceField(mesh=m, values=np.zeros(9))
-    moved = shape.retract(m, shape.extend(m, w, geo), 1.0)
+    moved = shape.retract(m, shape.extend(m, w, geo, fem.assemble_stiffness(m)), 1.0)
     np.testing.assert_array_equal(moved.vertices, m.vertices)
     np.testing.assert_array_equal(moved.triangles, m.triangles)
 
@@ -245,7 +246,7 @@ def test_retract_places_interface_nodes_exactly():
     geo = shape.compute_geometry(m)
     vals = pinned(0.1 * np.sin(np.pi * np.arange(n + 1) / n))
     w = shape.InterfaceField(mesh=m, values=vals)
-    moved = shape.retract(m, shape.extend(m, w, geo), 0.5)
+    moved = shape.retract(m, shape.extend(m, w, geo, fem.assemble_stiffness(m)), 0.5)
     target = geo.points + 0.5 * vals[:, None] * geo.normals
     np.testing.assert_allclose(moved.interface_points, target, atol=1e-14)
 
@@ -256,10 +257,12 @@ def test_retract_round_trip_recovers_interface():
     geo = shape.compute_geometry(m)
     vals = pinned(0.02 * np.sin(np.pi * np.arange(n + 1) / n))
     forward = shape.retract(
-        m, shape.extend(m, shape.InterfaceField(mesh=m, values=vals), geo), 1.0)
+        m, shape.extend(m, shape.InterfaceField(mesh=m, values=vals), geo,
+                        fem.assemble_stiffness(m)), 1.0)
     geo_fwd = shape.compute_geometry(forward)
     back = shape.retract(forward, shape.extend(
-        forward, shape.InterfaceField(mesh=forward, values=vals), geo_fwd), -1.0)
+        forward, shape.InterfaceField(mesh=forward, values=vals), geo_fwd,
+        fem.assemble_stiffness(forward)), -1.0)
     # the reverse step rides slightly different normals, hence the loose bound
     err = np.abs(back.interface_points - m.interface_points).max()
     assert err < 1e-3
@@ -273,10 +276,11 @@ def test_retract_scales_one_extension(alpha):
     m = straight(n)
     geo = shape.compute_geometry(m)
     vals = pinned(0.05 * np.sin(np.pi * np.arange(n + 1) / n))
+    stiffness = fem.assemble_stiffness(m)
     got = shape.retract(m, shape.extend(m, shape.InterfaceField(mesh=m, values=vals),
-                                        geo), alpha)
+                                        geo, stiffness), alpha)
     disp = alpha * vals[:, None] * geo.normals
-    expected = mesh.apply_deformation(m, mesh.solve_elastic_deformation(m, disp))
+    expected = mesh.apply_deformation(m, mesh.solve_elastic_deformation(m, disp, stiffness))
     if np.log2(alpha).is_integer():
         np.testing.assert_array_equal(got.vertices, expected.vertices)
     else:
@@ -293,7 +297,7 @@ def inverting_step(n=8):
 
 def test_retract_takes_one_step_and_raises_on_inversion():
     m, w, geo = inverting_step()
-    extension = shape.extend(m, w, geo)
+    extension = shape.extend(m, w, geo, fem.assemble_stiffness(m))
     with pytest.raises(InvertedElementError):
         shape.retract(m, extension, 1.0)
     moved = shape.retract(m, extension, 0.25)
@@ -305,7 +309,7 @@ def test_failed_retraction_frees_the_source_mesh_without_gc():
     # A failed trial must not leave its source mesh, or the extension that
     # refers to it, in a reference cycle that only the collector can free.
     m, w, geo = inverting_step()
-    extension = shape.extend(m, w, geo)
+    extension = shape.extend(m, w, geo, fem.assemble_stiffness(m))
     source = weakref.ref(m)
     gc.disable()
     try:
@@ -346,7 +350,8 @@ def test_distance_matches_parabolic_offset_oracle():
     yi = np.arange(n + 1) / n
     vals = pinned(0.1 * yi * (1.0 - yi))
     w = shape.InterfaceField(mesh=m, values=vals)
-    moved = shape.retract(m, shape.extend(m, w, shape.compute_geometry(m)), 1.0)
+    moved = shape.retract(m, shape.extend(m, w, shape.compute_geometry(m),
+                                          fem.assemble_stiffness(m)), 1.0)
     assert shape.dist_to_solution(moved) == pytest.approx(1.0 / 60.0, abs=1e-3)
 
 
