@@ -38,24 +38,23 @@ def write_vtk(path, mesh: TriMesh, fields: dict[str, NodalField] | None = None,
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.n_vertices} double",
     ]
-    for x, y in mesh.vertices:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0")
+    # Python scalars from tolist() format several times faster than numpy's.
+    lines.extend(f"{_fmt(x)} {_fmt(y)} 0" for x, y in mesh.vertices.tolist())
     nt = mesh.n_triangles
     lines.append(f"CELLS {nt} {4 * nt}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
+    lines.extend(f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist())
     lines.append(f"CELL_TYPES {nt}")
     lines.extend(["5"] * nt)
     lines.append(f"CELL_DATA {nt}")
     lines.append("SCALARS subdomain int 1")
     lines.append("LOOKUP_TABLE default")
-    lines.extend(str(int(s)) for s in mesh.subdomain)
+    lines.extend(map(str, mesh.subdomain.tolist()))
     if fields:
         lines.append(f"POINT_DATA {mesh.n_vertices}")
         for name, field in fields.items():
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            lines.extend(_fmt(v) for v in field.values)
+            lines.extend(_fmt(v) for v in field.values.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -5,6 +5,11 @@ from (0.5, 0) to (0.5, 1).  Subdomain 1 lies left of the directed interface,
 subdomain 2 right.  Construction and refinement preserve that structure and
 validate it in full; deformation keeps the connectivity and re-checks only
 the invariants that moving vertices can break.
+
+The module also holds the solver's two linear-algebra building blocks: the
+one factored Dirichlet system (DirichletSystem) and the one conjugate-gradient
+loop (pcg), which both the elastic extension here and the Newton system in qp
+run.
 """
 from __future__ import annotations
 
@@ -366,20 +371,15 @@ class DirichletSystem:
         mask = np.zeros(matrix.shape[0], dtype=bool)
         mask[constrained] = True
         self.free = np.flatnonzero(~mask)
-        self.fixed = np.flatnonzero(mask)
         self.kff = matrix[self.free][:, self.free].tocsc()
         self._lu = spla.splu(self.kff, permc_spec="MMD_AT_PLUS_A",
                              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
-    def solve(self, rhs: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Full solution for the full-length rhs, whose constrained entries
-        are ignored; the constrained dofs take the matching entries of the
-        full-length values, or zero when values is None."""
+        are ignored; the constrained dofs are zero."""
         out = np.zeros(self.matrix.shape[0])
         bf = rhs[self.free]
-        if values is not None:
-            out[self.fixed] = values[self.fixed]
-            bf = bf - self.matrix[self.free][:, self.fixed] @ out[self.fixed]
         xf = self.solve_free(bf)
         if not np.all(np.isfinite(xf)):
             raise LinearSolverError("sparse solve produced non-finite values")
@@ -412,13 +412,16 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement: np.ndarray,
     the elasticity matrix are K (x) I + D^T D, with K the P1 stiffness and
     D the per-element divergence scaled by sqrt(area).
 
-    The system is solved by conjugate gradients from a zero start,
+    The system is solved by pcg in the Euclidean inner product,
     preconditioned by the scalar P1 Laplacian on each component with the
     same Dirichlet nodes (Blaheta's displacement decomposition).  For such
     displacements a(u, u) = |grad u|^2 + |div u|^2 <= 3 |grad u|^2, so the
     preconditioned condition number is at most 3 and the iteration count
     does not grow with the mesh.  One factorization of the Laplacian serves
     both components: each application is one solve on an (n_free, 2) block.
+    Raises LinearSolverError when CG does not reach _PCG_TOL within
+    _PCG_MAX_ITERS iterations, or its answer misses _RESIDUAL_TOL on the
+    true residual.
     """
     g = np.asarray(interface_displacement, dtype=np.float64)
     if g.shape != (mesh.interface_nodes.shape[0], 2):
@@ -454,49 +457,58 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement: np.ndarray,
     u = np.zeros((mesh.n_vertices, 2))
     u[mesh.interface_nodes] = g
     rhs = -((stiffness @ u)[free] + div_div(u)).ravel()
-    u[free] = _pcg(operator, rhs,
-                   lambda r: laplacian.solve_free(r.reshape(-1, 2)).ravel()).reshape(-1, 2)
+    x, norms, _, converged = pcg(
+        operator, rhs, lambda r: laplacian.solve_free(r.reshape(-1, 2)).ravel(),
+        np.dot, _PCG_TOL, _PCG_MAX_ITERS)
+    if not converged:
+        raise LinearSolverError(
+            f"conjugate gradients stopped after {len(norms) - 1} iterations at "
+            f"relative residual {norms[-1] / norms[0]:.3e}, above {_PCG_TOL:.0e}")
+    resid = np.linalg.norm(operator(x) - rhs)
+    if not resid <= _RESIDUAL_TOL * norms[0]:  # NaN fails too
+        raise LinearSolverError(
+            f"relative residual {resid / norms[0]:.3e} exceeds {_RESIDUAL_TOL:.1e}")
+    u[free] = x.reshape(-1, 2)
     return DeformationField(mesh=mesh, displacement=u)
 
 
-def _pcg(operator, b: np.ndarray, precondition) -> np.ndarray:
-    """Solve operator(x) = b by preconditioned conjugate gradients from x = 0.
+def pcg(operator, b: np.ndarray, precondition, inner, tol: float, max_iters: int):
+    """Solve operator(x) = b by preconditioned conjugate gradients from x = 0,
+    in the inner product inner(u, v).
 
-    Stops once the relative residual is at most _PCG_TOL, then checks the
-    true residual against _RESIDUAL_TOL.  Raises LinearSolverError on a
-    non-finite iterate or when _PCG_MAX_ITERS iterations do not converge.
+    Returns (x, residual norms, negative_curvature, converged).  The norms
+    start with |b| and gain one entry per completed iteration.  A direction
+    p with inner(p, operator(p)) <= 0 stops the iteration at the current
+    iterate with negative_curvature set; converged is set only when the
+    residual norm falls to tol |b|.  A non-finite residual raises
+    LinearSolverError.
     """
     x = np.zeros_like(b)
-    scale = np.linalg.norm(b)
-    if scale == 0.0:
-        return x
-    r = b.copy()
+    norms = [float(np.sqrt(inner(b, b)))]
+    if norms[0] == 0.0:
+        return x, norms, False, True
+    r = b
     z = precondition(r)
-    p = z.copy()
-    rz = r @ z
-    for iteration in range(1, _PCG_MAX_ITERS + 1):
+    p = z
+    rz = inner(r, z)
+    for iteration in range(1, max_iters + 1):
         q = operator(p)
-        step = rz / (p @ q)
-        x += step * p
-        r -= step * q
-        rel = np.linalg.norm(r) / scale
-        if not np.isfinite(rel):
+        pq = inner(p, q)
+        if pq <= 0.0:
+            return x, norms, True, False
+        step = rz / pq
+        x = x + step * p
+        r = r - step * q
+        norms.append(float(np.sqrt(inner(r, r))))
+        if not np.isfinite(norms[-1]):
             raise LinearSolverError(
                 f"conjugate gradients produced non-finite values at iteration {iteration}")
-        if rel <= _PCG_TOL:
-            break
+        if norms[-1] <= tol * norms[0]:
+            return x, norms, False, True
         z = precondition(r)
-        rz, rz_old = r @ z, rz
+        rz, rz_old = inner(r, z), rz
         p = z + (rz / rz_old) * p
-    else:
-        raise LinearSolverError(
-            f"conjugate gradients stopped after {_PCG_MAX_ITERS} iterations at "
-            f"relative residual {rel:.3e}, above {_PCG_TOL:.0e}")
-    resid = np.linalg.norm(operator(x) - b) / scale
-    if not resid <= _RESIDUAL_TOL:  # NaN fails too
-        raise LinearSolverError(
-            f"relative residual {resid:.3e} exceeds {_RESIDUAL_TOL:.1e}")
-    return x
+    return x, norms, False, False
 
 
 def apply_deformation(mesh: TriMesh, deformation: DeformationField) -> TriMesh:

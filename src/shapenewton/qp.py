@@ -4,8 +4,8 @@ A MeshAssembly holds the data and matrices on one mesh; a MeshState built
 from it adds the stiffness factorization and the state, and a workspace adds
 the adjoint, one solve on that factorization.  The Newton step solves the
 reduced design equation A w = -g, with g the shape gradient, matrix-free by
-conjugate gradients in the lumped arc-length inner product; one operator
-application costs two triangular back-solves.
+the conjugate-gradient loop mesh.pcg in the lumped arc-length inner product;
+one operator application costs two triangular back-solves.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import fem, shape
+from . import fem, mesh, shape
 from .errors import LinearSolverError
 from .mesh import TriMesh
 from .shape import InterfaceField, InterfaceGeometry
@@ -70,11 +70,9 @@ class QpWorkspace:
     factorization.
     """
 
-    def __init__(self, state: MeshState, cg_tol: float = 1e-8,
-                 cg_max_iters: int | None = None):
+    def __init__(self, state: MeshState, cg_tol: float = 1e-8):
         self.state = state
         self.cg_tol = float(cg_tol)
-        self.cg_max_iters = cg_max_iters
 
         resid = state.load - state.stiffness @ state.y.values
         scale = 1.0 + np.abs(state.load).max()
@@ -152,8 +150,9 @@ class CgResult:
 
 
 def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "laplacian") -> CgResult:
-    """Solve A w = -g by conjugate gradients in the lumped arc-length inner
-    product, with g the shape gradient of the workspace adjoint.
+    """Solve A w = -g by conjugate gradients (mesh.pcg) in the lumped
+    arc-length inner product, with g the shape gradient of the workspace
+    adjoint, capped at 2 (m - 2) iterations on m interface nodes.
 
     preconditioner="laplacian" (the default) applies the inverse of the
     tridiagonal regularization block mu L, which dominates the reduced
@@ -173,50 +172,17 @@ def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "laplacian") -> CgResult:
             return solve_tridiagonal_regularization(geo, state.mu, r)
         return r
 
+    def operator(d):
+        return reduced_hessian_apply(ws, InterfaceField(mesh=state.mesh, values=d)).values
+
     b = -shape.shape_gradient(state.mesh, geo, ws.p, state.f1, state.f2,
                               state.mu).values
-    norm_b = shape.s_norm(geo, b)
-
-    w = np.zeros_like(b)
-    history: list[float] = [norm_b]
-    if norm_b == 0.0:
-        return CgResult(w=InterfaceField(mesh=state.mesh, values=w),
-                        iterations=0, residual_norm=0.0, converged=True,
-                        residual_history=history)
-
-    max_iters = ws.cg_max_iters if ws.cg_max_iters is not None else 2 * (geo.n_nodes - 2)
-    r = b.copy()
-    z = apply_precond(r)
-    d = z.copy()
-    rho = shape.s_inner(geo, r, z)
-    negative = False
-    converged = False
-    iterations = 0
-    norm_r = norm_b
-    for k in range(1, max_iters + 1):
-        Ad = reduced_hessian_apply(
-            ws, InterfaceField(mesh=state.mesh, values=d)).values
-        dAd = shape.s_inner(geo, d, Ad)
-        if dAd <= 0.0:
-            negative = True
-            break
-        alpha = rho / dAd
-        w = w + alpha * d
-        r = r - alpha * Ad
-        iterations = k
-        norm_r = shape.s_norm(geo, r)
-        history.append(norm_r)
-        if norm_r <= ws.cg_tol * norm_b:
-            converged = True
-            break
-        z = apply_precond(r)
-        rho_new = shape.s_inner(geo, r, z)
-        d = z + (rho_new / rho) * d
-        rho = rho_new
-
+    w, history, negative, converged = mesh.pcg(
+        operator, b, apply_precond, lambda u, v: shape.s_inner(geo, u, v), ws.cg_tol,
+        2 * (geo.n_nodes - 2))
     w[0] = 0.0
     w[-1] = 0.0
     return CgResult(w=InterfaceField(mesh=state.mesh, values=w),
-                    iterations=iterations, residual_norm=norm_r,
+                    iterations=len(history) - 1, residual_norm=history[-1],
                     negative_curvature=negative, converged=converged,
                     residual_history=history)

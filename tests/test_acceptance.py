@@ -112,10 +112,9 @@ def test_straight_interface_is_a_fixed_point():
 def test_fixed_point_check_catches_an_adjoint_without_mass(monkeypatch):
     # Planted error: K p = -(y - ybar).  The gradient then no longer falls as
     # O(h^2), so the check must fail.
-    def planted(self, state, cg_tol=1e-8, cg_max_iters=None):
+    def planted(self, state, cg_tol=1e-8):
         self.state = state
         self.cg_tol = cg_tol
-        self.cg_max_iters = cg_max_iters
         misfit = state.y.values - state.ybar.values
         self.p = fem.NodalField(mesh=state.mesh, values=state.solver.solve(-misfit))
 

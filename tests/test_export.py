@@ -4,7 +4,7 @@ import csv
 import numpy as np
 import pytest
 
-from shapenewton import export, fem, shape
+from shapenewton import driver, export, fem, shape
 from shapenewton.driver import TraceRow
 from shapenewton.mesh import build_template
 
@@ -77,6 +77,44 @@ def test_vtk_point_data_fields(tmp_path):
     assert set(fields) == {"state", "adjoint"}
     np.testing.assert_allclose(fields["state"], y.values, rtol=1e-6, atol=1e-12)
     np.testing.assert_allclose(fields["adjoint"], p.values, rtol=1e-6)
+
+
+def write_vtk_per_element(path, m, fields, title="shapenewton mesh"):
+    """The writer formatting one numpy scalar at a time: the reference the
+    vectorized writer must match byte for byte."""
+    fmt = export._fmt
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {m.n_vertices} double"]
+    for x, y in m.vertices:
+        lines.append(f"{fmt(x)} {fmt(y)} 0")
+    nt = m.n_triangles
+    lines.append(f"CELLS {nt} {4 * nt}")
+    for a, b, c in m.triangles:
+        lines.append(f"3 {a} {b} {c}")
+    lines.append(f"CELL_TYPES {nt}")
+    lines.extend(["5"] * nt)
+    lines.append(f"CELL_DATA {nt}")
+    lines.append("SCALARS subdomain int 1")
+    lines.append("LOOKUP_TABLE default")
+    lines.extend(str(int(s)) for s in m.subdomain)
+    if fields:
+        lines.append(f"POINT_DATA {m.n_vertices}")
+        for name, field in fields.items():
+            lines.append(f"SCALARS {name} double 1")
+            lines.append("LOOKUP_TABLE default")
+            lines.extend(fmt(v) for v in field.values)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_vtk_matches_the_per_element_writer_byte_for_byte(tmp_path):
+    m = driver.initial_mesh(driver.ExperimentConfig(), 1)
+    y = fem.solve_state(m, 1000.0, 1.0)
+    signed = fem.NodalField(mesh=m, values=np.sin(40.0 * m.vertices[:, 0]) * 1e-3
+                            - m.vertices[:, 1] * 1e5)
+    fields = {"state": y, "signed": signed}
+    export.write_vtk(tmp_path / "fast.vtk", m, fields)
+    write_vtk_per_element(tmp_path / "oracle.vtk", m, fields)
+    assert (tmp_path / "fast.vtk").read_bytes() == (tmp_path / "oracle.vtk").read_bytes()
 
 
 def test_vtk_rejects_foreign_field(tmp_path):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from shapenewton import driver, fem, mesh as mm
+from shapenewton import driver, fem, mesh as mm, qp
 from shapenewton.errors import (
     InvertedElementError,
     LinearSolverError,
@@ -212,13 +214,13 @@ def extension_system(monkeypatch, m, g):
     """The operator and right-hand side the extension hands to its conjugate
     gradients."""
     captured = {}
-    pcg = mm._pcg
+    pcg = mm.pcg
 
-    def capture(operator, rhs, precondition):
+    def capture(operator, rhs, *args):
         captured.update(operator=operator, rhs=rhs)
-        return pcg(operator, rhs, precondition)
+        return pcg(operator, rhs, *args)
 
-    monkeypatch.setattr(mm, "_pcg", capture)
+    monkeypatch.setattr(mm, "pcg", capture)
     mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m))
     return captured["operator"], captured["rhs"]
 
@@ -258,13 +260,14 @@ def test_elasticity_matches_strain_oracle_and_splits_into_laplacians(monkeypatch
 
 def coupled_direct_solve(m: mm.TriMesh, g: np.ndarray) -> np.ndarray:
     """The extension's coupled system, on the strain-oracle matrix, solved
-    by one SuperLU factorization of its free block."""
+    by one SuperLU factorization of its free block: the interface data is
+    lifted and the free dofs solve for the rest."""
     nodes = np.concatenate([m.outer_boundary_nodes, m.interface_nodes])
-    system = mm.DirichletSystem(elasticity_oracle(m),
-                                np.concatenate([2 * nodes, 2 * nodes + 1]))
-    values = np.zeros((m.n_vertices, 2))
-    values[m.interface_nodes] = g
-    return system.solve(np.zeros(values.size), values.ravel()).reshape(-1, 2)
+    matrix = elasticity_oracle(m)
+    system = mm.DirichletSystem(matrix, np.concatenate([2 * nodes, 2 * nodes + 1]))
+    lift = np.zeros((m.n_vertices, 2))
+    lift[m.interface_nodes] = g
+    return lift + system.solve(-(matrix @ lift.ravel())).reshape(-1, 2)
 
 
 def plant_factor(monkeypatch, corrupt):
@@ -332,6 +335,36 @@ def test_dirichlet_solves_fail_loudly_on_a_bad_factor(monkeypatch, corrupt, pcg_
         mm.solve_elastic_deformation(m, interface_bump(m), fem.assemble_stiffness(m))
 
 
+def test_pcg_stops_on_convergence_cap_or_negative_curvature():
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    spd = q @ np.diag([1.0, 2.0, 3.0, 5.0, 8.0, 13.0]) @ q.T
+    b = rng.standard_normal(6)
+    jacobi = 1.0 / np.diag(spd)
+
+    x, norms, negative, converged = mm.pcg(lambda v: spd @ v, b, lambda r: jacobi * r,
+                                           np.dot, 1e-12, 20)
+    assert converged and not negative
+    assert norms[0] == np.linalg.norm(b) and norms[-1] <= 1e-12 * norms[0]
+    np.testing.assert_allclose(x, np.linalg.solve(spd, b), rtol=1e-10)
+
+    x, norms, negative, converged = mm.pcg(lambda v: spd @ v, b, lambda r: jacobi * r,
+                                           np.dot, 1e-12, 2)
+    assert len(norms) == 3 and not converged and not negative
+    assert np.linalg.norm(spd @ x - b) == pytest.approx(norms[-1], rel=1e-10)
+
+    # The first direction is b itself, along which this matrix is negative.
+    x, norms, negative, converged = mm.pcg(lambda v: -v, b, lambda r: r, np.dot, 1e-12, 20)
+    assert negative and not converged
+    assert norms == [np.linalg.norm(b)]
+    np.testing.assert_array_equal(x, 0.0)
+
+    assert mm.pcg(lambda v: spd @ v, np.zeros(6), lambda r: r, np.dot, 1e-12, 20)[1:] \
+        == ([0.0], False, True)
+    with pytest.raises(LinearSolverError, match="non-finite"):
+        mm.pcg(lambda v: np.full_like(v, np.nan), b, lambda r: r, np.dot, 1e-12, 20)
+
+
 def test_poisson_and_elastic_solves_share_one_dirichlet_path(monkeypatch):
     systems, factors = [], []
     init, splu = mm.DirichletSystem.__init__, mm.spla.splu
@@ -351,6 +384,46 @@ def test_poisson_and_elastic_solves_share_one_dirichlet_path(monkeypatch):
     assert (len(systems), len(factors)) == (1, 1)
     mm.solve_elastic_deformation(m, interface_bump(m), fem.assemble_stiffness(m))
     assert (len(systems), len(factors)) == (2, 2)
+
+
+def test_newton_and_extension_share_one_cg_loop(monkeypatch):
+    config = driver.ExperimentConfig(n=8, levels=1, max_sqp_iters=1)
+    data = driver.generate_data(config)
+    start = driver.initial_mesh(config, 1)
+    callers, depth, outside = [], [0], []
+    pcg = mm.pcg
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        depth[0] += 1
+        try:
+            return pcg(*args)
+        finally:
+            depth[0] -= 1
+
+    hessian_apply = qp.reduced_hessian_apply
+    solve_free = mm.DirichletSystem.solve_free
+
+    def hessian(ws, w):
+        if not depth[0]:
+            outside.append("reduced Hessian")
+        return hessian_apply(ws, w)
+
+    def preconditioner(self, bf):
+        if bf.ndim == 2 and not depth[0]:
+            outside.append("elastic preconditioner")
+        return solve_free(self, bf)
+
+    monkeypatch.setattr(mm, "pcg", counted)
+    monkeypatch.setattr(qp, "reduced_hessian_apply", hessian)
+    monkeypatch.setattr(mm.DirichletSystem, "solve_free", preconditioner)
+    trace = driver.sqp_solve(config, data, 1, start=start)
+    # One Newton iteration: one CG solve of the reduced system and one of the
+    # step's extension, and every reduced-Hessian application and every
+    # elastic preconditioner solve happens inside mesh.pcg.
+    assert trace.rows[0].cg_iterations > 0
+    assert sorted(callers) == ["solve_elastic_deformation", "solve_qp_cg"]
+    assert outside == []
 
 
 def test_apply_deformation_round_trip():

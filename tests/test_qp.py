@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from shapenewton import fem, mesh, qp, shape
+from shapenewton.errors import LinearSolverError
 from shapenewton.shape import InterfaceField
 
 F1, F2, MU = 1000.0, 1.0, 10.0
@@ -350,16 +351,30 @@ def test_cg_laplacian_preconditioner_is_exact_for_pure_regularization():
                                atol=1e-8 * np.abs(direct).max())
 
 
-def test_cg_error_decreases_monotonically_in_operator_norm():
+def newton_system(monkeypatch, ws, preconditioner):
+    """The arguments solve_qp_cg hands to mesh.pcg, and its result."""
+    captured = []
+    pcg = mesh.pcg
+
+    def capture(*args):
+        captured.extend(args)
+        return pcg(*args)
+
+    monkeypatch.setattr(mesh, "pcg", capture)
+    result = qp.solve_qp_cg(ws, preconditioner=preconditioner)
+    return captured, result
+
+
+def test_cg_error_decreases_monotonically_in_operator_norm(monkeypatch):
     ws = curved_regularization_ws()
     r0 = design_residual(ws, zero_design(ws)).values
     exact = qp.solve_tridiagonal_regularization(ws.state.geometry, MU, r0)
-    result = qp.solve_qp_cg(ws, preconditioner="none")
+    (operator, b, precondition, inner, tol, _), result = newton_system(
+        monkeypatch, ws, "none")
     energies = []
     for k in range(result.iterations + 1):
         # CG is deterministic: a run capped at k iterations ends on iterate k
-        ws.cg_max_iters = k
-        err = qp.solve_qp_cg(ws, preconditioner="none").w.values - exact
+        err = mesh.pcg(operator, b, precondition, inner, tol, k)[0] - exact
         Aerr = MU * shape.tangential_laplacian_apply(ws.state.geometry, err)
         energies.append(shape.s_inner(ws.state.geometry, Aerr, err))
     energies = np.array(energies)
@@ -382,11 +397,26 @@ def test_cg_solves_full_problem_to_tolerance(bulged_ws):
 
 
 def test_cg_reports_stopping_above_tolerance(bulged_ws):
-    ws = qp.QpWorkspace(bulged_ws.state, cg_max_iters=1)
+    # No residual reaches 1e-300 of the first: CG runs to its cap of 2 (m - 2).
+    ws = qp.QpWorkspace(bulged_ws.state, cg_tol=1e-300)
     result = qp.solve_qp_cg(ws)
-    assert result.iterations == 1
+    assert result.iterations == 2 * (17 - 2)
+    assert len(result.residual_history) == result.iterations + 1
     assert not result.negative_curvature
     assert not result.converged
+
+
+def test_cg_fails_loudly_on_a_non_finite_hessian(monkeypatch, bulged_ws):
+    apply = qp.reduced_hessian_apply
+
+    def planted(ws, w):
+        values = apply(ws, w).values.copy()
+        values[1:-1] = np.nan
+        return InterfaceField(mesh=w.mesh, values=values)
+
+    monkeypatch.setattr(qp, "reduced_hessian_apply", planted)
+    with pytest.raises(LinearSolverError, match="non-finite values at iteration 1"):
+        qp.solve_qp_cg(bulged_ws)
 
 
 def test_cg_flags_negative_curvature():
