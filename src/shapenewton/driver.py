@@ -230,6 +230,9 @@ def _take_step(state: qp.MeshState, w: shape.InterfaceField, alphas: list[float]
     workers = min(len(alphas), cpus)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for alpha, assembly in zip(alphas, pool.map(trial, alphas)):
+            # Drop a losing candidate, and its factor, before the next one
+            # factors: only the best and the one being built stay alive.
+            candidate = None
             candidate = evaluate(assembly)
             if candidate is not None and (best is None
                                           or candidate.objective < best[0].objective):
@@ -240,6 +243,7 @@ def _take_step(state: qp.MeshState, w: shape.InterfaceField, alphas: list[float]
     alpha = min(alphas)
     for _ in range(_MAX_HALVINGS):
         alpha *= 0.5
+        candidate = None
         candidate = evaluate(trial(alpha))
         if candidate is not None and candidate.objective <= limit:
             return candidate, alpha

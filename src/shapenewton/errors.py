@@ -19,7 +19,7 @@ class InvertedElementError(MeshInvariantError):
 
 
 class PointLocationError(ShapeNewtonError):
-    """A query point lies outside the mesh hull beyond tolerance."""
+    """A query point is not finite or lies outside the mesh beyond tolerance."""
 
 
 class LinearSolverError(ShapeNewtonError):

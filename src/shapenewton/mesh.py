@@ -13,21 +13,23 @@ run.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
 from .errors import InvertedElementError, LinearSolverError, MeshInvariantError, PointLocationError
 
-# Barycentric slack used when deciding containment; corresponds to a geometric
-# tolerance well below 1e-10 on the meshes handled here.
+# Barycentric slack used when deciding containment, and how far, in cell
+# widths, Locator lets a vertex sit off the grid lattice.  A point admissible
+# in a grid triangle of leg h (all barycentrics >= -_BARY_TOL) lies within
+# 2 _BARY_TOL h of its cell on either axis, and an off-lattice vertex adds at
+# most _BARY_TOL h more, so the cells within _CELL_SLACK cell widths of a
+# point hold every triangle admissible for it, with room left for rounding.
 _BARY_TOL = 1e-9
-# Smallest barycentric coordinate for a nearest-star hit to be final: far
-# enough inside that no neighbouring triangle can be admissible as well.
-_STAR_MARGIN = 1e-6
+_CELL_SLACK = 4 * _BARY_TOL
 
 # Largest relative residual ||K_ff x_f - b_f|| / ||b_f|| of a Dirichlet solve.
 _RESIDUAL_TOL = 1e-10
@@ -529,34 +531,35 @@ def apply_deformation(mesh: TriMesh, deformation: DeformationField) -> TriMesh:
 
 
 class Locator:
-    """KD-tree point-location accelerator over one mesh; build it once."""
+    """Point location by grid cell in a uniformly refined template, whose
+    N x N square cells hold two triangles each; build it once per mesh.
+
+    N is read from the triangle count (2 N^2).  Any other mesh, a moved one
+    included, raises ValueError.
+    """
 
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
-        self.tree = cKDTree(mesh.vertices)
-        tflat = mesh.triangles.ravel()
-        order = np.argsort(tflat, kind="stable")
-        self.inc_tris = np.repeat(np.arange(mesh.n_triangles), 3)[order]
-        self.indptr = np.searchsorted(tflat[order], np.arange(mesh.n_vertices + 1))
-        self.max_degree = int(np.max(np.diff(self.indptr)))
-
-    def _candidates(self, points: np.ndarray, k: int) -> np.ndarray:
-        k = min(k, self.mesh.n_vertices)
-        _, vids = self.tree.query(points, k=k)
-        if k == 1:
-            vids = vids[:, None]
-        start = self.indptr[vids]
-        deg = self.indptr[vids + 1] - start
-        slot = np.arange(self.max_degree)
-        idx = start[..., None] + slot
-        ok = slot < deg[..., None]
-        cands = np.where(ok, self.inc_tris[np.clip(idx, 0, self.inc_tris.shape[0] - 1)], -1)
-        return cands.reshape(points.shape[0], -1)
+        n = math.isqrt(mesh.n_triangles // 2)
+        lattice = mesh.vertices * n
+        ij = np.rint(lattice)
+        # A triangle is filed under the lower-left corner of its bounding box.
+        lo = ij.astype(np.int64)[mesh.triangles.T].min(axis=0)
+        cell = lo[:, 0] + n * lo[:, 1]
+        if (2 * n * n != mesh.n_triangles
+                or not np.abs(lattice - ij).max() <= _BARY_TOL
+                or not (np.bincount(cell, minlength=n * n) == 2).all()):
+            raise ValueError(f"mesh is not a uniform {n} x {n} grid of cells with "
+                             "two triangles each and vertices on the lattice")
+        self.n = n
+        # (n^2, 2): the two triangles of cell ci + n cj, in ascending order.
+        self.cells = np.argsort(cell, kind="stable").reshape(n * n, 2)
 
     def _barycentric(self, points: np.ndarray, tris: np.ndarray):
-        """Barycentric coordinates of points[i] in each triangle tris[i, j]."""
+        """Barycentric coordinates of points[i] in each triangle tris[i, j],
+        stacked on the first axis."""
         verts = self.mesh.vertices
-        tv = self.mesh.triangles[np.clip(tris, 0, self.mesh.n_triangles - 1)]
+        tv = self.mesh.triangles[tris]
         p0 = verts[tv[..., 0]]
         d1 = verts[tv[..., 1]] - p0
         d2 = verts[tv[..., 2]] - p0
@@ -565,56 +568,43 @@ class Locator:
         b1 = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / det
         b2 = (d1[..., 0] * r[..., 1] - d1[..., 1] * r[..., 0]) / det
         b0 = 1.0 - b1 - b2
-        return np.stack([b0, b1, b2], axis=-1)
+        return np.stack([b0, b1, b2])
 
     def locate(self, points: np.ndarray):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            raise PointLocationError(f"point {points[np.argmin(finite)]} is not finite")
         npts = points.shape[0]
-        tri_out = np.full(npts, -1, dtype=np.int64)
-        bary_out = np.zeros((npts, 3))
+        n = self.n
+        tri_out = np.empty(npts, dtype=np.int64)
+        bary_out = np.empty((npts, 3))
         for block in np.array_split(np.arange(npts), max(1, npts // 8192)):
-            pending = block
-            # Most points lie strictly inside a triangle of their nearest
-            # vertex's star.  A point on or near an edge can also lie in a
-            # triangle outside that star, so it goes on to the wider passes,
-            # where the lowest admissible index wins.
-            for k, lower in ((1, _STAR_MARGIN), (8, -_BARY_TOL), (64, -_BARY_TOL)):
-                if pending.size == 0:
-                    break
-                cands = self._candidates(points[pending], k)
-                pending = self._resolve(points, pending, cands, tri_out, bary_out,
-                                        lower)
-            if pending.size:
-                all_tris = np.arange(self.mesh.n_triangles)
-                for chunk in np.array_split(pending, max(1, -(-pending.size // 4))):
-                    cands = np.broadcast_to(all_tris, (chunk.size, all_tris.size))
-                    left = self._resolve(points, chunk, cands, tri_out, bary_out)
-                    if left.size:
-                        raise PointLocationError(
-                            f"point {points[left[0]]} lies outside the mesh")
+            p = points[block]
+            # The at most four cells within _CELL_SLACK of each point hold
+            # every triangle admissible for it; repeated cells do no harm.
+            ij = np.clip(np.floor(p[:, :, None] * n + [-_CELL_SLACK, _CELL_SLACK]),
+                         0, n - 1).astype(np.int64)
+            cands = self.cells[ij[:, 0, :, None] + n * ij[:, 1, None, :]].reshape(-1, 8)
+            bary = self._barycentric(p, cands)
+            ok = bary.min(axis=0) >= -_BARY_TOL
+            # lowest triangle index wins among admissible candidates
+            pick = np.argmin(np.where(ok, cands, np.iinfo(np.int64).max), axis=1)
+            rows = np.arange(block.size)
+            missed = ~ok[rows, pick]
+            if missed.any():
+                raise PointLocationError(
+                    f"point {p[np.argmax(missed)]} lies outside the mesh")
+            tri_out[block] = cands[rows, pick]
+            b = np.clip(bary[:, rows, pick].T, 0.0, None)
+            b /= b.sum(axis=1, keepdims=True)
+            snap = b.max(axis=1) >= 1.0 - 1e-12
+            if snap.any():
+                hot = np.argmax(b[snap], axis=1)
+                b[snap] = 0.0
+                b[np.flatnonzero(snap), hot] = 1.0
+            bary_out[block] = b
         return tri_out, bary_out
-
-    def _resolve(self, points, pending, cands, tri_out, bary_out, lower=-_BARY_TOL):
-        bary = self._barycentric(points[pending], cands)
-        minb = bary.min(axis=-1)
-        ok = (minb >= lower) & (cands >= 0)
-        # lowest triangle index wins among admissible candidates
-        ranked = np.where(ok, cands, np.iinfo(np.int64).max)
-        pick = np.argmin(ranked, axis=1)
-        found = ok[np.arange(pending.size), pick]
-        rows = np.flatnonzero(found)
-        sel = pending[rows]
-        tri_out[sel] = cands[rows, pick[rows]]
-        b = bary[rows, pick[rows]]
-        b = np.clip(b, 0.0, None)
-        b /= b.sum(axis=1, keepdims=True)
-        snap = b.max(axis=1) >= 1.0 - 1e-12
-        if snap.any():
-            hot = np.argmax(b[snap], axis=1)
-            b[snap] = 0.0
-            b[np.flatnonzero(snap), hot] = 1.0
-        bary_out[sel] = b
-        return pending[~found]
 
 
 def locate_points(locator: Locator, points: np.ndarray):

@@ -2,6 +2,7 @@
 import dataclasses
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -406,6 +407,46 @@ def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
     with pytest.raises((PointLocationError, ValueError, LinearSolverError),
                        match="planted failure at step 1.25"):
         driver._take_step(state, w, [1.0, 1.25, 1.5], data, config)
+
+
+def test_a_losing_candidate_is_freed_before_the_next_is_built(monkeypatch):
+    # Each candidate state holds a SuperLU factor.  While one is built, the
+    # only earlier candidate of the step that may be alive is the best among
+    # the alphas (the first lowest objective); a loser or an earlier halving
+    # must be freed already.
+    steps = [newton_step_setup(), step_setup(0.9)]
+    retract, mesh_state = shape.retract, qp.MeshState
+    step_of, built = {}, []
+
+    def recorded_retract(m, extension, step):
+        moved = retract(m, extension, step)
+        step_of[id(moved)] = step
+        return moved
+
+    def checked_state(assembly):
+        pooled = [(objective, i) for i, (step, objective, _) in enumerate(built)
+                  if step in alphas]
+        alive = {i for i, (_, _, ref) in enumerate(built) if ref() is not None}
+        assert alive <= ({min(pooled)[1]} if pooled else set())
+        state = mesh_state(assembly)
+        built.append((step_of[id(assembly.mesh)], state.objective, weakref.ref(state)))
+        return state
+
+    monkeypatch.setattr(shape, "retract", recorded_retract)
+    monkeypatch.setattr(qp, "MeshState", checked_state)
+    state, w, data, config = steps[0]
+    alphas, accepted = [1.0, 1.25, 1.5], []
+    for _ in range(2):
+        built.clear()
+        state, alpha = driver._take_step(state, w, alphas, data, config)
+        accepted.append(alpha)
+        w = qp.solve_qp_cg(qp.QpWorkspace(state, cg_tol=config.cg_tol)).w
+    assert accepted == [1.5, 1.0]  # at 1.0 the losing 1.25 goes before 1.5 is built
+    state, w, data, config = steps[1]
+    alphas = [1.0]
+    built.clear()
+    driver._take_step(state, w, alphas, data, config)
+    assert len(built) >= 3  # rejected halvings go before the next is built
 
 
 def test_solvers_attach_nothing_to_meshes():

@@ -567,6 +567,44 @@ def test_locate_edge_midpoints_lowest_triangle_wins():
     np.testing.assert_array_equal(tri, np.argmax(containing, axis=0))
 
 
+def edge_midpoints(m):
+    t = m.triangles
+    edges = np.unique(np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
+                              axis=1), axis=0)
+    return 0.5 * (m.vertices[edges[:, 0]] + m.vertices[edges[:, 1]])
+
+
+def test_locate_in_the_oracle_matches_a_brute_force_search():
+    # The oracle's grid lines carry every vertex and edge midpoint of the
+    # working levels, so these points sit on shared edges and vertices, where
+    # the lowest admissible triangle index must win.
+    config = driver.ExperimentConfig(n=6)
+    oracle = driver.generate_data(config).field.mesh
+    working = [driver.mesh_at_level(config, level) for level in (1, 2)]
+    pts = np.vstack([m.vertices for m in working] + [edge_midpoints(m) for m in working]
+                    + [driver.initial_mesh(config, level).vertices for level in (1, 2)])
+    tri, bary = mm.locate_points(mm.Locator(oracle), pts)
+    p = oracle.vertices[oracle.triangles]                           # (T, 3, 2)
+    inv = np.linalg.inv(np.concatenate(
+        [p.transpose(0, 2, 1), np.ones((oracle.n_triangles, 1, 3))], axis=1))
+    # (T, P, 3): the barycentrics of every point in every triangle
+    want = np.einsum("tij,pj->tpi", inv, np.column_stack([pts, np.ones(len(pts))]))
+    want_tri = np.argmax(want.min(axis=-1) >= -mm._BARY_TOL, axis=0)
+    np.testing.assert_array_equal(tri, want_tri)
+    np.testing.assert_allclose(bary, want[want_tri, np.arange(len(pts))], rtol=0, atol=1e-12)
+
+
+def test_locator_refuses_a_mesh_that_is_not_a_uniform_grid():
+    m = mm.build_template(4)
+    nudged = m.vertices.copy()
+    nudged[6, 0] += 1e-6  # the interior vertex (0.25, 0.25)
+    for moved in (mm.TriMesh(nudged, m.triangles, m.subdomain, m.outer_boundary_nodes,
+                             m.interface_nodes),
+                  driver.initial_mesh(driver.ExperimentConfig(n=4), 1)):
+        with pytest.raises(ValueError, match="not a uniform 4 x 4 grid"):
+            mm.Locator(moved)
+
+
 def test_locate_repeatable():
     m = mm.build_template(6)
     pts = np.random.default_rng(0).uniform(size=(64, 2))
@@ -577,7 +615,8 @@ def test_locate_repeatable():
     np.testing.assert_array_equal(b1, b2)
 
 
-@pytest.mark.parametrize("x", [[-1e-3, 0.5], [1.001, 0.5], [0.5, -0.01]])
+@pytest.mark.parametrize("x", [[-1e-3, 0.5], [1.001, 0.5], [0.5, -0.01], [np.nan, 0.5],
+                               [0.5, np.inf]])
 def test_locate_outside_raises(x):
     m = mm.build_template(4)
     with pytest.raises(PointLocationError):
