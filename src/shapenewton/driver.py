@@ -240,6 +240,9 @@ def _take_step(state: qp.MeshState, w: shape.InterfaceField, alphas: list[float]
     if best is not None and best[0].objective <= limit:
         return best
 
+    # The best candidate was rejected: free it, with its factor, and the last
+    # assembly before the halvings factor theirs.
+    best = candidate = assembly = None
     alpha = min(alphas)
     for _ in range(_MAX_HALVINGS):
         alpha *= 0.5

@@ -57,10 +57,8 @@ def assemble_load_piecewise(mesh: TriMesh, f1: float, f2: float) -> np.ndarray:
     """Load vector for a source that is constant on each subdomain."""
     _, _, area = p1_gradients(mesh)
     f = np.where(mesh.subdomain == 1, f1, f2)
-    contrib = (area * f / 3.0)[:, None] * np.ones(3)
-    load = np.zeros(mesh.n_vertices)
-    np.add.at(load, mesh.triangles, contrib)
-    return load
+    contrib = np.repeat(area * f / 3.0, 3)
+    return np.bincount(mesh.triangles.ravel(), contrib, minlength=mesh.n_vertices)
 
 
 def assemble_load_function(mesh: TriMesh, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -74,9 +72,8 @@ def assemble_load_function(mesh: TriMesh, f: Callable[[np.ndarray], np.ndarray])
     w[:, 0] = fm[:, 0] + fm[:, 2]
     w[:, 1] = fm[:, 1] + fm[:, 0]
     w[:, 2] = fm[:, 2] + fm[:, 1]
-    load = np.zeros(mesh.n_vertices)
-    np.add.at(load, mesh.triangles, area[:, None] / 6.0 * w)
-    return load
+    return np.bincount(mesh.triangles.ravel(), (area[:, None] / 6.0 * w).ravel(),
+                       minlength=mesh.n_vertices)
 
 
 class DirichletSolver:

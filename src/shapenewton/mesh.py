@@ -126,7 +126,10 @@ def _unique_edges(mesh: TriMesh):
     order = np.argsort(keys, kind="stable")
     keys_sorted = keys[order]
     tris_sorted = tris[order]
-    uniq, start, counts = np.unique(keys_sorted, return_index=True, return_counts=True)
+    # The keys are sorted already: each run of equal keys is one edge.
+    start = np.flatnonzero(np.diff(keys_sorted, prepend=-1))
+    uniq = keys_sorted[start]
+    counts = np.diff(start, append=keys_sorted.shape[0])
     first = tris_sorted[start]
     second = np.full(uniq.shape[0], -1, dtype=np.int64)
     has_two = counts >= 2

@@ -410,11 +410,11 @@ def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
 
 
 def test_a_losing_candidate_is_freed_before_the_next_is_built(monkeypatch):
-    # Each candidate state holds a SuperLU factor.  While one is built, the
-    # only earlier candidate of the step that may be alive is the best among
-    # the alphas (the first lowest objective); a loser or an earlier halving
-    # must be freed already.
-    steps = [newton_step_setup(), step_setup(0.9)]
+    # Each candidate state holds a SuperLU factor.  While one of the alphas
+    # is built, the only earlier candidate of the step that may be alive is
+    # the best so far (the first lowest objective).  A halving is built only
+    # after that best was rejected, so no earlier candidate may be alive then.
+    steps = [newton_step_setup(), step_setup(0.4)]
     retract, mesh_state = shape.retract, qp.MeshState
     step_of, built = {}, []
 
@@ -424,12 +424,13 @@ def test_a_losing_candidate_is_freed_before_the_next_is_built(monkeypatch):
         return moved
 
     def checked_state(assembly):
-        pooled = [(objective, i) for i, (step, objective, _) in enumerate(built)
-                  if step in alphas]
+        step = step_of[id(assembly.mesh)]
+        pooled = [(objective, i) for i, (s, objective, _) in enumerate(built)
+                  if s in alphas]
         alive = {i for i, (_, _, ref) in enumerate(built) if ref() is not None}
-        assert alive <= ({min(pooled)[1]} if pooled else set())
+        assert alive <= ({min(pooled)[1]} if pooled and step in alphas else set())
         state = mesh_state(assembly)
-        built.append((step_of[id(assembly.mesh)], state.objective, weakref.ref(state)))
+        built.append((step, state.objective, weakref.ref(state)))
         return state
 
     monkeypatch.setattr(shape, "retract", recorded_retract)
@@ -446,7 +447,9 @@ def test_a_losing_candidate_is_freed_before_the_next_is_built(monkeypatch):
     alphas = [1.0]
     built.clear()
     driver._take_step(state, w, alphas, data, config)
-    assert len(built) >= 3  # rejected halvings go before the next is built
+    # The pooled 1.0 is valid but rejected: it, and each rejected halving,
+    # goes before the next halving is built.
+    assert len(built) >= 3 and built[0][0] == 1.0
 
 
 def test_solvers_attach_nothing_to_meshes():

@@ -87,6 +87,24 @@ def test_load_piecewise_total_source():
     assert abs(uniform.sum() - 1.0) < 1e-13
 
 
+def test_loads_match_an_add_at_oracle():
+    # Summed per vertex in triangle order, bit for bit.
+    m = mm.refine_uniform(mm.build_template(6))
+    _, _, area = mm.p1_gradients(m)
+    expected = np.zeros(m.n_vertices)
+    np.add.at(expected, m.triangles, (area * np.where(m.subdomain == 1, 7.0, -3.0) / 3.0)[:, None]
+              * np.ones(3))
+    np.testing.assert_array_equal(fem.assemble_load_piecewise(m, 7.0, -3.0), expected)
+
+    p = m.vertices[m.triangles]
+    mids = 0.5 * (p + np.roll(p, -1, axis=1))
+    fm = np.exp(mids[..., 0]) * np.cos(mids[..., 1])
+    expected = np.zeros(m.n_vertices)
+    np.add.at(expected, m.triangles, area[:, None] / 6.0 * (fm + np.roll(fm, 1, axis=1)))
+    load = fem.assemble_load_function(m, lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]))
+    np.testing.assert_array_equal(load, expected)
+
+
 def test_misfit_constant_offset():
     m = mm.build_template(6)
     y = fem.NodalField(m, np.full(m.n_vertices, 3.0))

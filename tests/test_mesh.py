@@ -75,6 +75,20 @@ def test_refine_straight_interface_stays_exact():
     np.testing.assert_array_equal(pts[:, 1], np.arange(9) / 8.0)
 
 
+def test_unique_edges_match_an_np_unique_oracle():
+    m = mm.refine_uniform(mm.build_template(6))
+    t = m.triangles
+    keys = mm._edge_key(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), m.n_vertices)
+    order = np.argsort(keys, kind="stable")
+    uniq, start, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    tris = np.tile(np.arange(m.n_triangles), 3)[order]
+    second = np.where(counts == 2, tris[np.minimum(start + 1, keys.size - 1)], -1)
+    got = mm._unique_edges(m)
+    for a, b in zip(got, (uniq, counts, tris[start], second)):
+        np.testing.assert_array_equal(a, b)
+    assert set(np.unique(counts)) == {1, 2}
+
+
 def test_mesh_arrays_immutable():
     m = mm.build_template(2)
     with pytest.raises(ValueError):

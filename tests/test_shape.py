@@ -1,7 +1,11 @@
 """Interface geometry, shape gradient, retraction and distance tests."""
 import gc
+import json
 import logging
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,6 +387,39 @@ def test_start_curve_offset_integral_is_calibrated():
     coarse = shape.bspline_initial_interface(55)
     assert shape.polyline_distance(coarse) == pytest.approx(
         shape.START_OFFSET_INTEGRAL, rel=5e-2)
+
+
+@pytest.mark.parametrize("m", [3, 5, 55, 217, 433])
+def test_start_curve_matches_scipy_natural_spline(m):
+    from scipy.interpolate import CubicSpline
+
+    b = shape._KNOT_OFFSET
+    spline = CubicSpline([0.0, 0.3, 0.7, 1.0], [0.0, -b, b, 0.0], bc_type="natural")
+    y = np.arange(m) / (m - 1)
+    pts = shape.bspline_initial_interface(m)
+    np.testing.assert_array_equal(pts[:, 1], y)
+    np.testing.assert_allclose(pts[:, 0], 0.5 + spline(y), rtol=0, atol=1e-15)
+
+
+GUARD = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import shapenewton
+shapenewton.generate_data(shapenewton.ExperimentConfig(n=8, levels=1))
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_the_package_loads_neither_scipy_interpolate_nor_optimize():
+    # Each pulls in more of scipy (special, fft, spatial) and costs a
+    # fresh interpreter about 0.3 s of set-up; the package needs neither.
+    src = Path(shape.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", GUARD, str(src)], capture_output=True,
+                          text=True, timeout=120, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert "shapenewton.driver" in loaded
+    assert [k for k in loaded
+            if k.startswith(("scipy.interpolate", "scipy.optimize"))] == []
 
 
 def test_objective_adds_misfit_and_length_penalty():
