@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fem, qp, shape
 from .errors import ConfigError, MeshInvariantError, StepFailureError
-from .mesh import Locator, TriMesh, build_template, refine_uniform
+from .mesh import Locator, TriMesh, build_template, refine_uniform, solve_lattice_poisson
 
 log = logging.getLogger(__name__)
 
@@ -127,6 +127,14 @@ class DataOracle:
     field: fem.NodalField
     locator: Locator
 
+    @classmethod
+    def on_lattice(cls, mesh: TriMesh, f1: float, f2: float) -> DataOracle:
+        """The state with sources f1, f2 on a uniform lattice mesh, solved by
+        mesh.solve_lattice_poisson, with the mesh's locator."""
+        values = solve_lattice_poisson(mesh, fem.assemble_stiffness(mesh),
+                                       fem.assemble_load_piecewise(mesh, f1, f2))
+        return cls(field=fem.NodalField(mesh, values), locator=Locator(mesh))
+
     def sample(self, target: TriMesh) -> fem.NodalField:
         values = fem.evaluate_field(self.locator, self.field, target.vertices)
         return fem.NodalField(mesh=target, values=values)
@@ -135,14 +143,15 @@ class DataOracle:
 def generate_data(config: ExperimentConfig) -> DataOracle:
     """Solve the state equation on a straight-interface mesh refined two
     levels above the coarse working mesh, and never coarser than the finest
-    working level."""
+    working level.  That mesh is a uniform lattice, so the solve is
+    DataOracle.on_lattice's preconditioned CG, not a SuperLU factor."""
     m = build_template(config.n)
     for _ in range(max(2, config.levels - 1)):
         m = refine_uniform(m)
-    y = fem.solve_state(m, config.f1, config.f2)
-    if y.values.min() < -1e-9:
+    data = DataOracle.on_lattice(m, config.f1, config.f2)
+    if data.field.values.min() < -1e-9:
         raise StepFailureError("reference observation is not nonnegative")
-    return DataOracle(field=y, locator=Locator(m))
+    return data
 
 
 def mesh_at_level(config: ExperimentConfig, level: int) -> TriMesh:

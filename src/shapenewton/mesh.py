@@ -6,10 +6,11 @@ subdomain 2 right.  Construction and refinement preserve that structure and
 validate it in full; deformation keeps the connectivity and re-checks only
 the invariants that moving vertices can break.
 
-The module also holds the solver's two linear-algebra building blocks: the
-one factored Dirichlet system (DirichletSystem) and the one conjugate-gradient
-loop (pcg), which both the elastic extension here and the Newton system in qp
-run.
+The module also holds the solver's linear-algebra building blocks: the one
+factored Dirichlet system (DirichletSystem), the one conjugate-gradient loop
+(pcg), which both the elastic extension here and the Newton system in qp run,
+and the data oracle's Poisson solve on a uniform lattice, which runs pcg too
+and factors nothing (solve_lattice_poisson).
 """
 from __future__ import annotations
 
@@ -33,9 +34,9 @@ _CELL_SLACK = 4 * _BARY_TOL
 
 # Largest relative residual ||K_ff x_f - b_f|| / ||b_f|| of a Dirichlet solve.
 _RESIDUAL_TOL = 1e-10
-# The elastic extension's conjugate gradients stop at this relative residual
-# and fail after _PCG_MAX_ITERS iterations; with the Laplacian preconditioner
-# they take about 15 on every mesh.
+# The conjugate gradients of the elastic extension and of the lattice Poisson
+# solve stop at this relative residual and fail after _PCG_MAX_ITERS
+# iterations; the extension takes about 15 on every mesh, the lattice solve 2.
 _PCG_TOL = 1e-12
 _PCG_MAX_ITERS = 100
 
@@ -462,9 +463,18 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement: np.ndarray,
     u = np.zeros((mesh.n_vertices, 2))
     u[mesh.interface_nodes] = g
     rhs = -((stiffness @ u)[free] + div_div(u)).ravel()
-    x, norms, _, converged = pcg(
-        operator, rhs, lambda r: laplacian.solve_free(r.reshape(-1, 2)).ravel(),
-        np.dot, _PCG_TOL, _PCG_MAX_ITERS)
+    x = _checked_pcg(operator, rhs,
+                     lambda r: laplacian.solve_free(r.reshape(-1, 2)).ravel())
+    u[free] = x.reshape(-1, 2)
+    return DeformationField(mesh=mesh, displacement=u)
+
+
+def _checked_pcg(operator, rhs: np.ndarray, precondition) -> np.ndarray:
+    """pcg in the Euclidean inner product to _PCG_TOL; raises
+    LinearSolverError when it stops unconverged or its answer misses
+    _RESIDUAL_TOL on the true residual."""
+    x, norms, _, converged = pcg(operator, rhs, precondition, np.dot, _PCG_TOL,
+                                 _PCG_MAX_ITERS)
     if not converged:
         raise LinearSolverError(
             f"conjugate gradients stopped after {len(norms) - 1} iterations at "
@@ -473,8 +483,63 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement: np.ndarray,
     if not resid <= _RESIDUAL_TOL * norms[0]:  # NaN fails too
         raise LinearSolverError(
             f"relative residual {resid / norms[0]:.3e} exceeds {_RESIDUAL_TOL:.1e}")
-    u[free] = x.reshape(-1, 2)
-    return DeformationField(mesh=mesh, displacement=u)
+    return x
+
+
+def lattice(mesh: TriMesh):
+    """(N, the integer lattice point (i, j) of each vertex, the cell i + N j
+    of each triangle) of a uniformly refined template: a grid of N x N square
+    cells, N read from the 2 N^2 triangles, with two triangles each.  Any
+    other mesh, a moved one included, raises ValueError."""
+    n = math.isqrt(mesh.n_triangles // 2)
+    scaled = mesh.vertices * n
+    ij = np.rint(scaled).astype(np.int64)
+    # A triangle is filed under the lower-left corner of its bounding box.
+    lo = ij[mesh.triangles.T].min(axis=0)
+    cell = lo[:, 0] + n * lo[:, 1]
+    if (2 * n * n != mesh.n_triangles or mesh.n_vertices != (n + 1) ** 2
+            or not np.abs(scaled - ij).max() <= _BARY_TOL
+            or not (np.bincount(cell, minlength=n * n) == 2).all()):
+        raise ValueError(f"mesh is not a uniform {n} x {n} grid of cells with "
+                         "two triangles each and vertices on the lattice")
+    return n, ij, cell
+
+
+def _lattice_laplacian_inverse(n: int):
+    """The inverse of the 5-point Laplacian on the (n-1) x (n-1) interior
+    lattice, applied to an (n-1, n-1) array by a 2-D DST-I: with the
+    orthogonal S = sqrt(2/n) sin(pi j k / n) and the eigenvalues
+    l_k = 2 - 2 cos(pi k / n) of tridiag(-1, 2, -1), X = S ((S B S) / (l_j + l_k)) S."""
+    k = np.arange(1, n)
+    s = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
+    lam = 2.0 - 2.0 * np.cos(np.pi * k / n)
+    denominator = lam[:, None] + lam[None, :]
+    return lambda b: s @ ((s @ b @ s) / denominator) @ s
+
+
+def solve_lattice_poisson(mesh: TriMesh, stiffness: sp.csr_matrix,
+                          load: np.ndarray) -> np.ndarray:
+    """Solve stiffness x = load, x = 0 on the outer boundary, on a uniform
+    lattice mesh (see lattice) without a factorization.  There the P1
+    stiffness is the 5-point Laplacian (the cell diagonals face right angles,
+    so their cotangent weights vanish), and pcg preconditioned by its exact
+    inverse takes about 2 iterations.  _checked_pcg tests the answer against
+    the stiffness, so a wrong preconditioner cannot return a wrong field."""
+    n, ij, _ = lattice(mesh)
+    free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.outer_boundary_nodes)
+    kff = stiffness[free][:, free]
+    i, j = ij[free].T
+    inverse = _lattice_laplacian_inverse(n)
+
+    def precondition(r):
+        grid = np.zeros((n + 1, n + 1))
+        grid[j, i] = r
+        grid[1:-1, 1:-1] = inverse(grid[1:-1, 1:-1])
+        return grid[j, i]
+
+    x = np.zeros(mesh.n_vertices)
+    x[free] = _checked_pcg(lambda v: kff @ v, load[free], precondition)
+    return x
 
 
 def pcg(operator, b: np.ndarray, precondition, inner, tol: float, max_iters: int):
@@ -537,23 +602,12 @@ class Locator:
     """Point location by grid cell in a uniformly refined template, whose
     N x N square cells hold two triangles each; build it once per mesh.
 
-    N is read from the triangle count (2 N^2).  Any other mesh, a moved one
-    included, raises ValueError.
+    Any other mesh, a moved one included, raises ValueError (see lattice).
     """
 
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
-        n = math.isqrt(mesh.n_triangles // 2)
-        lattice = mesh.vertices * n
-        ij = np.rint(lattice)
-        # A triangle is filed under the lower-left corner of its bounding box.
-        lo = ij.astype(np.int64)[mesh.triangles.T].min(axis=0)
-        cell = lo[:, 0] + n * lo[:, 1]
-        if (2 * n * n != mesh.n_triangles
-                or not np.abs(lattice - ij).max() <= _BARY_TOL
-                or not (np.bincount(cell, minlength=n * n) == 2).all()):
-            raise ValueError(f"mesh is not a uniform {n} x {n} grid of cells with "
-                             "two triangles each and vertices on the lattice")
+        n, _, cell = lattice(mesh)
         self.n = n
         # (n^2, 2): the two triangles of cell ci + n cj, in ascending order.
         self.cells = np.argsort(cell, kind="stable").reshape(n * n, 2)
@@ -580,33 +634,38 @@ class Locator:
             raise PointLocationError(f"point {points[np.argmin(finite)]} is not finite")
         npts = points.shape[0]
         n = self.n
+        # The at most four cells within _CELL_SLACK of each point hold every
+        # triangle admissible for it.  A point that far from every cell edge
+        # has one cell and two candidates; the rest get the eight triangles
+        # of their four cells, repeats included, which do no harm.
+        ij = np.clip(np.floor(points[:, :, None] * n + [-_CELL_SLACK, _CELL_SLACK]),
+                     0, n - 1).astype(np.int64)
+        one_cell = (ij[:, :, 0] == ij[:, :, 1]).all(axis=1)
         tri_out = np.empty(npts, dtype=np.int64)
         bary_out = np.empty((npts, 3))
-        for block in np.array_split(np.arange(npts), max(1, npts // 8192)):
-            p = points[block]
-            # The at most four cells within _CELL_SLACK of each point hold
-            # every triangle admissible for it; repeated cells do no harm.
-            ij = np.clip(np.floor(p[:, :, None] * n + [-_CELL_SLACK, _CELL_SLACK]),
-                         0, n - 1).astype(np.int64)
-            cands = self.cells[ij[:, 0, :, None] + n * ij[:, 1, None, :]].reshape(-1, 8)
-            bary = self._barycentric(p, cands)
-            ok = bary.min(axis=0) >= -_BARY_TOL
-            # lowest triangle index wins among admissible candidates
-            pick = np.argmin(np.where(ok, cands, np.iinfo(np.int64).max), axis=1)
-            rows = np.arange(block.size)
-            missed = ~ok[rows, pick]
-            if missed.any():
-                raise PointLocationError(
-                    f"point {p[np.argmax(missed)]} lies outside the mesh")
-            tri_out[block] = cands[rows, pick]
-            b = np.clip(bary[:, rows, pick].T, 0.0, None)
-            b /= b.sum(axis=1, keepdims=True)
-            snap = b.max(axis=1) >= 1.0 - 1e-12
-            if snap.any():
-                hot = np.argmax(b[snap], axis=1)
-                b[snap] = 0.0
-                b[np.flatnonzero(snap), hot] = 1.0
-            bary_out[block] = b
+        for k, group in ((1, np.flatnonzero(one_cell)), (2, np.flatnonzero(~one_cell))):
+            for block in np.array_split(group, max(1, group.size // 8192)):
+                p, c = points[block], ij[block]
+                cands = self.cells[c[:, 0, :k, None]
+                                   + n * c[:, 1, None, :k]].reshape(-1, 2 * k * k)
+                bary = self._barycentric(p, cands)
+                ok = bary.min(axis=0) >= -_BARY_TOL
+                # lowest triangle index wins among admissible candidates
+                pick = np.argmin(np.where(ok, cands, np.iinfo(np.int64).max), axis=1)
+                rows = np.arange(block.size)
+                missed = ~ok[rows, pick]
+                if missed.any():
+                    raise PointLocationError(
+                        f"point {p[np.argmax(missed)]} lies outside the mesh")
+                tri_out[block] = cands[rows, pick]
+                b = np.clip(bary[:, rows, pick].T, 0.0, None)
+                b /= b.sum(axis=1, keepdims=True)
+                snap = b.max(axis=1) >= 1.0 - 1e-12
+                if snap.any():
+                    hot = np.argmax(b[snap], axis=1)
+                    b[snap] = 0.0
+                    b[np.flatnonzero(snap), hot] = 1.0
+                bary_out[block] = b
         return tri_out, bary_out
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import driver, fem, qp, shape
-from .mesh import Locator, build_template, refine_uniform
+from .mesh import build_template, refine_uniform
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,7 @@ def optimality_fixed_point() -> CheckResult:
 
     def residuals(n):
         m = build_template(n)
-        fine = refine_uniform(m)
-        data = driver.DataOracle(field=fem.solve_state(fine, 1000.0, 1.0),
-                                 locator=Locator(fine))
+        data = driver.DataOracle.on_lattice(refine_uniform(m), 1000.0, 1.0)
         ws = qp.QpWorkspace(qp.MeshState(
             qp.MeshAssembly(m, data.sample(m), 1000.0, 1.0, 10.0)))
         g = shape.shape_gradient(m, ws.state.geometry, ws.p, 1000.0, 1.0, 10.0)

@@ -101,6 +101,23 @@ def test_initial_mesh_levels_refine():
         driver.mesh_at_level(config, 0)
 
 
+def test_generate_data_factors_nothing(monkeypatch):
+    factors, splu = [], spla.splu
+
+    def counted(*args, **kwargs):
+        factors.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    config = driver.ExperimentConfig(n=8)
+    data = driver.generate_data(config)
+    assert factors == []
+    want = fem.solve_state(data.field.mesh, config.f1, config.f2).values
+    assert len(factors) == 1  # the counter sees the factored path
+    np.testing.assert_allclose(data.field.values, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
+
+
 def test_stationary_start_stops_immediately():
     # data generated on the working mesh itself makes the straight interface
     # a discrete fixed point, so the gradient test ends the run at once

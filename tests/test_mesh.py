@@ -402,13 +402,16 @@ def test_poisson_and_elastic_solves_share_one_dirichlet_path(monkeypatch):
 
 def test_newton_and_extension_share_one_cg_loop(monkeypatch):
     config = driver.ExperimentConfig(n=8, levels=1, max_sqp_iters=1)
-    data = driver.generate_data(config)
     start = driver.initial_mesh(config, 1)
-    callers, depth, outside = [], [0], []
+    callers, checked, depth, outside = [], [], [0], []
     pcg = mm.pcg
 
     def counted(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_checked_pcg":
+            frame = frame.f_back
+            checked.append(frame.f_code.co_name)
+        callers.append(frame.f_code.co_name)
         depth[0] += 1
         try:
             return pcg(*args)
@@ -431,12 +434,16 @@ def test_newton_and_extension_share_one_cg_loop(monkeypatch):
     monkeypatch.setattr(mm, "pcg", counted)
     monkeypatch.setattr(qp, "reduced_hessian_apply", hessian)
     monkeypatch.setattr(mm.DirichletSystem, "solve_free", preconditioner)
-    trace = driver.sqp_solve(config, data, 1, start=start)
-    # One Newton iteration: one CG solve of the reduced system and one of the
-    # step's extension, and every reduced-Hessian application and every
-    # elastic preconditioner solve happens inside mesh.pcg.
+    trace = driver.sqp_solve(config, driver.generate_data(config), 1, start=start)
+    # The data oracle's lattice solve, then one Newton iteration: one CG
+    # solve of the reduced system and one of the step's extension, and every
+    # reduced-Hessian application and every elastic preconditioner solve
+    # happens inside mesh.pcg.  The oracle and the extension run it through
+    # the same residual checks.
     assert trace.rows[0].cg_iterations > 0
-    assert sorted(callers) == ["solve_elastic_deformation", "solve_qp_cg"]
+    assert sorted(callers) == ["solve_elastic_deformation", "solve_lattice_poisson",
+                               "solve_qp_cg"]
+    assert sorted(checked) == ["solve_elastic_deformation", "solve_lattice_poisson"]
     assert outside == []
 
 
@@ -617,6 +624,67 @@ def test_locator_refuses_a_mesh_that_is_not_a_uniform_grid():
                   driver.initial_mesh(driver.ExperimentConfig(n=4), 1)):
         with pytest.raises(ValueError, match="not a uniform 4 x 4 grid"):
             mm.Locator(moved)
+
+
+def smooth_source(p):
+    return np.sin(np.pi * p[:, 0]) * np.exp(p[:, 1])
+
+
+@pytest.mark.parametrize("load", ["piecewise", "smooth"])
+@pytest.mark.parametrize("refinements", [0, 1, 2])
+def test_lattice_poisson_matches_the_factored_system(monkeypatch, refinements, load):
+    m = mm.build_template(8)  # alternating diagonals
+    for _ in range(refinements):
+        m = mm.refine_uniform(m)
+    b = (fem.assemble_load_piecewise(m, 1000.0, 1.0) if load == "piecewise"
+         else fem.assemble_load_function(m, smooth_source))
+    stiffness = mm.assemble_stiffness(m)
+    want = mm.DirichletSystem(stiffness, m.outer_boundary_nodes).solve(b)
+    iterations, pcg = [], mm.pcg
+
+    def counted(*args):
+        out = pcg(*args)
+        iterations.append(len(out[1]) - 1)
+        return out
+
+    monkeypatch.setattr(mm, "pcg", counted)
+    got = mm.solve_lattice_poisson(m, stiffness, b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    np.testing.assert_array_equal(got[m.outer_boundary_nodes], 0.0)
+    # The preconditioner is the stiffness's exact inverse.
+    assert len(iterations) == 1 and iterations[0] <= 3
+
+
+def test_lattice_solve_refuses_what_the_locator_refuses():
+    moved = driver.initial_mesh(driver.ExperimentConfig(n=4), 1)
+    with pytest.raises(ValueError) as located:
+        mm.Locator(moved)
+    with pytest.raises(ValueError) as solved:
+        mm.solve_lattice_poisson(moved, mm.assemble_stiffness(moved),
+                                 np.ones(moved.n_vertices))
+    assert str(solved.value) == str(located.value)
+    assert "not a uniform 4 x 4 grid" in str(solved.value)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["planted-right", "cosine-sign-flipped"])
+def test_a_wrong_lattice_preconditioner_fails_loudly(monkeypatch, sign):
+    def planted(n):
+        k = np.arange(1, n)
+        s = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
+        lam = 2.0 + sign * 2.0 * np.cos(np.pi * k / n)
+        denominator = lam[:, None] + lam[None, :]
+        return lambda b: s @ ((s @ b @ s) / denominator) @ s
+
+    m = mm.refine_uniform(mm.refine_uniform(mm.build_template(8)))
+    want = driver.DataOracle.on_lattice(m, 1000.0, 1.0).field.values
+    monkeypatch.setattr(mm, "_lattice_laplacian_inverse", planted)
+    if sign < 0.0:  # the plant itself is sound
+        got = driver.DataOracle.on_lattice(m, 1000.0, 1.0).field.values
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        return
+    with pytest.raises(LinearSolverError,
+                       match=f"stopped after {mm._PCG_MAX_ITERS} iterations"):
+        driver.DataOracle.on_lattice(m, 1000.0, 1.0)
 
 
 def test_locate_repeatable():
