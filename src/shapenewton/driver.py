@@ -9,7 +9,6 @@ actually taken.
 from __future__ import annotations
 
 import logging
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -49,6 +48,9 @@ class ExperimentConfig:
     baseline_scaling: float = 1e4
 
     def __post_init__(self):
+        for name in ("f1", "f2", "mu", "cg_tol", "step_length", "baseline_scaling"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.f1 == self.f2:
             raise ConfigError("f1 and f2 must differ")
         if self.mu <= 0.0:
@@ -145,9 +147,7 @@ def generate_data(config: ExperimentConfig) -> DataOracle:
     levels above the coarse working mesh, and never coarser than the finest
     working level.  That mesh is a uniform lattice, so the solve is
     DataOracle.on_lattice's preconditioned CG, not a SuperLU factor."""
-    m = build_template(config.n)
-    for _ in range(max(2, config.levels - 1)):
-        m = refine_uniform(m)
+    m = mesh_at_level(config, 1 + max(2, config.levels - 1))
     data = DataOracle.on_lattice(m, config.f1, config.f2)
     if data.field.values.min() < -1e-9:
         raise StepFailureError("reference observation is not nonnegative")
@@ -199,22 +199,23 @@ def _take_step(state: qp.MeshState, w: shape.InterfaceField, alphas: list[float]
     """Choose a step length along w; return it with the accepted trial's
     state, which the next iteration's workspace reuses.
 
-    Each candidate is tried once, skipping any whose mesh is invalid, and the
-    lowest objective is accepted if within ACCEPT_FACTOR of the current one;
-    the first in alphas order wins a tie.  Otherwise the step is halved from
-    the smallest candidate, up to _MAX_HALVINGS times, until a trial is.
-    This is the solver's only halving loop.  The step w is extended to the
-    volume once, on the stiffness the state already holds, and each trial
-    scales that extension: a step costs one elastic solve and at most
-    len(alphas) + _MAX_HALVINGS trial meshes.
+    The lengths come in batches: first alphas, then min(alphas) * 0.5**k
+    for k = 1.._MAX_HALVINGS, one at a time.  Each length is tried once,
+    skipping any whose mesh is invalid, and a batch's lowest objective, the
+    first in order on a tie, is accepted if within ACCEPT_FACTOR of the
+    current one.  This is the solver's only halving loop.  The step w is
+    extended to the volume once, on the stiffness the state already holds,
+    and each trial scales that extension: a step costs one elastic solve and
+    at most len(alphas) + _MAX_HALVINGS trial meshes.
 
-    The candidates' meshes are moved, sampled and assembled concurrently,
-    on min(len(alphas), usable CPUs) threads, while this thread factors each
-    candidate's stiffness and solves its state in alphas order.  The
-    factorizations stay on this thread because scipy's SuperLU frees a
-    factor only on the thread that made it.  The halvings run one at a
-    time.  Only a MeshInvariantError makes a trial invalid; any other error
-    propagates.
+    One worker thread moves, samples and assembles each trial ahead of this
+    thread, which factors each trial's stiffness and solves its state in
+    order.  The factorizations stay on this thread because scipy's SuperLU
+    frees a factor only on the thread that made it.  A trial (about 0.1 s at
+    level 3) costs less than a factor and a state solve (about 0.13 s), so
+    one worker keeps this thread busy; on a 2-CPU machine it matched a pool
+    sized by the CPU count and beat three workers.  Only a
+    MeshInvariantError makes a trial invalid; any other error propagates.
     """
     mesh = state.mesh
     limit = ACCEPT_FACTOR * state.objective
@@ -229,36 +230,24 @@ def _take_step(state: qp.MeshState, w: shape.InterfaceField, alphas: list[float]
             return None
         return _assemble(moved, data.sample(moved), config)
 
-    def evaluate(assembly):
-        return None if assembly is None else qp.MeshState(assembly)
-
-    best = None
-    # sched_getaffinity exists only on some platforms.
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(len(alphas), cpus)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for alpha, assembly in zip(alphas, pool.map(trial, alphas)):
-            # Drop a losing candidate, and its factor, before the next one
-            # factors: only the best and the one being built stay alive.
-            candidate = None
-            candidate = evaluate(assembly)
-            if candidate is not None and (best is None
-                                          or candidate.objective < best[0].objective):
-                best = (candidate, alpha)
-    if best is not None and best[0].objective <= limit:
-        return best
-
-    # The best candidate was rejected: free it, with its factor, and the last
-    # assembly before the halvings factor theirs.
-    best = candidate = assembly = None
-    alpha = min(alphas)
-    for _ in range(_MAX_HALVINGS):
-        alpha *= 0.5
-        candidate = None
-        candidate = evaluate(trial(alpha))
-        if candidate is not None and candidate.objective <= limit:
-            return candidate, alpha
+    shortest = min(alphas)
+    batches = [alphas] + [[shortest * 0.5 ** k] for k in range(1, _MAX_HALVINGS + 1)]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for batch in batches:
+            # Free the last batch's rejected best, with its factor, and its
+            # last assembly before this batch factors.
+            best = candidate = assembly = None
+            for alpha, assembly in zip(batch, pool.map(trial, batch)):
+                # Drop a losing candidate, and its factor, before the next
+                # one factors: only the best and the one being built stay
+                # alive.
+                candidate = None
+                candidate = None if assembly is None else qp.MeshState(assembly)
+                if candidate is not None and (best is None
+                                              or candidate.objective < best[0].objective):
+                    best = (candidate, alpha)
+            if best is not None and best[0].objective <= limit:
+                return best
     raise StepFailureError(f"no acceptable step length in {len(alphas)} candidates "
                            f"and {_MAX_HALVINGS} halvings")
 
@@ -311,14 +300,15 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     Each iteration solves the quadratic subproblem by conjugate gradients and
     steps along the resulting normal displacement.  With line_search enabled
     the step length is chosen among {1, 1.25, 1.5} times the configured
-    length by objective value, the candidates moved, sampled and assembled
-    concurrently (see _take_step); otherwise the configured length is used
+    length by objective value; otherwise the configured length is used
     directly.  Every trial length scales the step's one elastic extension,
     solved by Laplacian-preconditioned CG on the state's own stiffness.
     When no candidate is acceptable, the step is halved from the smallest
     one at most _MAX_HALVINGS times before the run fails with
-    StepFailureError.  The run starts from the reference curve unless an
-    explicit start mesh is given.
+    StepFailureError.  The candidates and the halvings run through one loop
+    whose one worker thread moves, samples and assembles each trial ahead of
+    the factorizations (see _take_step).  The run starts from the reference
+    curve unless an explicit start mesh is given.
     CG that meets negative curvature, or stops above cg_tol, raises
     StepFailureError.
     """

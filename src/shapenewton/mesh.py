@@ -116,8 +116,10 @@ def _edge_key(pairs: np.ndarray, n_vertices: int) -> np.ndarray:
 def _unique_edges(mesh: TriMesh):
     """All undirected edges with incidence counts and incident triangles.
 
-    Returns (keys sorted ascending, counts, tri_of_first, tri_of_second);
-    tri_of_second is -1 for boundary edges.
+    Returns (keys sorted ascending, counts, tri_of_first, tri_of_second,
+    inverse); tri_of_second is -1 for boundary edges, and inverse maps each
+    triangle edge, in the order edges (0, 1), then (1, 2), then (2, 0) of
+    every triangle, to its key's index, as np.unique's return_inverse does.
     """
     t = mesh.triangles
     nt = t.shape[0]
@@ -135,7 +137,9 @@ def _unique_edges(mesh: TriMesh):
     second = np.full(uniq.shape[0], -1, dtype=np.int64)
     has_two = counts >= 2
     second[has_two] = tris_sorted[start[has_two] + 1]
-    return uniq, counts, first, second
+    inverse = np.empty_like(order)
+    inverse[order] = np.repeat(np.arange(uniq.shape[0]), counts)
+    return uniq, counts, first, second, inverse
 
 
 def validate(mesh: TriMesh) -> None:
@@ -151,7 +155,7 @@ def validate(mesh: TriMesh) -> None:
         raise MeshInvariantError("interface polyline needs at least two nodes")
     _check_geometry(mesh)
 
-    uniq, counts, first, second = _unique_edges(mesh)
+    uniq, counts, first, second, _ = _unique_edges(mesh)
     ekeys = _edge_key(mesh.interface_edges, mesh.n_vertices)
     pos = np.searchsorted(uniq, ekeys)
     missing = (pos >= uniq.shape[0]) | (uniq[np.clip(pos, 0, uniq.shape[0] - 1)] != ekeys)
@@ -294,9 +298,7 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
     t = mesh.triangles
     nt = t.shape[0]
     nv = mesh.n_vertices
-    pairs = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    keys = _edge_key(pairs, nv)
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    uniq, counts, _, _, inverse = _unique_edges(mesh)
     lo = (uniq // nv).astype(np.int64)
     hi = (uniq % nv).astype(np.int64)
     mid_coords = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
@@ -314,11 +316,9 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
     triangles = children.reshape(-1, 3)
     subdomain = np.repeat(mesh.subdomain, 4)
 
-    edge_counts = np.bincount(inverse, minlength=uniq.shape[0])
-    bnd_edge = edge_counts == 1
     outer = np.unique(np.concatenate([
         mesh.outer_boundary_nodes,
-        nv + np.flatnonzero(bnd_edge),
+        nv + np.flatnonzero(counts == 1),
     ])).astype(np.int64)
 
     iedges = mesh.interface_edges

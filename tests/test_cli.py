@@ -41,6 +41,12 @@ def test_invalid_config_combination_exits_one(tmp_path, capsys):
     assert "f1" in capsys.readouterr().err
 
 
+def test_non_finite_cg_tol_exits_one(tmp_path, capsys):
+    code = cli.main(["solve", "--out", str(tmp_path / "out"), "--cg-tol", "nan"])
+    assert code == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_config_file_round_trips_every_field(tmp_path):
     config = driver.ExperimentConfig(
         f1=500.0, f2=2.0, mu=3.5, n=16, levels=2, max_sqp_iters=4,

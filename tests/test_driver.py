@@ -1,6 +1,5 @@
 """Experiment driver: configuration, data generation, and the solver loops."""
 import dataclasses
-import os
 import threading
 import weakref
 
@@ -37,6 +36,13 @@ from shapenewton.mesh import (
     {"cg_tol": 0.0},
     {"step_length": 0.0},
     {"baseline_scaling": -2.0},
+    {"f1": float("nan")},
+    {"f2": float("inf")},
+    {"mu": float("nan")},
+    {"mu": float("inf")},
+    {"cg_tol": float("nan")},
+    {"step_length": float("inf")},
+    {"baseline_scaling": float("nan")},
 ])
 def test_config_rejects_invalid_values(kwargs):
     with pytest.raises(ConfigError):
@@ -351,15 +357,23 @@ def test_concurrent_candidates_match_a_serial_oracle(monkeypatch):
     assert_picks_the_oracle(accepted, alpha, best, state)
 
 
-def test_take_step_sizes_its_pool_without_sched_getaffinity(monkeypatch):
-    # os.sched_getaffinity exists only on some platforms; elsewhere the pool
-    # is sized by os.cpu_count().
-    state, w, data, config = newton_step_setup()
+def test_every_trial_is_sampled_on_one_worker_thread(monkeypatch):
+    # The candidates and the halvings share one worker: every sample of a
+    # step runs on the same thread, and never on the calling one.
+    state, w, data, config = step_setup(0.4)
+    sample, threads = driver.DataOracle.sample, []
+
+    def recorded(oracle, target):
+        threads.append(threading.current_thread())
+        return sample(oracle, target)
+
+    monkeypatch.setattr(driver.DataOracle, "sample", recorded)
     alphas = [1.0, 1.25, 1.5]
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    accepted, alpha = driver._take_step(state, w, alphas, data, config)
-    assert_picks_the_oracle(accepted, alpha,
-                            serial_oracle(state, w, alphas, data, config), state)
+    _, alpha = driver._take_step(state, w, alphas, data, config)
+    assert alpha < min(alphas)  # the step was halved
+    assert len(threads) > len(alphas)
+    assert len(set(threads)) == 1
+    assert threads[0] is not threading.main_thread()
 
 
 def test_a_step_assembles_one_stiffness_per_candidate(monkeypatch):

@@ -83,8 +83,10 @@ def test_unique_edges_match_an_np_unique_oracle():
     uniq, start, counts = np.unique(keys[order], return_index=True, return_counts=True)
     tris = np.tile(np.arange(m.n_triangles), 3)[order]
     second = np.where(counts == 2, tris[np.minimum(start + 1, keys.size - 1)], -1)
+    inverse = np.unique(keys, return_inverse=True)[1]
     got = mm._unique_edges(m)
-    for a, b in zip(got, (uniq, counts, tris[start], second)):
+    assert len(got) == 5
+    for a, b in zip(got, (uniq, counts, tris[start], second, inverse)):
         np.testing.assert_array_equal(a, b)
     assert set(np.unique(counts)) == {1, 2}
 
