@@ -8,6 +8,7 @@ flags override file values.  Exit codes: 0 success, 1 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -42,13 +43,13 @@ _CONFIG_PARSERS = {field.name: _TYPE_PARSERS[_CONFIG_TYPES[field.name]]
 def load_config_file(path) -> dict:
     """Parse a flat key=value configuration file.
 
-    Unknown keys and unparsable values are hard errors so that typos cannot
-    silently change an experiment.
+    Unknown or repeated keys and unparsable values are hard errors so that
+    typos cannot silently change an experiment.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -59,6 +60,10 @@ def load_config_file(path) -> dict:
         key = key.strip()
         if key not in _CONFIG_PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats "
+                              f"line {lines[key]}")
+        lines[key] = lineno
         try:
             values[key] = _CONFIG_PARSERS[key](text.strip())
         except ValueError as exc:
@@ -66,17 +71,18 @@ def load_config_file(path) -> dict:
     return values
 
 
+# Command-line flag -> the ExperimentConfig field it overrides.
+_FLAG_KEYS = {"alpha": "step_length", "scaling": "baseline_scaling", "cg_tol": "cg_tol"}
+
+
 def resolve_config(args) -> driver.ExperimentConfig:
     """Defaults, then config file, then command-line flag overrides."""
     values = {}
     if args.config is not None:
         values.update(load_config_file(args.config))
-    if getattr(args, "alpha", None) is not None:
-        values["step_length"] = args.alpha
-    if getattr(args, "scaling", None) is not None:
-        values["baseline_scaling"] = args.scaling
-    if getattr(args, "cg_tol", None) is not None:
-        values["cg_tol"] = args.cg_tol
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            values[key] = getattr(args, flag)
     return driver.ExperimentConfig(**values)
 
 
@@ -84,10 +90,13 @@ def prepare_output_dir(out, force: bool, config: driver.ExperimentConfig) -> Pat
     """Create the output directory and write the run manifest before any
     solver work starts."""
     out = Path(out)
-    if out.exists() and any(out.iterdir()) and not force:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at out or on its path, or no permission
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    if any(out.iterdir()) and not force:
         raise ConfigError(
             f"output directory {out} already has contents; pass --force to reuse")
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config": dataclasses.asdict(config),
         "output_dir": str(out.resolve()),
@@ -98,39 +107,23 @@ def prepare_output_dir(out, force: bool, config: driver.ExperimentConfig) -> Pat
     return out
 
 
-class _RunLog:
+@contextlib.contextmanager
+def _run_log(out: Path):
     """Attach a plain one-line-per-event log file for the duration of a run."""
-
-    def __init__(self, out: Path):
-        self.handler = logging.FileHandler(out / "run.log")
-        self.handler.setFormatter(logging.Formatter("%(message)s"))
-        self.handler.setLevel(logging.INFO)
-        self.logger = logging.getLogger("shapenewton")
-
-    def __enter__(self):
-        self.previous_level = self.logger.level
-        if self.logger.level == logging.NOTSET or self.logger.level > logging.INFO:
-            self.logger.setLevel(logging.INFO)
-        self.logger.addHandler(self.handler)
-        return self
-
-    def __exit__(self, *exc):
-        self.logger.removeHandler(self.handler)
-        self.logger.setLevel(self.previous_level)
-        self.handler.close()
-        return False
-
-
-def _snapshot_writer(out: Path):
-    def observer(row, snapshot):
-        tag = f"{row.iteration:03d}"
-        export.write_vtk(out / f"iter_{tag}.vtk", snapshot.mesh,
-                         {"y": snapshot.y, "p": snapshot.p},
-                         title=f"iteration {row.iteration}")
-        export.write_interface_csv(out / f"interface_{tag}.csv",
-                                   snapshot.geometry, snapshot.gradient.values)
-        log.info("wrote iter_%s.vtk and interface_%s.csv", tag, tag)
-    return observer
+    handler = logging.FileHandler(out / "run.log")
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    handler.setLevel(logging.INFO)
+    logger = logging.getLogger("shapenewton")
+    previous_level = logger.level
+    if previous_level == logging.NOTSET or previous_level > logging.INFO:
+        logger.setLevel(logging.INFO)
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous_level)
+        handler.close()
 
 
 _TRACE_HEADER = f"{'iter':>4}  {'dist':>12}  {'J':>12}  {'grad_norm':>12}  " \
@@ -146,67 +139,61 @@ def _trace_table(rows) -> str:
     return "\n".join(lines)
 
 
-def cmd_solve(args) -> int:
+def _run(args, solve):
+    """Resolve the config, prepare the run directory, and with its run log
+    attached call solve(config, write_snapshot) and write the returned
+    traces to trace.csv; return the config and the traces."""
     config = resolve_config(args)
     out = prepare_output_dir(args.out, args.force, config)
-    with _RunLog(out):
-        log.info("solve: level %d, config %s", args.level, config)
-        data = driver.generate_data(config)
-        log.info("data mesh: %d triangles, straight interface",
-                 data.field.mesh.n_triangles)
-        trace = driver.sqp_solve(config, data, level=args.level,
-                                 observer=_snapshot_writer(out))
-        export.write_trace_csv(out / "trace.csv", trace.rows)
+
+    def write_snapshot(row, snapshot):
+        tag = f"{row.iteration:03d}"
+        export.write_vtk(out / f"iter_{tag}.vtk", snapshot.mesh,
+                         {"y": snapshot.y, "p": snapshot.p},
+                         title=f"iteration {row.iteration}")
+        export.write_interface_csv(out / f"interface_{tag}.csv",
+                                   snapshot.geometry, snapshot.gradient.values)
+        log.info("wrote iter_%s.vtk and interface_%s.csv", tag, tag)
+
+    with _run_log(out):
+        log.info("%s: level %s, config %s", args.command,
+                 getattr(args, "level", f"1 to {config.levels}"), config)
+        traces = solve(config, write_snapshot)
+        export.write_trace_csv(out / "trace.csv",
+                               [row for trace in traces for row in trace.rows])
         log.info("wrote trace.csv")
+    return config, traces
+
+
+def cmd_solve(args) -> int:
+    _, (trace,) = _run(args, lambda config, observer: [driver.sqp_solve(
+        config, level=args.level, observer=observer)])
     print(f"level {trace.level}")
     print(_trace_table(trace.rows))
     return 0
 
 
 def cmd_baseline(args) -> int:
-    config = resolve_config(args)
-    out = prepare_output_dir(args.out, args.force, config)
-    with _RunLog(out):
-        log.info("baseline: level %d, scaling %g, config %s",
-                 args.level, config.baseline_scaling, config)
-        data = driver.generate_data(config)
-        trace = driver.steepest_descent_solve(config, data, level=args.level,
-                                              observer=_snapshot_writer(out))
-        export.write_trace_csv(out / "trace.csv", trace.rows)
-        log.info("wrote trace.csv")
+    config, (trace,) = _run(args, lambda config, observer: [
+        driver.steepest_descent_solve(config, level=args.level, observer=observer)])
     print(f"level {trace.level} (steepest descent, scaling {config.baseline_scaling:.7g})")
     print(_trace_table(trace.rows))
     dists = trace.dists
-    if len(dists) > 1:
-        best_drop = max((dists[i] - dists[i + 1]) / dists[i]
-                        for i in range(len(dists) - 1))
-        if best_drop <= 0.01:
-            print("warning: insufficient progress "
-                  f"(best per-iteration decrease {100 * best_drop:.7g}%)")
+    drops = (dists[:-1] - dists[1:]) / dists[:-1]
+    if drops.size and drops.max() <= 0.01:
+        print("warning: insufficient progress "
+              f"(best per-iteration decrease {100 * drops.max():.7g}%)")
     return 0
 
 
 def cmd_study(args) -> int:
-    config = resolve_config(args)
-    out = prepare_output_dir(args.out, args.force, config)
-    with _RunLog(out):
-        log.info("study: %d levels, config %s", config.levels, config)
-        traces = driver.convergence_study(config)
-        all_rows = [row for trace in traces for row in trace.rows]
-        export.write_trace_csv(out / "trace.csv", all_rows)
-        log.info("wrote trace.csv")
-    iters = max(len(t.rows) for t in traces)
-    header = f"{'iter':>4}" + "".join(f"  {'level ' + str(t.level):>12}"
-                                      for t in traces)
-    lines = [header]
-    for i in range(iters):
-        cells = [f"{i:>4}"]
-        for trace in traces:
-            if i < len(trace.rows):
-                cells.append(f"{trace.rows[i].dist:>12.7g}")
-            else:
-                cells.append(f"{'-':>12}")
-        lines.append("  ".join(cells))
+    # The study writes no per-iteration snapshots.
+    _, traces = _run(args, lambda config, observer: driver.convergence_study(config))
+    lines = [f"{'iter':>4}" + "".join(f"  {'level ' + str(t.level):>12}" for t in traces)]
+    for i in range(max(len(t.rows) for t in traces)):
+        cells = [f"{t.rows[i].dist:>12.7g}" if i < len(t.rows) else f"{'-':>12}"
+                 for t in traces]
+        lines.append("  ".join([f"{i:>4}"] + cells))
     print("\n".join(lines))
     return 0
 
@@ -237,17 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reuse a non-empty output directory")
         p.add_argument("--cg-tol", dest="cg_tol", type=float,
                        help="relative CG tolerance")
+        p.add_argument("--alpha", type=float, help="step length")
 
     p_solve = sub.add_parser("solve", help="run the SQP iteration on one level")
     add_common(p_solve)
     p_solve.add_argument("--level", type=int, default=1,
                          help="refinement level (1 = coarsest)")
-    p_solve.add_argument("--alpha", type=float, help="step length")
     p_solve.set_defaults(func=cmd_solve)
 
     p_study = sub.add_parser("study", help="run every refinement level")
     add_common(p_study)
-    p_study.add_argument("--alpha", type=float, help="step length")
     p_study.set_defaults(func=cmd_study)
 
     p_base = sub.add_parser("baseline",
@@ -255,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_base)
     p_base.add_argument("--level", type=int, default=1,
                         help="refinement level (1 = coarsest)")
-    p_base.add_argument("--alpha", type=float, help="step length")
     p_base.add_argument("--scaling", type=float, help="gradient scaling")
     p_base.set_defaults(func=cmd_baseline)
 

@@ -148,6 +148,7 @@ def generate_data(config: ExperimentConfig) -> DataOracle:
     working level.  That mesh is a uniform lattice, so the solve is
     DataOracle.on_lattice's preconditioned CG, not a SuperLU factor."""
     m = mesh_at_level(config, 1 + max(2, config.levels - 1))
+    log.info("data mesh: %d triangles, straight interface", m.n_triangles)
     data = DataOracle.on_lattice(m, config.f1, config.f2)
     if data.field.values.min() < -1e-9:
         raise StepFailureError("reference observation is not nonnegative")
@@ -252,10 +253,20 @@ def _take_step(state: qp.MeshState, w: shape.InterfaceField, alphas: list[float]
                            f"and {_MAX_HALVINGS} halvings")
 
 
-def _iterate(config: ExperimentConfig, data: DataOracle, level: int,
-             step_fn, observer=None, start: TriMesh | None = None) -> SqpTrace:
-    """Shared iteration loop; step_fn produces (w, cg_iterations, alphas)
-    from the workspace and the gradient."""
+def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
+             step_fn, alphas: list[float], observer=None,
+             start: TriMesh | None = None) -> SqpTrace:
+    """Shared iteration loop; step_fn produces (w, cg_iterations) from the
+    workspace and the gradient, and each step tries the lengths alphas.  A
+    working mesh finer than the data (default: generate_data) is an error."""
+    if data is None:
+        data = generate_data(config)
+    # Level L has 2 n^2 4^(L-1) triangles: check before initial_mesh builds it.
+    working = 2 * config.n ** 2 * 4 ** (level - 1) if start is None else start.n_triangles
+    oracle = data.field.mesh.n_triangles
+    if working > oracle:
+        raise ConfigError(f"level {level} has {working} triangles, more than the data "
+                          f"oracle's {oracle}; raise levels to at least {level}")
     first = initial_mesh(config, level) if start is None else start
     state = _evaluate(first, data.sample(first), config)
     rows = []
@@ -269,27 +280,23 @@ def _iterate(config: ExperimentConfig, data: DataOracle, level: int,
         dist = shape.dist_to_solution(cur)
         snapshot = IterationSnapshot(cur, state.geometry, state.y, ws.p, g)
 
-        if it == config.max_sqp_iters or grad_norm <= GRAD_TOL:
-            row = TraceRow(level, it, dist, value, grad_norm, 0, 0.0)
-            rows.append(row)
-            if observer is not None:
-                observer(row, snapshot)
-            log.info("level %d it %d: dist %.6g J %.6g |g| %.3g (stop)",
-                     level, it, dist, value, grad_norm)
-            break
-
-        try:
-            w, cg_iters, alphas = step_fn(ws, g)
-            state, alpha_used = _take_step(state, w, alphas, data, config)
-        except StepFailureError as exc:
-            raise StepFailureError(f"level {level} iteration {it}: {exc}") from exc
+        last = it == config.max_sqp_iters or grad_norm <= GRAD_TOL
+        cg_iters, alpha_used = 0, 0.0
+        if not last:
+            try:
+                w, cg_iters = step_fn(ws, g)
+                state, alpha_used = _take_step(state, w, alphas, data, config)
+            except StepFailureError as exc:
+                raise StepFailureError(f"level {level} iteration {it}: {exc}") from exc
         row = TraceRow(level, it, dist, value, grad_norm, cg_iters, alpha_used)
         rows.append(row)
         if observer is not None:
             observer(row, snapshot)
-        log.info("level %d it %d: dist %.6g J %.6g |g| %.3g cg %d alpha %g",
-                 level, it, dist, value, grad_norm, cg_iters, alpha_used)
-    return SqpTrace(level=level, rows=tuple(rows), mesh=cur)
+        log.info("level %d it %d: dist %.6g J %.6g |g| %.3g %s", level, it, dist,
+                 value, grad_norm,
+                 "(stop)" if last else f"cg {cg_iters} alpha {alpha_used:g}")
+        if last:
+            return SqpTrace(level=level, rows=tuple(rows), mesh=cur)
 
 
 def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
@@ -312,14 +319,8 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     CG that meets negative curvature, or stops above cg_tol, raises
     StepFailureError.
     """
-    if data is None:
-        data = generate_data(config)
-
-    if config.line_search:
-        alphas = [config.step_length, 1.25 * config.step_length,
-                  1.5 * config.step_length]
-    else:
-        alphas = [config.step_length]
+    scales = (1.0, 1.25, 1.5) if config.line_search else (1.0,)
+    alphas = [scale * config.step_length for scale in scales]
 
     def step_fn(ws, g):
         result = qp.solve_qp_cg(ws)
@@ -331,9 +332,9 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
                 f"CG stopped after {result.iterations} iterations at relative "
                 f"residual {result.residual_norm / result.residual_history[0]:.3e}, "
                 f"above cg_tol {ws.cg_tol:.1e}")
-        return result.w, result.iterations, alphas
+        return result.w, result.iterations
 
-    return _iterate(config, data, level, step_fn, observer, start)
+    return _iterate(config, data, level, step_fn, alphas, observer, start)
 
 
 def steepest_descent_solve(config: ExperimentConfig, data: DataOracle | None = None,
@@ -345,26 +346,19 @@ def steepest_descent_solve(config: ExperimentConfig, data: DataOracle | None = N
     jump and multiplied by baseline_scaling; acceptance and halving match the
     SQP driver.
     """
-    if data is None:
-        data = generate_data(config)
     jump_sq = (config.f1 - config.f2) ** 2
-    alphas = [config.step_length]
 
     def step_fn(ws, g):
-        w = shape.InterfaceField(
-            mesh=ws.state.mesh,
-            values=config.baseline_scaling * (-g.values) / jump_sq,
-        )
-        return w, 0, alphas
+        values = config.baseline_scaling * (-g.values) / jump_sq
+        return shape.InterfaceField(mesh=ws.state.mesh, values=values), 0
 
-    return _iterate(config, data, level, step_fn, observer, start)
+    return _iterate(config, data, level, step_fn, [config.step_length], observer,
+                    start)
 
 
 def convergence_study(config: ExperimentConfig, observer=None) -> list[SqpTrace]:
     """Run the SQP iteration on every refinement level against one shared
     data oracle and return the traces, coarsest first."""
     data = generate_data(config)
-    traces = []
-    for level in range(1, config.levels + 1):
-        traces.append(sqp_solve(config, data, level, observer))
-    return traces
+    return [sqp_solve(config, data, level, observer)
+            for level in range(1, config.levels + 1)]

@@ -117,16 +117,19 @@ def _unique_edges(mesh: TriMesh):
     """All undirected edges with incidence counts and incident triangles.
 
     Returns (keys sorted ascending, counts, tri_of_first, tri_of_second,
-    inverse); tri_of_second is -1 for boundary edges, and inverse maps each
-    triangle edge, in the order edges (0, 1), then (1, 2), then (2, 0) of
-    every triangle, to its key's index, as np.unique's return_inverse does.
+    inverse); an edge of two triangles has the lower index first, a boundary
+    edge has tri_of_second -1, and inverse maps each triangle edge, in the
+    order edges (0, 1), then (1, 2), then (2, 0) of every triangle, to its
+    key's index, as np.unique's return_inverse does.
     """
     t = mesh.triangles
     nt = t.shape[0]
     pairs = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     keys = _edge_key(pairs, mesh.n_vertices)
     tris = np.tile(np.arange(nt), 3)
-    order = np.argsort(keys, kind="stable")
+    # An unstable sort leaves an edge's triangles in no set order; the
+    # min/max below restores one, so validate names the lowest-index fault.
+    order = np.argsort(keys)
     keys_sorted = keys[order]
     tris_sorted = tris[order]
     # The keys are sorted already: each run of equal keys is one edge.
@@ -136,7 +139,9 @@ def _unique_edges(mesh: TriMesh):
     first = tris_sorted[start]
     second = np.full(uniq.shape[0], -1, dtype=np.int64)
     has_two = counts >= 2
-    second[has_two] = tris_sorted[start[has_two] + 1]
+    pair = tris_sorted[start[has_two]], tris_sorted[start[has_two] + 1]
+    first[has_two] = np.minimum(*pair)
+    second[has_two] = np.maximum(*pair)
     inverse = np.empty_like(order)
     inverse[order] = np.repeat(np.arange(uniq.shape[0]), counts)
     return uniq, counts, first, second, inverse

@@ -182,15 +182,15 @@ def polyline_distance(points: np.ndarray) -> float:
     """Offset integral int_0^1 |x(y) - 0.5| dy of a polyline graph over y.
 
     Exact piecewise integration with sign-change splitting.  If the polyline
-    is not a graph over y, an arc-length parameterized approximation is used
-    and a warning is emitted.
+    is not a graph over y, each segment is weighted by |dy| instead of dy,
+    an approximation, and a warning is emitted.
     """
     pts = np.asarray(points, dtype=np.float64)
     d = pts[:, 0] - 0.5
     dy = np.diff(pts[:, 1])
     if np.any(dy <= 0.0):
         log.warning("interface is not a graph over y; "
-                    "using arc-length parameterized distance approximation")
+                    "using the |dy|-weighted distance approximation")
         dy = np.abs(dy)
     d0, d1 = d[:-1], d[1:]
     same = d0 * d1 >= 0.0

@@ -47,6 +47,43 @@ def test_non_finite_cg_tol_exits_one(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_repeated_config_key_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, "n = 8\nlevels = 1\nn = 16\n")
+    code = cli.main(["solve", "--out", str(tmp_path / "out"), "--config", cfg])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'n'" in err and ":3:" in err and "line 1" in err
+
+
+def test_out_naming_a_file_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    for target in (out, out / "run"):
+        assert cli.main(["solve", "--out", str(target)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+
+def test_level_finer_than_the_data_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, "n = 8\n")
+    code = cli.main(["solve", "--out", str(tmp_path / "out"), "--config", cfg,
+                     "--level", "4"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "level 4" in err
+
+
+def test_each_command_writes_its_artifact_set(tmp_path, capsys):
+    cfg = write_config(tmp_path, "n = 8\nlevels = 1\nmax_sqp_iters = 1\n")
+    common = {"manifest.json", "run.log", "trace.csv"}
+    snapshots = {"iter_000.vtk", "iter_001.vtk", "interface_000.csv",
+                 "interface_001.csv"}
+    for command, want in (("solve", common | snapshots),
+                          ("baseline", common | snapshots), ("study", common)):
+        out = tmp_path / command
+        assert cli.main([command, "--out", str(out), "--config", cfg]) == 0
+        assert {path.name for path in out.iterdir()} == want, command
+
+
 def test_config_file_round_trips_every_field(tmp_path):
     config = driver.ExperimentConfig(
         f1=500.0, f2=2.0, mu=3.5, n=16, levels=2, max_sqp_iters=4,

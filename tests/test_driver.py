@@ -72,6 +72,15 @@ def test_data_oracle_is_as_fine_as_the_finest_level():
     assert data.field.mesh.n_triangles >= driver.mesh_at_level(config, 4).n_triangles
 
 
+def test_a_start_mesh_finer_than_the_data_is_a_config_error():
+    config = driver.ExperimentConfig(n=8, levels=1)
+    data = driver.generate_data(config)
+    start = driver.mesh_at_level(config, 4)
+    assert start.n_triangles > data.field.mesh.n_triangles
+    with pytest.raises(ConfigError, match="raise levels"):
+        driver.sqp_solve(config, data, start=start)
+
+
 def test_data_oracle_self_sample_is_exact():
     config = driver.ExperimentConfig(n=16)
     data = driver.generate_data(config)

@@ -82,11 +82,13 @@ def test_unique_edges_match_an_np_unique_oracle():
     order = np.argsort(keys, kind="stable")
     uniq, start, counts = np.unique(keys[order], return_index=True, return_counts=True)
     tris = np.tile(np.arange(m.n_triangles), 3)[order]
-    second = np.where(counts == 2, tris[np.minimum(start + 1, keys.size - 1)], -1)
+    other = tris[np.minimum(start + 1, keys.size - 1)]
+    first = np.where(counts == 2, np.minimum(tris[start], other), tris[start])
+    second = np.where(counts == 2, np.maximum(tris[start], other), -1)
     inverse = np.unique(keys, return_inverse=True)[1]
     got = mm._unique_edges(m)
     assert len(got) == 5
-    for a, b in zip(got, (uniq, counts, tris[start], second, inverse)):
+    for a, b in zip(got, (uniq, counts, first, second, inverse)):
         np.testing.assert_array_equal(a, b)
     assert set(np.unique(counts)) == {1, 2}
 
