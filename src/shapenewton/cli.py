@@ -140,10 +140,14 @@ def _trace_table(rows) -> str:
 
 
 def _run(args, solve):
-    """Resolve the config, prepare the run directory, and with its run log
-    attached call solve(config, write_snapshot) and write the returned
-    traces to trace.csv; return the config and the traces."""
+    """Resolve the config, check the level, prepare the run directory, and
+    with its run log attached call solve(config, write_snapshot) and write
+    the returned traces to trace.csv; return the config and the traces.  The
+    level is checked before the run directory is made, so a level the
+    config cannot run leaves nothing behind."""
     config = resolve_config(args)
+    if hasattr(args, "level"):
+        driver.check_level(config, args.level)
     out = prepare_output_dir(args.out, args.force, config)
 
     def write_snapshot(row, snapshot):

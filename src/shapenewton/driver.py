@@ -9,14 +9,22 @@ actually taken.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import traceback
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fem, qp, shape
 from .errors import ConfigError, MeshInvariantError, StepFailureError
-from .mesh import Locator, TriMesh, build_template, refine_uniform, solve_lattice_poisson
+from .mesh import (
+    Lattice,
+    Locator,
+    TriMesh,
+    build_template,
+    refine_uniform,
+    solve_lattice_poisson,
+)
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +38,9 @@ ACCEPT_FACTOR = 1.1
 
 # Halvings below the smallest candidate step before a step failure.
 _MAX_HALVINGS = 30
+
+# Worker threads that build line-search trials.
+_TRIAL_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -133,13 +144,40 @@ class DataOracle:
     def on_lattice(cls, mesh: TriMesh, f1: float, f2: float) -> DataOracle:
         """The state with sources f1, f2 on a uniform lattice mesh, solved by
         mesh.solve_lattice_poisson, with the mesh's locator."""
-        values = solve_lattice_poisson(mesh, fem.assemble_stiffness(mesh),
+        locator = Locator(mesh)
+        values = solve_lattice_poisson(locator.lattice, fem.assemble_stiffness(mesh),
                                        fem.assemble_load_piecewise(mesh, f1, f2))
-        return cls(field=fem.NodalField(mesh, values), locator=Locator(mesh))
+        return cls(field=fem.NodalField(mesh, values), locator=locator)
 
     def sample(self, target: TriMesh) -> fem.NodalField:
         values = fem.evaluate_field(self.locator, self.field, target.vertices)
         return fem.NodalField(mesh=target, values=values)
+
+
+def _triangles(config: ExperimentConfig, level: int) -> int:
+    """Triangles of the level's mesh: 2 n^2 4^(level - 1)."""
+    return 2 * config.n ** 2 * 4 ** (level - 1)
+
+
+def _data_level(config: ExperimentConfig) -> int:
+    """generate_data's level: two above the coarse level, and never coarser
+    than the finest working level."""
+    return 1 + max(2, config.levels - 1)
+
+
+def check_level(config: ExperimentConfig, level: int,
+                oracle_triangles: int | None = None) -> None:
+    """Raise ConfigError unless level >= 1 and the level's mesh has at most
+    oracle_triangles triangles (default: those of generate_data's mesh).
+    Arithmetic on the config alone, so a caller can check before any work."""
+    if level < 1:
+        raise ConfigError("level must be >= 1")
+    if oracle_triangles is None:
+        oracle_triangles = _triangles(config, _data_level(config))
+    working = _triangles(config, level)
+    if working > oracle_triangles:
+        raise ConfigError(f"level {level} has {working} triangles, more than the data "
+                          f"oracle's {oracle_triangles}; raise levels to at least {level}")
 
 
 def generate_data(config: ExperimentConfig) -> DataOracle:
@@ -147,7 +185,7 @@ def generate_data(config: ExperimentConfig) -> DataOracle:
     levels above the coarse working mesh, and never coarser than the finest
     working level.  That mesh is a uniform lattice, so the solve is
     DataOracle.on_lattice's preconditioned CG, not a SuperLU factor."""
-    m = mesh_at_level(config, 1 + max(2, config.levels - 1))
+    m = mesh_at_level(config, _data_level(config))
     log.info("data mesh: %d triangles, straight interface", m.n_triangles)
     data = DataOracle.on_lattice(m, config.f1, config.f2)
     if data.field.values.min() < -1e-9:
@@ -166,84 +204,60 @@ def mesh_at_level(config: ExperimentConfig, level: int) -> TriMesh:
     return m
 
 
-def initial_mesh(config: ExperimentConfig, level: int) -> TriMesh:
-    """Working mesh whose interface follows the reference starting curve."""
-    m = mesh_at_level(config, level)
-    pts = shape.bspline_initial_interface(m.interface_nodes.shape[0])
+def initial_mesh(straight: TriMesh) -> TriMesh:
+    """Working mesh whose interface follows the reference starting curve,
+    moved from the straight-interface mesh of its level (mesh_at_level)."""
+    pts = shape.bspline_initial_interface(straight.interface_nodes.shape[0])
     # The template interface is the straight line sampled at the same uniform
     # heights, so the curve offsets are plain x-displacements.
-    offsets = pts[:, 0] - m.interface_points[:, 0]
-    geometry = shape.compute_geometry(m)
-    field = shape.InterfaceField(mesh=m, values=offsets)
+    offsets = pts[:, 0] - straight.interface_points[:, 0]
+    geometry = shape.compute_geometry(straight)
+    field = shape.InterfaceField(mesh=straight, values=offsets)
     try:
-        return shape.retract(
-            m, shape.extend(m, field, geometry, fem.assemble_stiffness(m)), 1.0)
+        return shape.retract(straight, shape.extend(
+            straight, field, geometry, fem.assemble_stiffness(straight)), 1.0)
     except MeshInvariantError as exc:
         raise StepFailureError(f"starting interface: {exc}") from exc
 
 
-def _assemble(mesh: TriMesh, ybar: fem.NodalField,
-              config: ExperimentConfig) -> qp.MeshAssembly:
-    """Geometry and matrices on a mesh with its sampled data."""
-    return qp.MeshAssembly(mesh, ybar, config.f1, config.f2, config.mu)
-
-
-def _evaluate(mesh: TriMesh, ybar: fem.NodalField,
-              config: ExperimentConfig) -> qp.MeshState:
-    """Objective on a mesh with its sampled data, with the state and
-    factorization behind it."""
-    return qp.MeshState(_assemble(mesh, ybar, config))
-
-
-def _take_step(state: qp.MeshState, w: shape.InterfaceField, alphas: list[float],
-               data: DataOracle, config: ExperimentConfig) -> tuple[qp.MeshState, float]:
-    """Choose a step length along w; return it with the accepted trial's
-    state, which the next iteration's workspace reuses.
+def _take_step(state: qp.MeshState, extension, alphas: list[float],
+               data: DataOracle) -> tuple[qp.MeshState, float]:
+    """Choose a step length along the step's extension (shape.extend); return
+    it with the accepted trial's state, which the next iteration's workspace
+    factors.
 
     The lengths come in batches: first alphas, then min(alphas) * 0.5**k
     for k = 1.._MAX_HALVINGS, one at a time.  Each length is tried once,
     skipping any whose mesh is invalid, and a batch's lowest objective, the
     first in order on a tie, is accepted if within ACCEPT_FACTOR of the
-    current one.  This is the solver's only halving loop.  The step w is
-    extended to the volume once, on the stiffness the state already holds,
-    and each trial scales that extension: a step costs one elastic solve and
-    at most len(alphas) + _MAX_HALVINGS trial meshes.
+    current one.  This is the solver's only halving loop.  Each trial scales
+    the one extension: a step costs at most len(alphas) + _MAX_HALVINGS
+    trial meshes.
 
-    One worker thread moves, samples and assembles each trial ahead of this
-    thread, which factors each trial's stiffness and solves its state in
-    order.  The factorizations stay on this thread because scipy's SuperLU
-    frees a factor only on the thread that made it.  A trial (about 0.1 s at
-    level 3) costs less than a factor and a state solve (about 0.13 s), so
-    one worker keeps this thread busy; on a 2-CPU machine it matched a pool
-    sized by the CPU count and beat three workers.  Only a
-    MeshInvariantError makes a trial invalid; any other error propagates.
+    A pool of _TRIAL_WORKERS threads builds each trial whole: it moves the
+    mesh, samples the data, assembles, solves the state on the level's
+    lattice and computes the objective.  A trial factors nothing, so this
+    thread only compares objectives.  Only a MeshInvariantError makes a
+    trial invalid; any other error propagates.
     """
     mesh = state.mesh
     limit = ACCEPT_FACTOR * state.objective
-    extension = shape.extend(mesh, w, state.geometry, state.stiffness)
 
     def trial(alpha):
-        """The mesh moved by alpha, assembled with its sampled data, or None
-        if invalid."""
+        """The state on the mesh moved by alpha, or None if that is invalid."""
         try:
             moved = shape.retract(mesh, extension, alpha)
         except MeshInvariantError:
             return None
-        return _assemble(moved, data.sample(moved), config)
+        return qp.MeshState(moved, data.sample(moved), state.f1, state.f2, state.mu,
+                            state.lattice)
 
     shortest = min(alphas)
     batches = [alphas] + [[shortest * 0.5 ** k] for k in range(1, _MAX_HALVINGS + 1)]
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with ThreadPoolExecutor(max_workers=_TRIAL_WORKERS) as pool:
         for batch in batches:
-            # Free the last batch's rejected best, with its factor, and its
-            # last assembly before this batch factors.
-            best = candidate = assembly = None
-            for alpha, assembly in zip(batch, pool.map(trial, batch)):
-                # Drop a losing candidate, and its factor, before the next
-                # one factors: only the best and the one being built stay
-                # alive.
-                candidate = None
-                candidate = None if assembly is None else qp.MeshState(assembly)
+            best = None
+            for alpha, candidate in zip(batch, pool.map(trial, batch)):
                 if candidate is not None and (best is None
                                               or candidate.objective < best[0].objective):
                     best = (candidate, alpha)
@@ -253,50 +267,81 @@ def _take_step(state: qp.MeshState, w: shape.InterfaceField, alphas: list[float]
                            f"and {_MAX_HALVINGS} halvings")
 
 
+def _extend(state: qp.MeshState, step: Future):
+    """The elastic extension of the step that the Future step will hold, on
+    the state's mesh: a worker job that factors the extension's Laplacian
+    before it waits for the step.  scipy's SuperLU frees a factor only on
+    the thread that made it, so the factor is released inside this job, on
+    an error (a cancelled step included) as well: the frames the error
+    passed through are cleared before it leaves the job."""
+    try:
+        return shape.extend(state.mesh, step.result, state.geometry, state.stiffness)
+    except BaseException as exc:
+        traceback.clear_frames(exc.__traceback__)
+        raise
+
+
 def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
              step_fn, alphas: list[float], observer=None,
              start: TriMesh | None = None) -> SqpTrace:
     """Shared iteration loop; step_fn produces (w, cg_iterations) from the
     workspace and the gradient, and each step tries the lengths alphas.  A
-    working mesh finer than the data (default: generate_data) is an error."""
+    working mesh finer than the data (default: generate_data) is an error,
+    and so is a start mesh that is not a level-`level` mesh.
+
+    Each iteration that may step hands a worker the step as a Future: the
+    worker factors the step's extension Laplacian while this thread factors
+    the workspace and solves for the step.  Stopping without a step, or
+    failing, cancels the Future, which releases the worker at once.
+    """
     if data is None:
         data = generate_data(config)
-    # Level L has 2 n^2 4^(L-1) triangles: check before initial_mesh builds it.
-    working = 2 * config.n ** 2 * 4 ** (level - 1) if start is None else start.n_triangles
-    oracle = data.field.mesh.n_triangles
-    if working > oracle:
-        raise ConfigError(f"level {level} has {working} triangles, more than the data "
-                          f"oracle's {oracle}; raise levels to at least {level}")
-    first = initial_mesh(config, level) if start is None else start
-    state = _evaluate(first, data.sample(first), config)
+    check_level(config, level, data.field.mesh.n_triangles)
+    straight = mesh_at_level(config, level)
+    if start is not None and not np.array_equal(start.triangles, straight.triangles):
+        raise ConfigError(f"the start mesh is not a level-{level} mesh of n = {config.n}")
+    lattice = Lattice(straight)
+    first = initial_mesh(straight) if start is None else start
+    state = qp.MeshState(first, data.sample(first), config.f1, config.f2, config.mu,
+                         lattice)
     rows = []
-    for it in range(config.max_sqp_iters + 1):
-        cur = state.mesh
-        ws = qp.QpWorkspace(state, cg_tol=config.cg_tol)
-        g = shape.shape_gradient(cur, state.geometry, ws.p, config.f1, config.f2,
-                                 config.mu)
-        grad_norm = shape.s_norm(state.geometry, g.values)
-        value = state.objective
-        dist = shape.dist_to_solution(cur)
-        snapshot = IterationSnapshot(cur, state.geometry, state.y, ws.p, g)
-
-        last = it == config.max_sqp_iters or grad_norm <= GRAD_TOL
-        cg_iters, alpha_used = 0, 0.0
-        if not last:
+    with ThreadPoolExecutor(max_workers=1) as extender:
+        for it in range(config.max_sqp_iters + 1):
+            cur = state.mesh
+            last = it == config.max_sqp_iters
+            step = Future()
+            extension = None if last else extender.submit(_extend, state, step)
             try:
-                w, cg_iters = step_fn(ws, g)
-                state, alpha_used = _take_step(state, w, alphas, data, config)
+                ws = qp.QpWorkspace(state, cg_tol=config.cg_tol)
+                g = shape.shape_gradient(cur, state.geometry, ws.p, config.f1, config.f2,
+                                         config.mu)
+                grad_norm = shape.s_norm(state.geometry, g.values)
+                value = state.objective
+                dist = shape.dist_to_solution(cur)
+                snapshot = IterationSnapshot(cur, state.geometry, state.y, ws.p, g)
+
+                last = last or grad_norm <= GRAD_TOL
+                cg_iters, alpha_used = 0, 0.0
+                if not last:
+                    w, cg_iters = step_fn(ws, g)
+                    step.set_result(w)
+                    state, alpha_used = _take_step(state, extension.result(), alphas,
+                                                   data)
             except StepFailureError as exc:
                 raise StepFailureError(f"level {level} iteration {it}: {exc}") from exc
-        row = TraceRow(level, it, dist, value, grad_norm, cg_iters, alpha_used)
-        rows.append(row)
-        if observer is not None:
-            observer(row, snapshot)
-        log.info("level %d it %d: dist %.6g J %.6g |g| %.3g %s", level, it, dist,
-                 value, grad_norm,
-                 "(stop)" if last else f"cg {cg_iters} alpha {alpha_used:g}")
-        if last:
-            return SqpTrace(level=level, rows=tuple(rows), mesh=cur)
+            finally:
+                # A step not set by now will not come: cancelling releases the
+                # extension job, whose outcome is then not needed.
+                step.cancel()
+            row = TraceRow(level, it, dist, value, grad_norm, cg_iters, alpha_used)
+            rows.append(row)
+            if observer is not None:
+                observer(row, snapshot)
+            log.info("level %d it %d: dist %.6g J %.6g |g| %.3g %s", level, it, dist,
+                     value, grad_norm,
+                     "(stop)" if last else f"cg {cg_iters} alpha {alpha_used:g}")
+            if last:
+                return SqpTrace(level=level, rows=tuple(rows), mesh=cur)
 
 
 def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
@@ -309,13 +354,15 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     the step length is chosen among {1, 1.25, 1.5} times the configured
     length by objective value; otherwise the configured length is used
     directly.  Every trial length scales the step's one elastic extension,
-    solved by Laplacian-preconditioned CG on the state's own stiffness.
-    When no candidate is acceptable, the step is halved from the smallest
-    one at most _MAX_HALVINGS times before the run fails with
-    StepFailureError.  The candidates and the halvings run through one loop
-    whose one worker thread moves, samples and assembles each trial ahead of
-    the factorizations (see _take_step).  The run starts from the reference
-    curve unless an explicit start mesh is given.
+    solved by Laplacian-preconditioned CG on the state's own stiffness on a
+    worker thread, beside this thread's workspace factor and Newton CG (see
+    _iterate).  When no candidate is acceptable, the step is halved from the
+    smallest one at most _MAX_HALVINGS times before the run fails with
+    StepFailureError.  The candidates and the halvings run through one loop,
+    and a pool of worker threads builds each trial whole, its state solved
+    on the level's lattice without a factor (see _take_step); only the
+    workspace factors, once per iteration.  The run starts from the
+    reference curve unless an explicit start mesh of the level is given.
     CG that meets negative curvature, or stops above cg_tol, raises
     StepFailureError.
     """

@@ -9,8 +9,9 @@ the invariants that moving vertices can break.
 The module also holds the solver's linear-algebra building blocks: the one
 factored Dirichlet system (DirichletSystem), the one conjugate-gradient loop
 (pcg), which both the elastic extension here and the Newton system in qp run,
-and the data oracle's Poisson solve on a uniform lattice, which runs pcg too
-and factors nothing (solve_lattice_poisson).
+and the Poisson solve preconditioned on a level's lattice (Lattice,
+solve_lattice_poisson), which runs pcg too and factors nothing: it solves the
+data oracle and every line-search trial's state.
 """
 from __future__ import annotations
 
@@ -36,7 +37,8 @@ _CELL_SLACK = 4 * _BARY_TOL
 _RESIDUAL_TOL = 1e-10
 # The conjugate gradients of the elastic extension and of the lattice Poisson
 # solve stop at this relative residual and fail after _PCG_MAX_ITERS
-# iterations; the extension takes about 15 on every mesh, the lattice solve 2.
+# iterations; the extension takes about 15 on every mesh, the lattice solve 2
+# on the lattice itself and at most 34 on the default study's working meshes.
 _PCG_TOL = 1e-12
 _PCG_MAX_ITERS = 100
 
@@ -408,14 +410,16 @@ class DirichletSystem:
         return self._lu.solve(bf)
 
 
-def solve_elastic_deformation(mesh: TriMesh, interface_displacement: np.ndarray,
+def solve_elastic_deformation(mesh: TriMesh, interface_displacement,
                               stiffness: sp.csr_matrix) -> DeformationField:
     """Extend an interface displacement to the volume by linear elasticity.
 
     Dirichlet data: the given displacement on interface nodes, zero on the
     outer boundary.  Lame parameters lambda = 0, mu = 1.  Dof 2 v + c is
     component c of vertex v; stiffness is the mesh's P1 stiffness matrix
-    (assemble_stiffness).
+    (assemble_stiffness).  interface_displacement is an (m, 2) array, or a
+    function returning one, which is called only once the Laplacian below is
+    factored: a worker can factor while its caller still computes the step.
 
     No elasticity matrix is assembled.  For test functions that vanish on
     the outer boundary and the interface, integration by parts on each
@@ -430,19 +434,21 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement: np.ndarray,
     preconditioned condition number is at most 3 and the iteration count
     does not grow with the mesh.  One factorization of the Laplacian serves
     both components: each application is one solve on an (n_free, 2) block.
-    Raises LinearSolverError when CG does not reach _PCG_TOL within
-    _PCG_MAX_ITERS iterations, or its answer misses _RESIDUAL_TOL on the
-    true residual.
+    The factor is made, used and released inside this call, so on the
+    thread that calls it.  Raises LinearSolverError when CG does not reach
+    _PCG_TOL within _PCG_MAX_ITERS iterations, or its answer misses
+    _RESIDUAL_TOL on the true residual.
     """
-    g = np.asarray(interface_displacement, dtype=np.float64)
+    laplacian = DirichletSystem(
+        stiffness, np.concatenate([mesh.outer_boundary_nodes, mesh.interface_nodes]))
+    g = np.asarray(interface_displacement() if callable(interface_displacement)
+                   else interface_displacement, dtype=np.float64)
     if g.shape != (mesh.interface_nodes.shape[0], 2):
         raise ValueError(f"interface displacement has shape {g.shape}, "
                          f"expected {(mesh.interface_nodes.shape[0], 2)}")
     if np.any(g[0] != 0.0) or np.any(g[-1] != 0.0):
         raise ValueError("displacement at the pinned interface endpoints must be zero")
 
-    laplacian = DirichletSystem(
-        stiffness, np.concatenate([mesh.outer_boundary_nodes, mesh.interface_nodes]))
     free = laplacian.free
     # Row t of D holds (b_i, c_i) / (2 sqrt(area_t)) on the dofs 2 v_i and
     # 2 v_i + 1 of its vertices: six entries, so the pattern is known.
@@ -491,23 +497,42 @@ def _checked_pcg(operator, rhs: np.ndarray, precondition) -> np.ndarray:
     return x
 
 
-def lattice(mesh: TriMesh):
-    """(N, the integer lattice point (i, j) of each vertex, the cell i + N j
-    of each triangle) of a uniformly refined template: a grid of N x N square
-    cells, N read from the 2 N^2 triangles, with two triangles each.  Any
-    other mesh, a moved one included, raises ValueError."""
-    n = math.isqrt(mesh.n_triangles // 2)
-    scaled = mesh.vertices * n
-    ij = np.rint(scaled).astype(np.int64)
-    # A triangle is filed under the lower-left corner of its bounding box.
-    lo = ij[mesh.triangles.T].min(axis=0)
-    cell = lo[:, 0] + n * lo[:, 1]
-    if (2 * n * n != mesh.n_triangles or mesh.n_vertices != (n + 1) ** 2
-            or not np.abs(scaled - ij).max() <= _BARY_TOL
-            or not (np.bincount(cell, minlength=n * n) == 2).all()):
-        raise ValueError(f"mesh is not a uniform {n} x {n} grid of cells with "
-                         "two triangles each and vertices on the lattice")
-    return n, ij, cell
+class Lattice:
+    """The N x N lattice of a uniformly refined template, a grid of N x N
+    square cells with two triangles each (N read from the 2 N^2 triangles),
+    and the exact inverse of its 5-point Laplacian.
+
+    Retraction moves vertices but keeps their indices, so the lattice read
+    once from a level's straight mesh serves every mesh moved from it.
+    Holds N, the cell i + N j of each triangle, and free: the vertices at
+    the interior lattice points (i, j), j-major, so that an array on them
+    reshapes to the (N-1) x (N-1) grid.  Any other mesh, a moved one
+    included, raises ValueError.
+    """
+
+    def __init__(self, mesh: TriMesh):
+        n = math.isqrt(mesh.n_triangles // 2)
+        scaled = mesh.vertices * n
+        ij = np.rint(scaled).astype(np.int64)
+        # A triangle is filed under the lower-left corner of its bounding box.
+        lo = ij[mesh.triangles.T].min(axis=0)
+        cell = lo[:, 0] + n * lo[:, 1]
+        point = ij[:, 0] + (n + 1) * ij[:, 1]
+        if (2 * n * n != mesh.n_triangles or mesh.n_vertices != (n + 1) ** 2
+                or not np.abs(scaled - ij).max() <= _BARY_TOL
+                or not (np.bincount(cell, minlength=n * n) == 2).all()
+                or not (np.bincount(point, minlength=(n + 1) ** 2) == 1).all()):
+            raise ValueError(f"mesh is not a uniform {n} x {n} grid of cells with "
+                             "two triangles each and vertices on the lattice")
+        vertex = np.empty((n + 1) ** 2, dtype=np.int64)
+        vertex[point] = np.arange(mesh.n_vertices)
+        self.n, self.cell = n, cell
+        self.free = vertex.reshape(n + 1, n + 1)[1:-1, 1:-1].ravel()
+        self._inverse = _lattice_laplacian_inverse(n)
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """The 5-point Laplacian's inverse applied to r on the free vertices."""
+        return self._inverse(r.reshape(self.n - 1, self.n - 1)).ravel()
 
 
 def _lattice_laplacian_inverse(n: int):
@@ -522,28 +547,21 @@ def _lattice_laplacian_inverse(n: int):
     return lambda b: s @ ((s @ b @ s) / denominator) @ s
 
 
-def solve_lattice_poisson(mesh: TriMesh, stiffness: sp.csr_matrix,
+def solve_lattice_poisson(lattice: Lattice, stiffness: sp.csr_matrix,
                           load: np.ndarray) -> np.ndarray:
-    """Solve stiffness x = load, x = 0 on the outer boundary, on a uniform
-    lattice mesh (see lattice) without a factorization.  There the P1
-    stiffness is the 5-point Laplacian (the cell diagonals face right angles,
-    so their cotangent weights vanish), and pcg preconditioned by its exact
-    inverse takes about 2 iterations.  _checked_pcg tests the answer against
-    the stiffness, so a wrong preconditioner cannot return a wrong field."""
-    n, ij, _ = lattice(mesh)
-    free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.outer_boundary_nodes)
+    """Solve stiffness x = load, x = 0 on the outer boundary, for the P1
+    stiffness of the lattice's mesh or of a mesh moved from it, without a
+    factorization.  On the lattice the P1 stiffness is the 5-point Laplacian
+    (the cell diagonals face right angles, so their cotangent weights
+    vanish), and pcg preconditioned by its exact inverse takes about 2
+    iterations; a moved mesh's stiffness is spectrally equivalent to it, and
+    the default study's working meshes take 19 to 34.  _checked_pcg tests
+    the answer against the stiffness, so a wrong preconditioner cannot
+    return a wrong field."""
+    free = lattice.free
     kff = stiffness[free][:, free]
-    i, j = ij[free].T
-    inverse = _lattice_laplacian_inverse(n)
-
-    def precondition(r):
-        grid = np.zeros((n + 1, n + 1))
-        grid[j, i] = r
-        grid[1:-1, 1:-1] = inverse(grid[1:-1, 1:-1])
-        return grid[j, i]
-
-    x = np.zeros(mesh.n_vertices)
-    x[free] = _checked_pcg(lambda v: kff @ v, load[free], precondition)
+    x = np.zeros(stiffness.shape[0])
+    x[free] = _checked_pcg(lambda v: kff @ v, load[free], lattice.precondition)
     return x
 
 
@@ -607,15 +625,15 @@ class Locator:
     """Point location by grid cell in a uniformly refined template, whose
     N x N square cells hold two triangles each; build it once per mesh.
 
-    Any other mesh, a moved one included, raises ValueError (see lattice).
+    Any other mesh, a moved one included, raises ValueError (see Lattice).
     """
 
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
-        n, _, cell = lattice(mesh)
-        self.n = n
+        self.lattice = Lattice(mesh)
+        n = self.n = self.lattice.n
         # (n^2, 2): the two triangles of cell ci + n cj, in ascending order.
-        self.cells = np.argsort(cell, kind="stable").reshape(n * n, 2)
+        self.cells = np.argsort(self.lattice.cell, kind="stable").reshape(n * n, 2)
 
     def _barycentric(self, points: np.ndarray, tris: np.ndarray):
         """Barycentric coordinates of points[i] in each triangle tris[i, j],

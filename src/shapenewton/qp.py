@@ -1,11 +1,12 @@
 """Linear-quadratic subproblem of one interface-Newton step.
 
-A MeshAssembly holds the data and matrices on one mesh; a MeshState built
-from it adds the stiffness factorization and the state, and a workspace adds
-the adjoint, one solve on that factorization.  The Newton step solves the
-reduced design equation A w = -g, with g the shape gradient, matrix-free by
-the conjugate-gradient loop mesh.pcg in the lumped arc-length inner product;
-one operator application costs two triangular back-solves.
+A MeshState holds the data, the matrices and the state on one mesh, solved
+without a factorization; a workspace factors that state's stiffness once and
+solves the adjoint on the factor.  The Newton step solves the reduced design
+equation A w = -g, with g the shape gradient, matrix-free by the
+conjugate-gradient loop mesh.pcg in the lumped arc-length inner product; one
+operator application costs two triangular back-solves on the workspace's
+factor.
 """
 from __future__ import annotations
 
@@ -16,22 +17,23 @@ import scipy.linalg
 
 from . import fem, mesh, shape
 from .errors import LinearSolverError
-from .mesh import TriMesh
+from .mesh import Lattice, TriMesh, solve_lattice_poisson
 from .shape import InterfaceField, InterfaceGeometry
 
 _CONSISTENCY_TOL = 1e-8
 
 
-class MeshAssembly:
-    """Sampled data and everything assembled on one mesh: geometry, mass,
-    load and P1 stiffness.
+class MeshState:
+    """Sampled data and everything assembled on one mesh (geometry, mass,
+    load and P1 stiffness), the state, and the objective.
 
-    Only numpy and scipy.sparse work happens here, so it may run on any
-    thread; MeshState factors the stiffness on the calling thread.
+    lattice is the Lattice of the straight mesh the mesh was moved from; the
+    state is solved by mesh.solve_lattice_poisson, preconditioned on it, so
+    building a state factors nothing and may run on any thread.
     """
 
     def __init__(self, mesh: TriMesh, ybar: fem.NodalField, f1: float, f2: float,
-                 mu: float):
+                 mu: float, lattice: Lattice):
         if ybar.mesh is not mesh:
             raise ValueError("ybar belongs to a different mesh")
         if f1 == f2 and mu <= 0.0:
@@ -41,33 +43,31 @@ class MeshAssembly:
         self.f1 = float(f1)
         self.f2 = float(f2)
         self.mu = float(mu)
+        self.lattice = lattice
         self.geometry: InterfaceGeometry = shape.compute_geometry(mesh)
         self.mass = fem.assemble_mass(mesh)
         self.load = fem.assemble_load_piecewise(mesh, f1, f2)
         self.stiffness = fem.assemble_stiffness(mesh)
-
-
-class MeshState(MeshAssembly):
-    """An assembly with its stiffness factorization, the state it produced,
-    and the objective; a workspace built on it solves the adjoint without
-    factoring again.  The assembly may come from a worker thread, but the
-    factor is made on the thread that will free it: scipy's SuperLU frees a
-    factor only on the thread that made it.
-    """
-
-    def __init__(self, assembly: MeshAssembly):
-        vars(self).update(vars(assembly))
-        self.solver = fem.DirichletSolver(self.mesh, self.stiffness)
-        self.y = fem.NodalField(mesh=self.mesh, values=self.solver.solve(self.load))
-        self.objective = shape.objective(self.mesh, self.y, self.ybar, self.geometry,
+        self.y = fem.NodalField(mesh=mesh, values=solve_lattice_poisson(
+            lattice, self.stiffness, self.load))
+        self.objective = shape.objective(mesh, self.y, self.ybar, self.geometry,
                                          self.mu, self.mass)
 
 
-class QpWorkspace:
-    """Adjoint of a MeshState and the CG settings for one outer iteration.
+def _free_max(mesh: TriMesh, values: np.ndarray) -> float:
+    """Largest magnitude of values off the outer boundary."""
+    return float(np.abs(np.delete(values, mesh.outer_boundary_nodes)).max())
 
-    The adjoint p solves K p = -M (y - ybar) once, on the state's own
-    factorization.
+
+class QpWorkspace:
+    """The factored stiffness of a MeshState, its adjoint, and the CG
+    settings for one outer iteration.
+
+    The workspace checks the state against the state equation, factors the
+    stiffness once (fem.DirichletSolver), and solves the adjoint
+    K p = -M (y - ybar) on that factor, as does every reduced-Hessian
+    application.  scipy's SuperLU frees a factor only on the thread that
+    made it, so a workspace is built and dropped on one thread.
     """
 
     def __init__(self, state: MeshState, cg_tol: float = 1e-8):
@@ -76,14 +76,15 @@ class QpWorkspace:
 
         resid = state.load - state.stiffness @ state.y.values
         scale = 1.0 + np.abs(state.load).max()
-        if np.abs(resid[state.solver.system.free]).max() > _CONSISTENCY_TOL * scale:
+        if _free_max(state.mesh, resid) > _CONSISTENCY_TOL * scale:
             raise LinearSolverError("workspace state violates the discrete state equation")
 
+        self.solver = fem.DirichletSolver(state.mesh, state.stiffness)
         misfit = state.mass @ (state.y.values - state.ybar.values)
-        self.p = fem.NodalField(mesh=state.mesh, values=state.solver.solve(-misfit))
+        self.p = fem.NodalField(mesh=state.mesh, values=self.solver.solve(-misfit))
         aresid = state.stiffness @ self.p.values + misfit
         ascale = 1.0 + np.abs(misfit).max()
-        if np.abs(aresid[state.solver.system.free]).max() > _CONSISTENCY_TOL * ascale:
+        if _free_max(state.mesh, aresid) > _CONSISTENCY_TOL * ascale:
             raise LinearSolverError("workspace adjoint violates the discrete adjoint equation")
 
 
@@ -102,8 +103,8 @@ def reduced_hessian_apply(ws: QpWorkspace, w: InterfaceField) -> InterfaceField:
     interface = state.mesh.interface_nodes
     rhs = np.zeros(state.mesh.n_vertices)
     rhs[interface] = jump * state.geometry.arc_weights * w.values
-    z = state.solver.solve(rhs)
-    dq = state.solver.solve(-(state.mass @ z))
+    z = ws.solver.solve(rhs)
+    dq = ws.solver.solve(-(state.mass @ z))
     p_u = ws.p.values[interface]
     kappa = state.geometry.curvature
     out = (state.mu * shape.tangential_laplacian_apply(state.geometry, w.values)

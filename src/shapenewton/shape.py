@@ -149,22 +149,28 @@ def tangential_laplacian_apply(geometry: InterfaceGeometry, w: np.ndarray) -> np
     return out
 
 
-def extend(mesh: TriMesh, w: InterfaceField, geometry: InterfaceGeometry,
+def extend(mesh: TriMesh, w, geometry: InterfaceGeometry,
            stiffness) -> DeformationField:
     """Elastic extension of the unit step w * n to the volume.
 
     stiffness is the mesh's P1 stiffness matrix, which a state on the mesh
-    already holds; the extension assembles no matrix of its own.  The
-    extension is linear in the step, so retract() scales this one field to
-    every trial length along w.
+    already holds; the extension assembles no matrix of its own.  w is an
+    InterfaceField, or a function returning one, which is called only once
+    solve_elastic_deformation has factored its Laplacian.  The extension is
+    linear in the step, so retract() scales this one field to every trial
+    length along w.
     """
-    if w.mesh is not mesh:
-        raise ValueError("design field belongs to a different mesh")
     if geometry.n_nodes != mesh.interface_nodes.shape[0]:
         raise ValueError("geometry does not match the mesh interface")
-    # w vanishes at the pinned endpoints, so the displacement does as well.
-    return solve_elastic_deformation(mesh, w.values[:, None] * geometry.normals,
-                                     stiffness)
+
+    def displacement():
+        field = w() if callable(w) else w
+        if field.mesh is not mesh:
+            raise ValueError("design field belongs to a different mesh")
+        # w vanishes at the pinned endpoints, so the displacement does as well.
+        return field.values[:, None] * geometry.normals
+
+    return solve_elastic_deformation(mesh, displacement, stiffness)
 
 
 def retract(mesh: TriMesh, extension: DeformationField, step: float) -> TriMesh:

@@ -2,6 +2,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from shapenewton import cli, driver
 from shapenewton.errors import StepFailureError
 
@@ -70,6 +72,19 @@ def test_level_finer_than_the_data_exits_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and "level 4" in err
+
+
+@pytest.mark.parametrize("level", ["4", "0"])
+def test_a_level_error_leaves_no_run_directory(tmp_path, capsys, level):
+    # The level is checked before the run directory is made, so the
+    # corrected rerun into the same --out needs no --force.
+    cfg = write_config(tmp_path, "n = 8\nmax_sqp_iters = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--out", str(out), "--config", cfg, "--level", level]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["solve", "--out", str(out), "--config", cfg, "--level", "3"]) == 0
+    assert (out / "trace.csv").is_file()
 
 
 def test_each_command_writes_its_artifact_set(tmp_path, capsys):

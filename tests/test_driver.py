@@ -1,7 +1,10 @@
 """Experiment driver: configuration, data generation, and the solver loops."""
 import dataclasses
+import gc
 import threading
+import traceback
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -78,7 +81,10 @@ def test_a_start_mesh_finer_than_the_data_is_a_config_error():
     start = driver.mesh_at_level(config, 4)
     assert start.n_triangles > data.field.mesh.n_triangles
     with pytest.raises(ConfigError, match="raise levels"):
-        driver.sqp_solve(config, data, start=start)
+        driver.sqp_solve(config, data, level=4, start=start)
+    # A start mesh of another level has another lattice.
+    with pytest.raises(ConfigError, match="not a level-1 mesh"):
+        driver.sqp_solve(config, data, start=driver.mesh_at_level(config, 2))
 
 
 def test_data_oracle_self_sample_is_exact():
@@ -90,7 +96,7 @@ def test_data_oracle_self_sample_is_exact():
 
 def test_initial_mesh_places_reference_curve():
     config = driver.ExperimentConfig(n=16)
-    m = driver.initial_mesh(config, 1)
+    m = driver.initial_mesh(driver.mesh_at_level(config, 1))
     expected = shape.bspline_initial_interface(m.interface_nodes.shape[0])
     np.testing.assert_allclose(m.interface_points, expected, atol=1e-13)
 
@@ -103,13 +109,13 @@ def test_initial_mesh_rejects_an_inverting_start_curve(monkeypatch):
 
     monkeypatch.setattr(driver.shape, "bspline_initial_interface", wild_curve)
     with pytest.raises(StepFailureError, match="starting interface"):
-        driver.initial_mesh(driver.ExperimentConfig(n=8), 1)
+        driver.initial_mesh(driver.mesh_at_level(driver.ExperimentConfig(n=8), 1))
 
 
 def test_initial_mesh_levels_refine():
     config = driver.ExperimentConfig(n=16)
-    m1 = driver.initial_mesh(config, 1)
-    m2 = driver.initial_mesh(config, 2)
+    m1 = driver.initial_mesh(driver.mesh_at_level(config, 1))
+    m2 = driver.initial_mesh(driver.mesh_at_level(config, 2))
     assert m2.n_triangles == 4 * m1.n_triangles
     assert m2.interface_nodes.shape[0] == 2 * m1.interface_nodes.shape[0] - 1
     with pytest.raises(ConfigError):
@@ -133,14 +139,58 @@ def test_generate_data_factors_nothing(monkeypatch):
                                atol=1e-12 * np.abs(want).max())
 
 
-def test_stationary_start_stops_immediately():
+def returns_promptly(fn, seconds=60.0):
+    """fn() run on a watchdog's daemon thread: its value, or its error raised
+    here.  Fails if fn has not returned within seconds, as it would hang if
+    an extension job were left waiting for a step that never comes."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # handed to the test thread
+            # Its frames hold this thread's factors: release them here.
+            traceback.clear_frames(exc.__traceback__)
+            outcome["error"] = exc
+
+    watched = threading.Thread(target=run, daemon=True)
+    watched.start()
+    watched.join(seconds)
+    assert not watched.is_alive(), f"no return within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def watch_extensions(monkeypatch):
+    """Log how each elastic extension ends: "done", or its error's name."""
+    ends, solve = [], shape.solve_elastic_deformation
+
+    def watched(*args):
+        try:
+            result = solve(*args)
+        except BaseException as exc:
+            ends.append(type(exc).__name__)
+            raise
+        ends.append("done")
+        return result
+
+    monkeypatch.setattr(shape, "solve_elastic_deformation", watched)
+    return ends
+
+
+def test_stationary_start_stops_immediately(monkeypatch):
     # data generated on the working mesh itself makes the straight interface
     # a discrete fixed point, so the gradient test ends the run at once
     config = driver.ExperimentConfig()
     m = build_template(config.n)
     data = driver.DataOracle(field=fem.solve_state(m, config.f1, config.f2),
                              locator=Locator(m))
-    trace = driver.sqp_solve(config, data, start=m)
+    ends = watch_extensions(monkeypatch)
+    trace = returns_promptly(lambda: driver.sqp_solve(config, data, start=m))
+    # Iteration 0 could have stepped, so its extension job was started; the
+    # stop released it before it read a step.
+    assert ends == ["CancelledError"]
     assert len(trace.rows) == 1
     row = trace.final
     assert (row.iteration, row.cg_iterations, row.step_length) == (0, 0, 0.0)
@@ -250,12 +300,17 @@ def step_setup(amplitude):
     config = driver.ExperimentConfig(n=8)
     data = driver.generate_data(config)
     m = build_template(config.n)
-    state = driver._evaluate(m, data.sample(m), config)
+    state = qp.MeshState(m, data.sample(m), config.f1, config.f2, config.mu,
+                         mesh.Lattice(m))
     heights = m.interface_points[:, 1]
     values = amplitude * np.sin(np.pi * heights)
     values[[0, -1]] = 0.0
     w = shape.InterfaceField(mesh=m, values=values)
     return state, w, data, config
+
+
+def extension_of(state, w):
+    return shape.extend(state.mesh, w, state.geometry, state.stiffness)
 
 
 def count_calls(monkeypatch, name):
@@ -274,14 +329,13 @@ def count_calls(monkeypatch, name):
 def test_take_step_halves_an_inverting_step(monkeypatch):
     state, w, data, config = step_setup(0.9)
     m = state.mesh
+    extension = extension_of(state, w)
     with pytest.raises(InvertedElementError):
-        shape.retract(m, shape.extend(m, w, state.geometry, state.stiffness), 1.0)
-    solves = count_calls(monkeypatch, "solve_elastic_deformation")
+        shape.retract(m, extension, 1.0)
     trials = count_calls(monkeypatch, "apply_deformation")
-    accepted, alpha = driver._take_step(state, w, [1.0], data, config)
+    accepted, alpha = driver._take_step(state, extension, [1.0], data)
     halvings = round(-np.log2(alpha))
     assert alpha == 0.5 ** halvings and halvings >= 1
-    assert len(solves) == 1  # one extension per step
     assert len(trials) == 1 + halvings  # each length is tried once
     assert accepted.objective <= driver.ACCEPT_FACTOR * state.objective
     # Oracle: the elastic extension solved afresh at the accepted length.
@@ -295,11 +349,10 @@ def test_take_step_fails_after_its_budget(monkeypatch):
     # inverts at every length down to 2^-30 of the smallest candidate
     state, w, data, config = step_setup(1e12)
     alphas = [1.0, 1.25, 1.5]
-    solves = count_calls(monkeypatch, "solve_elastic_deformation")
+    extension = extension_of(state, w)
     trials = count_calls(monkeypatch, "apply_deformation")
     with pytest.raises(StepFailureError, match="no acceptable step length"):
-        driver._take_step(state, w, alphas, data, config)
-    assert len(solves) == 1
+        driver._take_step(state, extension, alphas, data)
     assert len(trials) == len(alphas) + driver._MAX_HALVINGS
 
 
@@ -307,8 +360,10 @@ def newton_step_setup():
     """State on the curved 8-mesh start and its Newton step."""
     config = driver.ExperimentConfig(n=8)
     data = driver.generate_data(config)
-    m = driver.initial_mesh(config, 1)
-    state = driver._evaluate(m, data.sample(m), config)
+    straight = driver.mesh_at_level(config, 1)
+    m = driver.initial_mesh(straight)
+    state = qp.MeshState(m, data.sample(m), config.f1, config.f2, config.mu,
+                         mesh.Lattice(straight))
     w = qp.solve_qp_cg(qp.QpWorkspace(state, cg_tol=config.cg_tol)).w
     return state, w, data, config
 
@@ -324,16 +379,16 @@ def record_threads(monkeypatch, owner, name, log):
     monkeypatch.setattr(owner, name, recorded)
 
 
-def serial_oracle(state, w, alphas, data, config):
+def serial_oracle(state, extension, alphas, data):
     """Each candidate evaluated in order, the first lowest one picked."""
-    extension = shape.extend(state.mesh, w, state.geometry, state.stiffness)
     best = None
     for a in alphas:
         try:
             moved = shape.retract(state.mesh, extension, a)
         except MeshInvariantError:
             continue
-        candidate = driver._evaluate(moved, data.sample(moved), config)
+        candidate = qp.MeshState(moved, data.sample(moved), state.f1, state.f2,
+                                 state.mu, state.lattice)
         if best is None or candidate.objective < best[0].objective:
             best = (candidate, a)
     return best
@@ -348,27 +403,29 @@ def assert_picks_the_oracle(accepted, alpha, best, state):
 
 def test_concurrent_candidates_match_a_serial_oracle(monkeypatch):
     state, w, data, config = newton_step_setup()
+    extension = extension_of(state, w)
     alphas = [1.0, 1.25, 1.5]
-    sampled_on_main, assembled_on_main, factored_on_main = [], [], []
+    sampled_on_main, assembled_on_main, solved_on_main, factors = [], [], [], []
     record_threads(monkeypatch, driver.DataOracle, "sample", sampled_on_main)
     record_threads(monkeypatch, fem, "assemble_stiffness", assembled_on_main)
-    record_threads(monkeypatch, spla, "splu", factored_on_main)
-    accepted, alpha = driver._take_step(state, w, alphas, data, config)
-    # Every candidate is moved, sampled and assembled on the pool, and every
-    # factor is made on the calling thread, which also frees it: scipy frees
-    # a SuperLU factor only on the thread that made it.
+    record_threads(monkeypatch, qp, "solve_lattice_poisson", solved_on_main)
+    record_threads(monkeypatch, spla, "splu", factors)
+    accepted, alpha = driver._take_step(state, extension, alphas, data)
+    # Every candidate is moved, sampled, assembled and solved on the pool,
+    # its state on the lattice: the line search factors nothing.
     assert sampled_on_main == [False] * len(alphas)
     assert assembled_on_main == [False] * len(alphas)
-    assert factored_on_main and all(factored_on_main)
+    assert solved_on_main == [False] * len(alphas)
+    assert factors == []
     monkeypatch.undo()
-    best = serial_oracle(state, w, alphas, data, config)
+    best = serial_oracle(state, extension, alphas, data)
     assert best[1] == 1.5
     assert_picks_the_oracle(accepted, alpha, best, state)
 
 
-def test_every_trial_is_sampled_on_one_worker_thread(monkeypatch):
-    # The candidates and the halvings share one worker: every sample of a
-    # step runs on the same thread, and never on the calling one.
+def test_every_trial_is_built_on_the_trial_pool(monkeypatch):
+    # The candidates and the halvings share one pool: every sample of a step
+    # runs on one of its workers, and never on the calling thread.
     state, w, data, config = step_setup(0.4)
     sample, threads = driver.DataOracle.sample, []
 
@@ -378,48 +435,42 @@ def test_every_trial_is_sampled_on_one_worker_thread(monkeypatch):
 
     monkeypatch.setattr(driver.DataOracle, "sample", recorded)
     alphas = [1.0, 1.25, 1.5]
-    _, alpha = driver._take_step(state, w, alphas, data, config)
+    _, alpha = driver._take_step(state, extension_of(state, w), alphas, data)
     assert alpha < min(alphas)  # the step was halved
     assert len(threads) > len(alphas)
-    assert len(set(threads)) == 1
-    assert threads[0] is not threading.main_thread()
+    assert 1 <= len(set(threads)) <= driver._TRIAL_WORKERS
+    assert threading.main_thread() not in threads
 
 
 def test_a_step_assembles_one_stiffness_per_candidate(monkeypatch):
-    # The step is extended on the stiffness its state already holds, so one
-    # _take_step assembles only the candidates' stiffness matrices.
+    # The step is extended on the stiffness its state already holds, so the
+    # extension assembles nothing and a step only the candidates' matrices.
     state, w, data, config = newton_step_setup()
-    assemble, extend = mesh.assemble_stiffness, shape.solve_elastic_deformation
-    in_extension, assembled_in_extension = [], []
+    assemble, assembled = mesh.assemble_stiffness, []
 
     def counted_assemble(m):
-        assembled_in_extension.append(bool(in_extension))
+        assembled.append(m)
         return assemble(m)
-
-    def flagged_extension(*args):
-        in_extension.append(True)
-        try:
-            return extend(*args)
-        finally:
-            in_extension.pop()
 
     monkeypatch.setattr(fem, "assemble_stiffness", counted_assemble)
     monkeypatch.setattr(mesh, "assemble_stiffness", counted_assemble)
-    monkeypatch.setattr(shape, "solve_elastic_deformation", flagged_extension)
-    driver._take_step(state, w, [1.0, 1.25, 1.5], data, config)
-    assert assembled_in_extension == [False] * 3
+    step = Future()
+    step.set_result(w)
+    extension = driver._extend(state, step)
+    assert assembled == []
+    driver._take_step(state, extension, [1.0, 1.25, 1.5], data)
+    assert len(assembled) == 3
 
 
 @pytest.mark.parametrize("stage", ["sample", "assemble", "state"])
 def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
     # Only MeshInvariantError marks a trial invalid.  Any other failure in a
-    # candidate, on the pool (sampling, assembly) or on the calling thread
-    # (the factorization and state solve), must leave _take_step, not be
-    # skipped.
+    # candidate, in its sampling, its assembly or its state's lattice solve,
+    # must leave _take_step, not be skipped.
     state, w, data, config = newton_step_setup()
     retract, sample = shape.retract, driver.DataOracle.sample
-    assemble, mesh_state = driver._assemble, qp.MeshState
-    moved_by_step = {}
+    assemble, solve = fem.assemble_stiffness, qp.solve_lattice_poisson
+    moved_by_step, assembled = {}, []
 
     def recorded_retract(m, extension, step):
         moved_by_step[step] = retract(m, extension, step)
@@ -430,66 +481,70 @@ def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
             raise PointLocationError("planted failure at step 1.25")
         return sample(oracle, target)
 
-    def faulty_assemble(m, ybar, config):
+    def faulty_assemble(m):
         if stage == "assemble" and m is moved_by_step.get(1.25):
             raise ValueError("planted failure at step 1.25")
-        return assemble(m, ybar, config)
+        assembled.append((m, assemble(m)))
+        return assembled[-1][1]
 
-    def faulty_state(assembly):
-        if stage == "state" and assembly.mesh is moved_by_step.get(1.25):
+    def faulty_solve(lattice, stiffness, load):
+        if stage == "state" and any(k is stiffness and m is moved_by_step.get(1.25)
+                                    for m, k in assembled):
             raise LinearSolverError("planted failure at step 1.25")
-        return mesh_state(assembly)
+        return solve(lattice, stiffness, load)
 
     monkeypatch.setattr(shape, "retract", recorded_retract)
     monkeypatch.setattr(driver.DataOracle, "sample", faulty_sample)
-    monkeypatch.setattr(driver, "_assemble", faulty_assemble)
-    monkeypatch.setattr(qp, "MeshState", faulty_state)
+    monkeypatch.setattr(fem, "assemble_stiffness", faulty_assemble)
+    monkeypatch.setattr(qp, "solve_lattice_poisson", faulty_solve)
     with pytest.raises((PointLocationError, ValueError, LinearSolverError),
                        match="planted failure at step 1.25"):
-        driver._take_step(state, w, [1.0, 1.25, 1.5], data, config)
+        driver._take_step(state, extension_of(state, w), [1.0, 1.25, 1.5], data)
 
 
-def test_a_losing_candidate_is_freed_before_the_next_is_built(monkeypatch):
-    # Each candidate state holds a SuperLU factor.  While one of the alphas
-    # is built, the only earlier candidate of the step that may be alive is
-    # the best so far (the first lowest objective).  A halving is built only
-    # after that best was rejected, so no earlier candidate may be alive then.
-    steps = [newton_step_setup(), step_setup(0.4)]
-    retract, mesh_state = shape.retract, qp.MeshState
-    step_of, built = {}, []
+def test_no_factor_crosses_threads(monkeypatch):
+    # scipy's SuperLU frees a factor only on the thread that made it: each
+    # Dirichlet system must be released on the thread that built it.  Only
+    # workspaces and extensions factor; no state does, trials included.
+    built, released, states, state_factors = [], [], threading.local(), []
+    init, splu, state_init = mesh.DirichletSystem.__init__, spla.splu, qp.MeshState.__init__
 
-    def recorded_retract(m, extension, step):
-        moved = retract(m, extension, step)
-        step_of[id(moved)] = step
-        return moved
+    def recorded_init(self, *args):
+        init(self, *args)
+        maker = threading.current_thread()
+        built.append(maker)
+        weakref.finalize(self, lambda: released.append((maker, threading.current_thread())))
 
-    def checked_state(assembly):
-        step = step_of[id(assembly.mesh)]
-        pooled = [(objective, i) for i, (s, objective, _) in enumerate(built)
-                  if s in alphas]
-        alive = {i for i, (_, _, ref) in enumerate(built) if ref() is not None}
-        assert alive <= ({min(pooled)[1]} if pooled and step in alphas else set())
-        state = mesh_state(assembly)
-        built.append((step, state.objective, weakref.ref(state)))
-        return state
+    def watched_splu(*args, **kwargs):
+        if getattr(states, "depth", 0):
+            state_factors.append(threading.current_thread())
+        return splu(*args, **kwargs)
 
-    monkeypatch.setattr(shape, "retract", recorded_retract)
-    monkeypatch.setattr(qp, "MeshState", checked_state)
-    state, w, data, config = steps[0]
-    alphas, accepted = [1.0, 1.25, 1.5], []
-    for _ in range(2):
-        built.clear()
-        state, alpha = driver._take_step(state, w, alphas, data, config)
-        accepted.append(alpha)
-        w = qp.solve_qp_cg(qp.QpWorkspace(state, cg_tol=config.cg_tol)).w
-    assert accepted == [1.5, 1.0]  # at 1.0 the losing 1.25 goes before 1.5 is built
-    state, w, data, config = steps[1]
-    alphas = [1.0]
-    built.clear()
-    driver._take_step(state, w, alphas, data, config)
-    # The pooled 1.0 is valid but rejected: it, and each rejected halving,
-    # goes before the next halving is built.
-    assert len(built) >= 3 and built[0][0] == 1.0
+    def watched_state(self, *args):
+        states.depth = getattr(states, "depth", 0) + 1
+        try:
+            state_init(self, *args)
+        finally:
+            states.depth -= 1
+
+    config = driver.ExperimentConfig(n=8)
+    data = driver.generate_data(config)
+    monkeypatch.setattr(mesh.DirichletSystem, "__init__", recorded_init)
+    monkeypatch.setattr(spla, "splu", watched_splu)
+    monkeypatch.setattr(qp.MeshState, "__init__", watched_state)
+    extensions = count_calls(monkeypatch, "solve_elastic_deformation")
+    traces = [driver.sqp_solve(config, data, 1),
+              driver.steepest_descent_solve(config, data, 1)]
+    gc.collect()
+    steps = sum(row.step_length > 0.0 for trace in traces for row in trace.rows)
+    assert steps == 4
+    # Per run: the start's extension, one per step, and a workspace per row.
+    assert len(extensions) == len(traces) + steps
+    assert len(built) == len(extensions) + sum(len(trace.rows) for trace in traces)
+    assert sum(maker is not threading.main_thread() for maker in built) == steps
+    assert sorted(map(id, built)) == sorted(id(maker) for maker, _ in released)
+    assert all(maker is freer for maker, freer in released)
+    assert state_factors == []
 
 
 def test_solvers_attach_nothing_to_meshes():
@@ -533,8 +588,12 @@ def test_cg_failure_names_level_and_iteration(monkeypatch, negative, residual, r
 
     monkeypatch.setattr(driver.qp, "solve_qp_cg", failed_cg)
     config = driver.ExperimentConfig(n=8, max_sqp_iters=1)
+    data = driver.generate_data(config)
+    ends = watch_extensions(monkeypatch)
     with pytest.raises(StepFailureError, match=f"level 1 iteration 0: .*{reason}"):
-        driver.sqp_solve(config, driver.generate_data(config))
+        returns_promptly(lambda: driver.sqp_solve(config, data))
+    # The start's extension, then the step's, which the failure released.
+    assert ends == ["done", "CancelledError"]
 
 
 def test_trace_accessors(study_bundle):

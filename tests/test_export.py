@@ -107,7 +107,7 @@ def write_vtk_per_element(path, m, fields, title="shapenewton mesh"):
 
 
 def test_vtk_matches_the_per_element_writer_byte_for_byte(tmp_path):
-    m = driver.initial_mesh(driver.ExperimentConfig(), 1)
+    m = driver.initial_mesh(driver.mesh_at_level(driver.ExperimentConfig(), 1))
     y = fem.solve_state(m, 1000.0, 1.0)
     signed = fem.NodalField(mesh=m, values=np.sin(40.0 * m.vertices[:, 0]) * 1e-3
                             - m.vertices[:, 1] * 1e5)

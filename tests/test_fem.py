@@ -173,9 +173,12 @@ def test_state_solve_positive_and_peaked_left():
 
 
 def test_adjoint_zero_for_matching_data():
+    # The data solved as the state is, on the lattice, matches it to the bit.
     m = mm.build_template(8)
-    y = fem.solve_state(m, 1000.0, 1.0)
-    p = qp.QpWorkspace(qp.MeshState(qp.MeshAssembly(m, y, 1000.0, 1.0, 10.0))).p
+    lattice = mm.Lattice(m)
+    y = fem.NodalField(m, mm.solve_lattice_poisson(
+        lattice, fem.assemble_stiffness(m), fem.assemble_load_piecewise(m, 1000.0, 1.0)))
+    p = qp.QpWorkspace(qp.MeshState(m, y, 1000.0, 1.0, 10.0, lattice)).p
     assert np.abs(p.values).max() == 0.0
 
 
@@ -183,7 +186,7 @@ def test_adjoint_weak_form_consistency():
     m = mm.build_template(10)
     y = fem.solve_state(m, 1000.0, 1.0)
     ybar = fem.NodalField(m, np.zeros(m.n_vertices))
-    p = qp.QpWorkspace(qp.MeshState(qp.MeshAssembly(m, ybar, 1000.0, 1.0, 10.0))).p
+    p = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0, mm.Lattice(m))).p
     K = fem.assemble_stiffness(m)
     M = fem.assemble_mass(m)
     rng = np.random.default_rng(2)

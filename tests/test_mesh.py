@@ -158,7 +158,7 @@ def test_validate_reads_interface_sides_from_the_connectivity():
     # validate() takes the side of an interface-edge triangle from its cyclic
     # vertex order; on positively oriented triangles that is the side its
     # coordinates give.
-    m = driver.initial_mesh(driver.ExperimentConfig(n=8), 1)
+    m = driver.initial_mesh(driver.mesh_at_level(driver.ExperimentConfig(n=8), 1))
     assert interface_label_oracle(m) is None
     edge_tris = np.flatnonzero(np.isin(m.triangles, m.interface_nodes).sum(axis=1) == 2)
     for tri in edge_tris:
@@ -244,7 +244,7 @@ def extension_system(monkeypatch, m, g):
 
 
 def test_elasticity_matches_strain_oracle_and_splits_into_laplacians(monkeypatch):
-    m = driver.initial_mesh(driver.ExperimentConfig(n=16), 1)
+    m = driver.initial_mesh(driver.mesh_at_level(driver.ExperimentConfig(n=16), 1))
     g = interface_bump(m)
     operator, rhs = extension_system(monkeypatch, m, g)
     oracle = elasticity_oracle(m)
@@ -303,7 +303,7 @@ def plant_factor(monkeypatch, corrupt):
 
 
 def test_elastic_extension_matches_the_coupled_direct_solve(monkeypatch):
-    m = driver.initial_mesh(driver.ExperimentConfig(n=16), 1)
+    m = driver.initial_mesh(driver.mesh_at_level(driver.ExperimentConfig(n=16), 1))
     rng = np.random.default_rng(5)
     g = interface_bump(m)
     g[1:-1, 1] = 0.01 * rng.standard_normal(g.shape[0] - 2)
@@ -319,7 +319,7 @@ def test_elastic_extension_matches_the_coupled_direct_solve(monkeypatch):
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_elastic_extension_iterations_do_not_grow_with_the_mesh(monkeypatch, level):
-    m = driver.initial_mesh(driver.ExperimentConfig(), level)
+    m = driver.initial_mesh(driver.mesh_at_level(driver.ExperimentConfig(), level))
     applications = []
     solve_free = mm.DirichletSystem.solve_free
 
@@ -406,7 +406,7 @@ def test_poisson_and_elastic_solves_share_one_dirichlet_path(monkeypatch):
 
 def test_newton_and_extension_share_one_cg_loop(monkeypatch):
     config = driver.ExperimentConfig(n=8, levels=1, max_sqp_iters=1)
-    start = driver.initial_mesh(config, 1)
+    start = driver.initial_mesh(driver.mesh_at_level(config, 1))
     callers, checked, depth, outside = [], [], [0], []
     pcg = mm.pcg
 
@@ -439,15 +439,16 @@ def test_newton_and_extension_share_one_cg_loop(monkeypatch):
     monkeypatch.setattr(qp, "reduced_hessian_apply", hessian)
     monkeypatch.setattr(mm.DirichletSystem, "solve_free", preconditioner)
     trace = driver.sqp_solve(config, driver.generate_data(config), 1, start=start)
-    # The data oracle's lattice solve, then one Newton iteration: one CG
-    # solve of the reduced system and one of the step's extension, and every
+    # The lattice solves of the data oracle and of five states (the start and
+    # the step's three trials), then one Newton iteration: one CG solve of
+    # the reduced system and one of the step's extension, and every
     # reduced-Hessian application and every elastic preconditioner solve
-    # happens inside mesh.pcg.  The oracle and the extension run it through
-    # the same residual checks.
+    # happens inside mesh.pcg.  The lattice solves and the extension run it
+    # through the same residual checks.
     assert trace.rows[0].cg_iterations > 0
-    assert sorted(callers) == ["solve_elastic_deformation", "solve_lattice_poisson",
-                               "solve_qp_cg"]
-    assert sorted(checked) == ["solve_elastic_deformation", "solve_lattice_poisson"]
+    lattice_solves = ["solve_lattice_poisson"] * 5
+    assert sorted(callers) == ["solve_elastic_deformation", *lattice_solves, "solve_qp_cg"]
+    assert sorted(checked) == ["solve_elastic_deformation", *lattice_solves]
     assert outside == []
 
 
@@ -607,7 +608,7 @@ def test_locate_in_the_oracle_matches_a_brute_force_search():
     oracle = driver.generate_data(config).field.mesh
     working = [driver.mesh_at_level(config, level) for level in (1, 2)]
     pts = np.vstack([m.vertices for m in working] + [edge_midpoints(m) for m in working]
-                    + [driver.initial_mesh(config, level).vertices for level in (1, 2)])
+                    + [driver.initial_mesh(m).vertices for m in working])
     tri, bary = mm.locate_points(mm.Locator(oracle), pts)
     p = oracle.vertices[oracle.triangles]                           # (T, 3, 2)
     inv = np.linalg.inv(np.concatenate(
@@ -625,7 +626,7 @@ def test_locator_refuses_a_mesh_that_is_not_a_uniform_grid():
     nudged[6, 0] += 1e-6  # the interior vertex (0.25, 0.25)
     for moved in (mm.TriMesh(nudged, m.triangles, m.subdomain, m.outer_boundary_nodes,
                              m.interface_nodes),
-                  driver.initial_mesh(driver.ExperimentConfig(n=4), 1)):
+                  driver.initial_mesh(driver.mesh_at_level(driver.ExperimentConfig(n=4), 1))):
         with pytest.raises(ValueError, match="not a uniform 4 x 4 grid"):
             mm.Locator(moved)
 
@@ -652,7 +653,7 @@ def test_lattice_poisson_matches_the_factored_system(monkeypatch, refinements, l
         return out
 
     monkeypatch.setattr(mm, "pcg", counted)
-    got = mm.solve_lattice_poisson(m, stiffness, b)
+    got = mm.solve_lattice_poisson(mm.Lattice(m), stiffness, b)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     np.testing.assert_array_equal(got[m.outer_boundary_nodes], 0.0)
     # The preconditioner is the stiffness's exact inverse.
@@ -660,12 +661,11 @@ def test_lattice_poisson_matches_the_factored_system(monkeypatch, refinements, l
 
 
 def test_lattice_solve_refuses_what_the_locator_refuses():
-    moved = driver.initial_mesh(driver.ExperimentConfig(n=4), 1)
+    moved = driver.initial_mesh(driver.mesh_at_level(driver.ExperimentConfig(n=4), 1))
     with pytest.raises(ValueError) as located:
         mm.Locator(moved)
     with pytest.raises(ValueError) as solved:
-        mm.solve_lattice_poisson(moved, mm.assemble_stiffness(moved),
-                                 np.ones(moved.n_vertices))
+        mm.Lattice(moved)  # what solve_lattice_poisson preconditions with
     assert str(solved.value) == str(located.value)
     assert "not a uniform 4 x 4 grid" in str(solved.value)
 
@@ -689,6 +689,57 @@ def test_a_wrong_lattice_preconditioner_fails_loudly(monkeypatch, sign):
     with pytest.raises(LinearSolverError,
                        match=f"stopped after {mm._PCG_MAX_ITERS} iterations"):
         driver.DataOracle.on_lattice(m, 1000.0, 1.0)
+
+
+def moved_level2_state():
+    """A level-2 start mesh, moved from its straight mesh, with the straight
+    mesh's lattice, its stiffness and its load."""
+    straight = driver.mesh_at_level(driver.ExperimentConfig(), 2)
+    moved = driver.initial_mesh(straight)
+    return (moved, straight, mm.assemble_stiffness(moved),
+            fem.assemble_load_piecewise(moved, 1000.0, 1.0))
+
+
+def test_lattice_poisson_solves_a_moved_mesh_like_the_factored_system(monkeypatch):
+    # A line-search trial's state: the stiffness of a moved mesh,
+    # preconditioned on the lattice of the straight mesh it was moved from.
+    moved, straight, stiffness, load = moved_level2_state()
+    want = mm.DirichletSystem(stiffness, moved.outer_boundary_nodes).solve(load)
+    iterations, pcg = [], mm.pcg
+
+    def counted(*args):
+        out = pcg(*args)
+        iterations.append(len(out[1]) - 1)
+        return out
+
+    monkeypatch.setattr(mm, "pcg", counted)
+    got = mm.solve_lattice_poisson(mm.Lattice(straight), stiffness, load)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    np.testing.assert_array_equal(got[moved.outer_boundary_nodes], 0.0)
+    # More than on the lattice itself, far below the cap.
+    assert len(iterations) == 1 and 3 < iterations[0] <= 40
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["planted-right", "cosine-sign-flipped"])
+def test_a_wrong_lattice_preconditioner_fails_a_trial_state_loudly(monkeypatch, sign):
+    def planted(n):
+        k = np.arange(1, n)
+        s = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
+        lam = 2.0 + sign * 2.0 * np.cos(np.pi * k / n)
+        denominator = lam[:, None] + lam[None, :]
+        return lambda b: s @ ((s @ b @ s) / denominator) @ s
+
+    moved, straight, _, _ = moved_level2_state()
+    ybar = fem.NodalField(moved, np.zeros(moved.n_vertices))
+    want = qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight)).y.values
+    monkeypatch.setattr(mm, "_lattice_laplacian_inverse", planted)
+    if sign < 0.0:  # the plant itself is sound
+        got = qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight)).y.values
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        return
+    with pytest.raises(LinearSolverError,
+                       match=f"stopped after {mm._PCG_MAX_ITERS} iterations"):
+        qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight))
 
 
 def test_locate_repeatable():

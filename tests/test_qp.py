@@ -1,4 +1,6 @@
 """Linearized subproblem, design residual and reduced-system CG tests."""
+import math
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,19 @@ def sine_field(m: mesh.TriMesh, amp=1.0, harmonic=1):
     return InterfaceField(mesh=m, values=pinned(amp * np.sin(harmonic * np.pi * y)))
 
 
+def template_lattice(m: mesh.TriMesh) -> mesh.Lattice:
+    """The lattice of the template that the level-1 mesh m was moved from."""
+    template = mesh.build_template(math.isqrt(m.n_triangles // 2))
+    assert np.array_equal(template.triangles, m.triangles)
+    return mesh.Lattice(template)
+
+
+def mesh_state(m, ybar, f1=F1, f2=F2, mu=MU):
+    return qp.MeshState(m, ybar, f1, f2, mu, template_lattice(m))
+
+
 def workspace(m, ybar, f1=F1, f2=F2, mu=MU, **settings):
-    return qp.QpWorkspace(qp.MeshState(qp.MeshAssembly(m, ybar, f1, f2, mu)), **settings)
+    return qp.QpWorkspace(mesh_state(m, ybar, f1, f2, mu), **settings)
 
 
 def zero_design(ws: qp.QpWorkspace) -> InterfaceField:
@@ -36,13 +49,13 @@ def linearized_state(ws: qp.QpWorkspace, w: InterfaceField) -> np.ndarray:
     st = ws.state
     rhs = np.zeros(st.mesh.n_vertices)
     rhs[st.mesh.interface_nodes] = (st.f1 - st.f2) * st.geometry.arc_weights * w.values
-    return st.solver.solve(rhs)
+    return ws.solver.solve(rhs)
 
 
 def dual_solve(ws: qp.QpWorkspace, z: np.ndarray) -> np.ndarray:
     """Subproblem dual variable: K q = -M (z + y - ybar)."""
     st = ws.state
-    return st.solver.solve(-(st.mass @ (z + st.y.values - st.ybar.values)))
+    return ws.solver.solve(-(st.mass @ (z + st.y.values - st.ybar.values)))
 
 
 def design_residual(ws: qp.QpWorkspace, w: InterfaceField) -> InterfaceField:
@@ -68,9 +81,11 @@ def design_residual(ws: qp.QpWorkspace, w: InterfaceField) -> InterfaceField:
 
 @pytest.fixture(scope="module")
 def straight_ws():
-    """Workspace at the solution configuration: straight mesh, own data."""
+    """Workspace at the solution configuration: straight mesh, own data,
+    solved as the state is, so the two agree to the bit."""
     m = mesh.build_template(16)
-    ybar = fem.solve_state(m, F1, F2)
+    ybar = fem.NodalField(m, mesh.solve_lattice_poisson(
+        mesh.Lattice(m), fem.assemble_stiffness(m), fem.assemble_load_piecewise(m, F1, F2)))
     return workspace(m, ybar)
 
 
@@ -95,28 +110,28 @@ def test_workspace_rejects_mismatched_data_and_degenerate_setup():
     other = mesh.build_template(4)
     ybar = fem.NodalField(mesh=other, values=np.zeros(other.n_vertices))
     with pytest.raises(ValueError):
-        qp.MeshAssembly(m, ybar, F1, F2, MU)
+        mesh_state(m, ybar)
     ok = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
     with pytest.raises(ValueError):
-        qp.MeshAssembly(m, ok, 7.0, 7.0, 0.0)
+        mesh_state(m, ok, 7.0, 7.0, 0.0)
 
 
-def test_workspace_state_matches_standalone_solve(straight_ws):
-    y_ref = fem.solve_state(straight_ws.state.mesh, F1, F2)
-    np.testing.assert_array_equal(straight_ws.state.y.values, y_ref.values)
+def test_workspace_state_matches_standalone_solve(straight_ws, bulged_ws):
+    # The state is solved on the lattice, without a factor; the standalone
+    # solve is SuperLU's.
+    for ws in (straight_ws, bulged_ws):
+        y_ref = fem.solve_state(ws.state.mesh, F1, F2).values
+        assert np.linalg.norm(ws.state.y.values - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
 
 
 def test_workspace_reuses_a_handed_state(bulged_ws):
-    state = qp.MeshState(qp.MeshAssembly(bulged_ws.state.mesh, bulged_ws.state.ybar,
-                                          F1, F2, MU))
+    state = mesh_state(bulged_ws.state.mesh, bulged_ws.state.ybar)
     ws = qp.QpWorkspace(state)
     assert ws.state is state
     np.testing.assert_array_equal(ws.p.values, bulged_ws.p.values)
 
 
-def test_workspace_makes_one_solve_on_the_state_solver(bulged_ws, monkeypatch):
-    state = qp.MeshState(qp.MeshAssembly(bulged_ws.state.mesh, bulged_ws.state.ybar,
-                                          F1, F2, MU))
+def test_only_the_workspace_factors_and_it_factors_once(bulged_ws, monkeypatch):
     factored, solved_on = [], []
     init, solve = fem.DirichletSolver.__init__, fem.DirichletSolver.solve
 
@@ -130,20 +145,23 @@ def test_workspace_makes_one_solve_on_the_state_solver(bulged_ws, monkeypatch):
 
     monkeypatch.setattr(fem.DirichletSolver, "__init__", counted_init)
     monkeypatch.setattr(fem.DirichletSolver, "solve", counted_solve)
-    qp.QpWorkspace(state)
-    assert factored == []
-    assert len(solved_on) == 1 and solved_on[0] is state.solver
+    state = mesh_state(bulged_ws.state.mesh, bulged_ws.state.ybar)
+    assert factored == [] and solved_on == []
+    ws = qp.QpWorkspace(state)
+    assert factored == [ws.solver] and solved_on == [ws.solver]
+    qp.reduced_hessian_apply(ws, sine_field(state.mesh))
+    assert factored == [ws.solver] and solved_on == [ws.solver] * 3
 
 
 def test_mesh_state_objective_matches_separate_solves(bulged_ws):
-    # The line search ranks trials by this value, so it must not depend on
-    # whether the state came from a workspace or from standalone solves.
+    # The line search ranks trials by this value; the lattice solve of the
+    # state moves it from a SuperLU state's only at round-off.
     m, ybar = bulged_ws.state.mesh, bulged_ws.state.ybar
-    state = qp.MeshState(qp.MeshAssembly(m, ybar, F1, F2, MU))
+    state = mesh_state(m, ybar)
     y = fem.solve_state(m, F1, F2)
     expected = shape.objective(m, y, ybar, shape.compute_geometry(m), MU,
                                fem.assemble_mass(m))
-    assert state.objective == expected
+    assert state.objective == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 # ------------------------------------------------------- linearized state
@@ -152,7 +170,7 @@ def test_state_correction_vanishes_for_consistent_state(straight_ws):
     # The workspace adjoint omits the state correction K^-1 (F - K y): it is
     # round-off at a state the same factorization produced.
     st = straight_ws.state
-    correction = st.solver.solve(st.load - st.stiffness @ st.y.values)
+    correction = straight_ws.solver.solve(st.load - st.stiffness @ st.y.values)
     assert np.abs(correction).max() < 1e-12 * np.abs(st.y.values).max()
     assert np.abs(straight_ws.p.values).max() < 1e-8
 
