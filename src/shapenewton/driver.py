@@ -9,7 +9,6 @@ actually taken.
 from __future__ import annotations
 
 import logging
-import traceback
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,11 +17,13 @@ import numpy as np
 from . import fem, qp, shape
 from .errors import ConfigError, MeshInvariantError, StepFailureError
 from .mesh import (
+    CsrPattern,
     Lattice,
     Locator,
     TriMesh,
     build_template,
     refine_uniform,
+    released_on_error,
     solve_lattice_poisson,
 )
 
@@ -235,10 +236,10 @@ def _take_step(state: qp.MeshState, extension, alphas: list[float],
     trial meshes.
 
     A pool of _TRIAL_WORKERS threads builds each trial whole: it moves the
-    mesh, samples the data, assembles, solves the state on the level's
-    lattice and computes the objective.  A trial factors nothing, so this
-    thread only compares objectives.  Only a MeshInvariantError makes a
-    trial invalid; any other error propagates.
+    mesh, samples the data, assembles through the level's pattern, solves
+    the state on the level's lattice and computes the objective.  A trial
+    factors nothing, so this thread only compares objectives.  Only a
+    MeshInvariantError makes a trial invalid; any other error propagates.
     """
     mesh = state.mesh
     limit = ACCEPT_FACTOR * state.objective
@@ -250,7 +251,7 @@ def _take_step(state: qp.MeshState, extension, alphas: list[float],
         except MeshInvariantError:
             return None
         return qp.MeshState(moved, data.sample(moved), state.f1, state.f2, state.mu,
-                            state.lattice)
+                            state.lattice, state.pattern)
 
     shortest = min(alphas)
     batches = [alphas] + [[shortest * 0.5 ** k] for k in range(1, _MAX_HALVINGS + 1)]
@@ -269,16 +270,14 @@ def _take_step(state: qp.MeshState, extension, alphas: list[float],
 
 def _extend(state: qp.MeshState, step: Future):
     """The elastic extension of the step that the Future step will hold, on
-    the state's mesh: a worker job that factors the extension's Laplacian
+    the state's mesh: a worker job that, with the helper thread of
+    solve_elastic_deformation, factors the Laplacians of both subdomains
     before it waits for the step.  scipy's SuperLU frees a factor only on
-    the thread that made it, so the factor is released inside this job, on
+    the thread that made it, so each factor is released on its thread, on
     an error (a cancelled step included) as well: the frames the error
-    passed through are cleared before it leaves the job."""
-    try:
-        return shape.extend(state.mesh, step.result, state.geometry, state.stiffness)
-    except BaseException as exc:
-        traceback.clear_frames(exc.__traceback__)
-        raise
+    passed through are cleared before it leaves the job (released_on_error)."""
+    return released_on_error(shape.extend, state.mesh, step.result, state.geometry,
+                             state.stiffness)
 
 
 def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
@@ -287,12 +286,15 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
     """Shared iteration loop; step_fn produces (w, cg_iterations) from the
     workspace and the gradient, and each step tries the lengths alphas.  A
     working mesh finer than the data (default: generate_data) is an error,
-    and so is a start mesh that is not a level-`level` mesh.
+    and so is a start mesh that is not a level-`level` mesh.  The level's
+    Lattice and CsrPattern are read once from its straight mesh
+    (mesh_at_level) and serve every state of the run.
 
     Each iteration that may step hands a worker the step as a Future: the
-    worker factors the step's extension Laplacian while this thread factors
-    the workspace and solves for the step.  Stopping without a step, or
-    failing, cancels the Future, which releases the worker at once.
+    worker and its helper factor the step's two extension Laplacians, one
+    per subdomain, while this thread factors the workspace and solves for
+    the step.  Stopping without a step, or failing, cancels the Future,
+    which releases the worker at once.
     """
     if data is None:
         data = generate_data(config)
@@ -300,10 +302,10 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
     straight = mesh_at_level(config, level)
     if start is not None and not np.array_equal(start.triangles, straight.triangles):
         raise ConfigError(f"the start mesh is not a level-{level} mesh of n = {config.n}")
-    lattice = Lattice(straight)
+    lattice, pattern = Lattice(straight), CsrPattern(straight)
     first = initial_mesh(straight) if start is None else start
     state = qp.MeshState(first, data.sample(first), config.f1, config.f2, config.mu,
-                         lattice)
+                         lattice, pattern)
     rows = []
     with ThreadPoolExecutor(max_workers=1) as extender:
         for it in range(config.max_sqp_iters + 1):
@@ -354,14 +356,16 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     the step length is chosen among {1, 1.25, 1.5} times the configured
     length by objective value; otherwise the configured length is used
     directly.  Every trial length scales the step's one elastic extension,
-    solved by Laplacian-preconditioned CG on the state's own stiffness on a
-    worker thread, beside this thread's workspace factor and Newton CG (see
-    _iterate).  When no candidate is acceptable, the step is halved from the
-    smallest one at most _MAX_HALVINGS times before the run fails with
-    StepFailureError.  The candidates and the halvings run through one loop,
-    and a pool of worker threads builds each trial whole, its state solved
-    on the level's lattice without a factor (see _take_step); only the
-    workspace factors, once per iteration.  The run starts from the
+    solved by Laplacian-preconditioned CG on the state's own stiffness, one
+    subdomain on a worker thread and the other on its helper, beside this
+    thread's workspace factor and Newton CG (see _iterate).  When no
+    candidate is acceptable, the step is halved from the smallest one at
+    most _MAX_HALVINGS times before the run fails with StepFailureError.
+    The candidates and the halvings run through one loop, and a pool of
+    worker threads builds each trial whole, its matrices scattered through
+    the level's pattern and its state solved on the level's lattice
+    without a factor (see _take_step); only the workspace factors, once
+    per iteration.  The run starts from the
     reference curve unless an explicit start mesh of the level is given.
     CG that meets negative curvature, or stops above cg_tol, raises
     StepFailureError.

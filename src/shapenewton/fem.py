@@ -2,8 +2,10 @@
 
 Assembly of mass and load vectors (the stiffness matrix comes from
 mesh.assemble_stiffness, and the elastic extension reuses the matrix a state
-already holds), the homogeneous Dirichlet Poisson solve on a
-mesh.DirichletSystem, and the state solve of the two-source Poisson problem.
+already holds); the element formulas are shared with qp.MeshState, which
+scatters them through a level's mesh.CsrPattern.  Also the homogeneous
+Dirichlet Poisson solve on a mesh.DirichletSystem, and the state solve of
+the two-source Poisson problem.
 """
 from __future__ import annotations
 
@@ -45,20 +47,27 @@ def _check_same_mesh(mesh: TriMesh, *fields: NodalField) -> None:
             raise ValueError("field belongs to a different mesh")
 
 
+def mass_elements(area: np.ndarray) -> np.ndarray:
+    """Consistent P1 mass element matrices (nt, 3, 3) from the areas."""
+    return area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+
+
 def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
     """Global consistent P1 mass matrix."""
-    _, _, area = p1_gradients(mesh)
-    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    Me = area[:, None, None] * base
-    return scatter(mesh.triangles, Me, mesh.n_vertices)
+    return scatter(mesh.triangles, mass_elements(p1_gradients(mesh)[2]), mesh.n_vertices)
+
+
+def load_piecewise(mesh: TriMesh, area: np.ndarray, f1: float, f2: float) -> np.ndarray:
+    """Load vector for a source that is constant on each subdomain, from
+    the triangle areas."""
+    f = np.where(mesh.subdomain == 1, f1, f2)
+    contrib = np.repeat(area * f / 3.0, 3)
+    return np.bincount(mesh.triangles.ravel(), contrib, minlength=mesh.n_vertices)
 
 
 def assemble_load_piecewise(mesh: TriMesh, f1: float, f2: float) -> np.ndarray:
     """Load vector for a source that is constant on each subdomain."""
-    _, _, area = p1_gradients(mesh)
-    f = np.where(mesh.subdomain == 1, f1, f2)
-    contrib = np.repeat(area * f / 3.0, 3)
-    return np.bincount(mesh.triangles.ravel(), contrib, minlength=mesh.n_vertices)
+    return load_piecewise(mesh, p1_gradients(mesh)[2], f1, f2)
 
 
 def assemble_load_function(mesh: TriMesh, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

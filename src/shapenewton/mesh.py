@@ -6,16 +6,19 @@ subdomain 2 right.  Construction and refinement preserve that structure and
 validate it in full; deformation keeps the connectivity and re-checks only
 the invariants that moving vertices can break.
 
-The module also holds the solver's linear-algebra building blocks: the one
+The module also holds the solver's linear-algebra building blocks: the
+element scatter and a level's fixed CSR pattern (CsrPattern), the one
 factored Dirichlet system (DirichletSystem), the one conjugate-gradient loop
-(pcg), which both the elastic extension here and the Newton system in qp run,
-and the Poisson solve preconditioned on a level's lattice (Lattice,
+(pcg), which both halves of the elastic extension here and the Newton system
+in qp run, and the Poisson solve preconditioned on a level's lattice (Lattice,
 solve_lattice_poisson), which runs pcg too and factors nothing: it solves the
 data oracle and every line-search trial's state.
 """
 from __future__ import annotations
 
 import math
+import traceback
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +40,9 @@ _CELL_SLACK = 4 * _BARY_TOL
 _RESIDUAL_TOL = 1e-10
 # The conjugate gradients of the elastic extension and of the lattice Poisson
 # solve stop at this relative residual and fail after _PCG_MAX_ITERS
-# iterations; the extension takes about 15 on every mesh, the lattice solve 2
-# on the lattice itself and at most 34 on the default study's working meshes.
+# iterations; each half of the extension takes about 15 on every mesh, the
+# lattice solve 2 on the lattice itself and at most 34 on the default study's
+# working meshes.
 _PCG_TOL = 1e-12
 _PCG_MAX_ITERS = 100
 
@@ -361,12 +365,47 @@ def scatter(dofs: np.ndarray, element_matrices: np.ndarray, size: int) -> sp.csr
                          shape=(size, size)).tocsr()
 
 
+class CsrPattern:
+    """The CSR pattern of the P1 matrices on one connectivity, and the map
+    that scatters element matrices into it.
+
+    Retraction moves vertices but keeps the connectivity, so the pattern
+    read once from a level's straight mesh serves every mesh moved from it:
+    scatter sums the (nt, 3, 3) element matrices by np.bincount into fixed
+    indptr and indices, where scatter() sorts and sums a COO matrix anew.
+    Summed in another order, the entries may differ from scatter()'s in the
+    last bit.  A mesh of other connectivity raises ValueError.
+    """
+
+    def __init__(self, mesh: TriMesh):
+        t, n = mesh.triangles, mesh.n_vertices
+        keys = (np.repeat(t, 3, axis=1) * n + np.tile(t, (1, 3))).ravel()
+        entries, self._map = np.unique(keys, return_inverse=True)
+        self._triangles = t
+        self.shape = (n, n)
+        self.indices = (entries % n).astype(np.int32)
+        self.indptr = np.searchsorted(entries, np.arange(n + 1) * n).astype(np.int32)
+
+    def scatter(self, mesh: TriMesh, element_matrices: np.ndarray) -> sp.csr_matrix:
+        """Sum element matrices (nt, 3, 3) of the mesh's triangles."""
+        if mesh.triangles is not self._triangles and not np.array_equal(
+                mesh.triangles, self._triangles):
+            raise ValueError("mesh connectivity differs from the pattern's")
+        data = np.bincount(self._map, element_matrices.ravel(),
+                           minlength=self.indices.shape[0])
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def stiffness_elements(b: np.ndarray, c: np.ndarray, area: np.ndarray) -> np.ndarray:
+    """P1 stiffness element matrices (nt, 3, 3) from p1_gradients."""
+    return (np.einsum("ti,tj->tij", b, b) + np.einsum("ti,tj->tij", c, c)) \
+        / (4.0 * area)[:, None, None]
+
+
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     """Global P1 stiffness matrix (no boundary conditions applied)."""
-    b, c, area = p1_gradients(mesh)
-    Ke = (np.einsum("ti,tj->tij", b, b) + np.einsum("ti,tj->tij", c, c)) \
-        / (4.0 * area)[:, None, None]
-    return scatter(mesh.triangles, Ke, mesh.n_vertices)
+    return scatter(mesh.triangles, stiffness_elements(*p1_gradients(mesh)),
+                   mesh.n_vertices)
 
 
 class DirichletSystem:
@@ -418,8 +457,9 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement,
     outer boundary.  Lame parameters lambda = 0, mu = 1.  Dof 2 v + c is
     component c of vertex v; stiffness is the mesh's P1 stiffness matrix
     (assemble_stiffness).  interface_displacement is an (m, 2) array, or a
-    function returning one, which is called only once the Laplacian below is
-    factored: a worker can factor while its caller still computes the step.
+    function returning one, which is called once, after this thread has
+    factored a Laplacian: a worker can factor while its caller still
+    computes the step.
 
     No elasticity matrix is assembled.  For test functions that vanish on
     the outer boundary and the interface, integration by parts on each
@@ -427,29 +467,23 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement,
     the elasticity matrix are K (x) I + D^T D, with K the P1 stiffness and
     D the per-element divergence scaled by sqrt(area).
 
-    The system is solved by pcg in the Euclidean inner product,
-    preconditioned by the scalar P1 Laplacian on each component with the
-    same Dirichlet nodes (Blaheta's displacement decomposition).  For such
+    No free vertex touches both subdomains (_free_halves checks this before
+    anything factors), so the free rows split into two independent systems,
+    one per subdomain.  Each is solved by pcg in the Euclidean inner
+    product, preconditioned by the scalar P1 Laplacian of its subdomain on
+    each component (Blaheta's displacement decomposition).  For such
     displacements a(u, u) = |grad u|^2 + |div u|^2 <= 3 |grad u|^2, so the
-    preconditioned condition number is at most 3 and the iteration count
-    does not grow with the mesh.  One factorization of the Laplacian serves
-    both components: each application is one solve on an (n_free, 2) block.
-    The factor is made, used and released inside this call, so on the
-    thread that calls it.  Raises LinearSolverError when CG does not reach
-    _PCG_TOL within _PCG_MAX_ITERS iterations, or its answer misses
-    _RESIDUAL_TOL on the true residual.
+    preconditioned condition number is at most 3 on each half and the
+    iteration count does not grow with the mesh.  Each half factors its own
+    Laplacian, which serves both components: each application is one solve
+    on an (n_half, 2) block.  The right half runs on a helper thread and
+    the left half on this one, each factor made, used and released on its
+    thread; the helper has ended when this call returns or raises.  Raises
+    LinearSolverError when a CG does not reach _PCG_TOL within
+    _PCG_MAX_ITERS iterations, or its answer misses _RESIDUAL_TOL on the
+    true residual.
     """
-    laplacian = DirichletSystem(
-        stiffness, np.concatenate([mesh.outer_boundary_nodes, mesh.interface_nodes]))
-    g = np.asarray(interface_displacement() if callable(interface_displacement)
-                   else interface_displacement, dtype=np.float64)
-    if g.shape != (mesh.interface_nodes.shape[0], 2):
-        raise ValueError(f"interface displacement has shape {g.shape}, "
-                         f"expected {(mesh.interface_nodes.shape[0], 2)}")
-    if np.any(g[0] != 0.0) or np.any(g[-1] != 0.0):
-        raise ValueError("displacement at the pinned interface endpoints must be zero")
-
-    free = laplacian.free
+    left, right = _free_halves(mesh)
     # Row t of D holds (b_i, c_i) / (2 sqrt(area_t)) on the dofs 2 v_i and
     # 2 v_i + 1 of its vertices: six entries, so the pattern is known.
     b, c, area = p1_gradients(mesh)
@@ -458,26 +492,92 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement,
                          (2 * mesh.triangles[:, :, None] + np.arange(2)).ravel(),
                          np.arange(0, 6 * mesh.n_triangles + 1, 6)),
                         shape=(mesh.n_triangles, 2 * mesh.n_vertices))
+    lifted = Future()
 
-    def div_div(u):
-        """The rows of D^T D u at the free nodes, one column per component."""
-        return (div.T @ (div @ u.ravel())).reshape(-1, 2)[free]
+    def lift():
+        """The interface data lifted to the vertices, and the right-hand
+        side -(K (x) I + D^T D) of that lift, both (n_vertices, 2); handed
+        to the helper too."""
+        g = np.asarray(interface_displacement() if callable(interface_displacement)
+                       else interface_displacement, dtype=np.float64)
+        if g.shape != (mesh.interface_nodes.shape[0], 2):
+            raise ValueError(f"interface displacement has shape {g.shape}, "
+                             f"expected {(mesh.interface_nodes.shape[0], 2)}")
+        if np.any(g[0] != 0.0) or np.any(g[-1] != 0.0):
+            raise ValueError("displacement at the pinned interface endpoints must be zero")
+        u = np.zeros((mesh.n_vertices, 2))
+        u[mesh.interface_nodes] = g
+        rhs = -(stiffness @ u + (div.T @ (div @ u.ravel())).reshape(-1, 2))
+        lifted.set_result((u, rhs))
+        return rhs
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        right_job = helper.submit(released_on_error, _extend_half, stiffness,
+                                  div[mesh.subdomain == 2], right,
+                                  lambda: lifted.result()[1])
+        try:
+            u_left = _extend_half(stiffness, div[mesh.subdomain == 1], left, lift)
+        finally:
+            # Lifting failed if the load is not set by now: cancelling
+            # releases the helper, which waits for it.
+            lifted.cancel()
+        u_right = right_job.result()
+    u = lifted.result()[0]
+    u[left] = u_left
+    u[right] = u_right
+    return DeformationField(mesh=mesh, displacement=u)
+
+
+def _free_halves(mesh: TriMesh):
+    """The extension's free vertices, off the outer boundary and the
+    interface, split by subdomain: (left, right), each ascending.  Raises
+    MeshInvariantError naming a free vertex that lies in both subdomains or
+    in neither, so that the halves are disjoint and cover every free
+    vertex."""
+    fixed = np.zeros(mesh.n_vertices, dtype=bool)
+    fixed[mesh.outer_boundary_nodes] = True
+    fixed[mesh.interface_nodes] = True
+    touches = np.zeros((2, mesh.n_vertices), dtype=bool)
+    for half, label in enumerate((1, 2)):
+        touches[half, mesh.triangles[mesh.subdomain == label]] = True
+    for bad, where in ((touches.all(axis=0), "in both subdomains"),
+                       (~touches.any(axis=0), "in no subdomain")):
+        bad &= ~fixed
+        if bad.any():
+            raise MeshInvariantError(f"free vertex {int(np.argmax(bad))} lies {where}")
+    return np.flatnonzero(touches[0] & ~fixed), np.flatnonzero(touches[1] & ~fixed)
+
+
+def _extend_half(stiffness: sp.csr_matrix, div: sp.csr_matrix, free: np.ndarray,
+                 load) -> np.ndarray:
+    """The extension's displacement (n_free, 2) on one subdomain's free
+    vertices.  div holds the subdomain's rows of D; load() returns the
+    right-hand side (n_vertices, 2), and is called once the subdomain's
+    Laplacian is factored.  The factor lives and dies in this frame."""
+    constrained = np.ones(stiffness.shape[0], dtype=bool)
+    constrained[free] = False
+    laplacian = DirichletSystem(stiffness, np.flatnonzero(constrained))
+    dff = div[:, (2 * free[:, None] + np.arange(2)).ravel()]
+    rhs = load()[free].ravel()
 
     def operator(x):
         """Free rows of the elasticity matrix, on free dofs in node-major
         order, so x reshaped to (n_free, 2) holds one component per column."""
-        xf = x.reshape(-1, 2)
-        u = np.zeros((mesh.n_vertices, 2))
-        u[free] = xf
-        return (laplacian.kff @ xf + div_div(u)).ravel()
+        return (laplacian.kff @ x.reshape(-1, 2)).ravel() + dff.T @ (dff @ x)
 
-    u = np.zeros((mesh.n_vertices, 2))
-    u[mesh.interface_nodes] = g
-    rhs = -((stiffness @ u)[free] + div_div(u)).ravel()
-    x = _checked_pcg(operator, rhs,
-                     lambda r: laplacian.solve_free(r.reshape(-1, 2)).ravel())
-    u[free] = x.reshape(-1, 2)
-    return DeformationField(mesh=mesh, displacement=u)
+    return _checked_pcg(operator, rhs, lambda r: laplacian.solve_free(
+        r.reshape(-1, 2)).ravel()).reshape(-1, 2)
+
+
+def released_on_error(job, *args):
+    """job(*args), for a worker thread.  SuperLU frees a factor only on the
+    thread that made it, so on an error the frames that the error passed
+    through, which hold the job's factors, are cleared before it leaves."""
+    try:
+        return job(*args)
+    except BaseException as exc:
+        traceback.clear_frames(exc.__traceback__)
+        raise
 
 
 def _checked_pcg(operator, rhs: np.ndarray, precondition) -> np.ndarray:

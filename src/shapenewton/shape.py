@@ -155,8 +155,9 @@ def extend(mesh: TriMesh, w, geometry: InterfaceGeometry,
 
     stiffness is the mesh's P1 stiffness matrix, which a state on the mesh
     already holds; the extension assembles no matrix of its own.  w is an
-    InterfaceField, or a function returning one, which is called only once
-    solve_elastic_deformation has factored its Laplacian.  The extension is
+    InterfaceField, or a function returning one, which is called once,
+    after solve_elastic_deformation has factored the Laplacian of the half
+    it solves on the calling thread.  The extension is
     linear in the step, so retract() scales this one field to every trial
     length along w.
     """

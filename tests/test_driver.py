@@ -301,7 +301,7 @@ def step_setup(amplitude):
     data = driver.generate_data(config)
     m = build_template(config.n)
     state = qp.MeshState(m, data.sample(m), config.f1, config.f2, config.mu,
-                         mesh.Lattice(m))
+                         mesh.Lattice(m), mesh.CsrPattern(m))
     heights = m.interface_points[:, 1]
     values = amplitude * np.sin(np.pi * heights)
     values[[0, -1]] = 0.0
@@ -363,7 +363,7 @@ def newton_step_setup():
     straight = driver.mesh_at_level(config, 1)
     m = driver.initial_mesh(straight)
     state = qp.MeshState(m, data.sample(m), config.f1, config.f2, config.mu,
-                         mesh.Lattice(straight))
+                         mesh.Lattice(straight), mesh.CsrPattern(straight))
     w = qp.solve_qp_cg(qp.QpWorkspace(state, cg_tol=config.cg_tol)).w
     return state, w, data, config
 
@@ -388,7 +388,7 @@ def serial_oracle(state, extension, alphas, data):
         except MeshInvariantError:
             continue
         candidate = qp.MeshState(moved, data.sample(moved), state.f1, state.f2,
-                                 state.mu, state.lattice)
+                                 state.mu, state.lattice, state.pattern)
         if best is None or candidate.objective < best[0].objective:
             best = (candidate, a)
     return best
@@ -407,14 +407,15 @@ def test_concurrent_candidates_match_a_serial_oracle(monkeypatch):
     alphas = [1.0, 1.25, 1.5]
     sampled_on_main, assembled_on_main, solved_on_main, factors = [], [], [], []
     record_threads(monkeypatch, driver.DataOracle, "sample", sampled_on_main)
-    record_threads(monkeypatch, fem, "assemble_stiffness", assembled_on_main)
+    record_threads(monkeypatch, mesh.CsrPattern, "scatter", assembled_on_main)
     record_threads(monkeypatch, qp, "solve_lattice_poisson", solved_on_main)
     record_threads(monkeypatch, spla, "splu", factors)
     accepted, alpha = driver._take_step(state, extension, alphas, data)
-    # Every candidate is moved, sampled, assembled and solved on the pool,
-    # its state on the lattice: the line search factors nothing.
+    # Every candidate is moved, sampled, assembled (its mass and stiffness
+    # scattered through the level's pattern) and solved on the pool, its
+    # state on the lattice: the line search factors nothing.
     assert sampled_on_main == [False] * len(alphas)
-    assert assembled_on_main == [False] * len(alphas)
+    assert assembled_on_main == [False] * 2 * len(alphas)
     assert solved_on_main == [False] * len(alphas)
     assert factors == []
     monkeypatch.undo()
@@ -444,22 +445,30 @@ def test_every_trial_is_built_on_the_trial_pool(monkeypatch):
 
 def test_a_step_assembles_one_stiffness_per_candidate(monkeypatch):
     # The step is extended on the stiffness its state already holds, so the
-    # extension assembles nothing and a step only the candidates' matrices.
+    # extension assembles nothing and a step only the candidates' matrices:
+    # one stiffness and one mass each, scattered through the level's pattern.
     state, w, data, config = newton_step_setup()
-    assemble, assembled = mesh.assemble_stiffness, []
+    scatter, assemble, assembled = mesh.CsrPattern.scatter, mesh.assemble_stiffness, []
+
+    def counted_scatter(pattern, m, elements):
+        assembled.append((m, scatter(pattern, m, elements)))
+        return assembled[-1][1]
 
     def counted_assemble(m):
-        assembled.append(m)
-        return assemble(m)
+        assembled.append((m, assemble(m)))
+        return assembled[-1][1]
 
+    monkeypatch.setattr(mesh.CsrPattern, "scatter", counted_scatter)
     monkeypatch.setattr(fem, "assemble_stiffness", counted_assemble)
     monkeypatch.setattr(mesh, "assemble_stiffness", counted_assemble)
     step = Future()
     step.set_result(w)
     extension = driver._extend(state, step)
     assert assembled == []
-    driver._take_step(state, extension, [1.0, 1.25, 1.5], data)
-    assert len(assembled) == 3
+    accepted, _ = driver._take_step(state, extension, [1.0, 1.25, 1.5], data)
+    meshes = [id(m) for m, _ in assembled]
+    assert len(meshes) == 6 and all(meshes.count(m) == 2 for m in meshes)
+    assert any(matrix is accepted.stiffness for _, matrix in assembled)
 
 
 @pytest.mark.parametrize("stage", ["sample", "assemble", "state"])
@@ -469,7 +478,7 @@ def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
     # must leave _take_step, not be skipped.
     state, w, data, config = newton_step_setup()
     retract, sample = shape.retract, driver.DataOracle.sample
-    assemble, solve = fem.assemble_stiffness, qp.solve_lattice_poisson
+    scatter, solve = mesh.CsrPattern.scatter, qp.solve_lattice_poisson
     moved_by_step, assembled = {}, []
 
     def recorded_retract(m, extension, step):
@@ -481,10 +490,10 @@ def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
             raise PointLocationError("planted failure at step 1.25")
         return sample(oracle, target)
 
-    def faulty_assemble(m):
+    def faulty_scatter(pattern, m, elements):
         if stage == "assemble" and m is moved_by_step.get(1.25):
             raise ValueError("planted failure at step 1.25")
-        assembled.append((m, assemble(m)))
+        assembled.append((m, scatter(pattern, m, elements)))
         return assembled[-1][1]
 
     def faulty_solve(lattice, stiffness, load):
@@ -495,7 +504,7 @@ def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
 
     monkeypatch.setattr(shape, "retract", recorded_retract)
     monkeypatch.setattr(driver.DataOracle, "sample", faulty_sample)
-    monkeypatch.setattr(fem, "assemble_stiffness", faulty_assemble)
+    monkeypatch.setattr(mesh.CsrPattern, "scatter", faulty_scatter)
     monkeypatch.setattr(qp, "solve_lattice_poisson", faulty_solve)
     with pytest.raises((PointLocationError, ValueError, LinearSolverError),
                        match="planted failure at step 1.25"):
@@ -504,8 +513,9 @@ def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
 
 def test_no_factor_crosses_threads(monkeypatch):
     # scipy's SuperLU frees a factor only on the thread that made it: each
-    # Dirichlet system must be released on the thread that built it.  Only
-    # workspaces and extensions factor; no state does, trials included.
+    # Dirichlet system must be released on the thread that built it, helper
+    # threads included.  Only workspaces and extensions factor, an extension
+    # once per subdomain; no state does, trials included.
     built, released, states, state_factors = [], [], threading.local(), []
     init, splu, state_init = mesh.DirichletSystem.__init__, spla.splu, qp.MeshState.__init__
 
@@ -539,12 +549,32 @@ def test_no_factor_crosses_threads(monkeypatch):
     steps = sum(row.step_length > 0.0 for trace in traces for row in trace.rows)
     assert steps == 4
     # Per run: the start's extension, one per step, and a workspace per row.
+    # An extension's right half runs on its helper thread, and a step's left
+    # half on the extension worker.
     assert len(extensions) == len(traces) + steps
-    assert len(built) == len(extensions) + sum(len(trace.rows) for trace in traces)
-    assert sum(maker is not threading.main_thread() for maker in built) == steps
+    assert len(built) == 2 * len(extensions) + sum(len(trace.rows) for trace in traces)
+    assert sum(maker is not threading.main_thread() for maker in built) \
+        == len(extensions) + steps
     assert sorted(map(id, built)) == sorted(id(maker) for maker, _ in released)
     assert all(maker is freer for maker, freer in released)
     assert state_factors == []
+
+
+def test_the_data_oracle_builds_no_pattern(monkeypatch):
+    # A pattern belongs to a level's working meshes: the oracle's lattice
+    # solve and its locator scatter by COO, and each level solve builds one.
+    built, init = [], mesh.CsrPattern.__init__
+
+    def recorded(self, m):
+        built.append(m.n_triangles)
+        init(self, m)
+
+    monkeypatch.setattr(mesh.CsrPattern, "__init__", recorded)
+    config = driver.ExperimentConfig(n=8)
+    data = driver.generate_data(config)
+    assert built == []
+    driver.sqp_solve(config, data, 1)
+    assert built == [driver.mesh_at_level(config, 1).n_triangles]
 
 
 def test_solvers_attach_nothing_to_meshes():

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import gc
 import sys
+import threading
+import weakref
+from concurrent.futures import CancelledError, Future
 
 import numpy as np
 import pytest
@@ -228,39 +232,49 @@ def elasticity_oracle(m: mm.TriMesh) -> sp.csr_matrix:
     return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(nv2, nv2)).tocsr()
 
 
-def extension_system(monkeypatch, m, g):
-    """The operator and right-hand side the extension hands to its conjugate
-    gradients."""
+def extension_systems(monkeypatch, m, g):
+    """The operator and right-hand side that each half of the extension
+    hands to its conjugate gradients, keyed by whether that half ran on the
+    calling thread."""
     captured = {}
     pcg = mm.pcg
 
     def capture(operator, rhs, *args):
-        captured.update(operator=operator, rhs=rhs)
+        on_caller = threading.current_thread() is threading.main_thread()
+        captured[on_caller] = (operator, rhs)
         return pcg(operator, rhs, *args)
 
     monkeypatch.setattr(mm, "pcg", capture)
     mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m))
-    return captured["operator"], captured["rhs"]
+    return captured
 
 
 def test_elasticity_matches_strain_oracle_and_splits_into_laplacians(monkeypatch):
     m = driver.initial_mesh(driver.mesh_at_level(driver.ExperimentConfig(n=16), 1))
     g = interface_bump(m)
-    operator, rhs = extension_system(monkeypatch, m, g)
+    systems = extension_systems(monkeypatch, m, g)
     oracle = elasticity_oracle(m)
-    # The extension's free rows, its dofs in node-major order, equal the
-    # strain oracle's, on the free columns (the operator) and on the
-    # Dirichlet lift (the right-hand side).
+    # Each half's free rows, its dofs in node-major order, equal the strain
+    # oracle's, on its free columns (the operator) and on the Dirichlet lift
+    # (the right-hand side); the left half runs on the calling thread.  The
+    # oracle's rows of one half vanish on the other half's free columns, so
+    # the halves are independent.
     fixed_nodes = np.concatenate([m.outer_boundary_nodes, m.interface_nodes])
-    free_nodes = np.setdiff1d(np.arange(m.n_vertices), fixed_nodes)
-    free = (2 * free_nodes[:, None] + np.arange(2)).ravel()
-    rows = oracle[free]
-    columns = np.column_stack([operator(e) for e in np.eye(free.size)])
-    assert np.abs(columns - rows[:, free].toarray()).max() <= 1e-14 * abs(oracle).max()
     lift = np.zeros((m.n_vertices, 2))
     lift[m.interface_nodes] = g
-    expected = -(rows @ lift.ravel())
-    assert np.abs(rhs - expected).max() <= 1e-14 * np.abs(expected).max()
+    halves = {label: np.setdiff1d(m.triangles[m.subdomain == label], fixed_nodes)
+              for label in (1, 2)}
+    assert sorted(systems) == [False, True]
+    for label, on_caller in ((1, True), (2, False)):
+        operator, rhs = systems[on_caller]
+        free = (2 * halves[label][:, None] + np.arange(2)).ravel()
+        other = (2 * halves[3 - label][:, None] + np.arange(2)).ravel()
+        rows = oracle[free]
+        columns = np.column_stack([operator(e) for e in np.eye(free.size)])
+        assert np.abs(columns - rows[:, free].toarray()).max() <= 1e-14 * abs(oracle).max()
+        assert rows[:, other].count_nonzero() == 0
+        expected = -(rows @ lift.ravel())
+        assert np.abs(rhs - expected).max() <= 1e-14 * np.abs(expected).max()
 
     # For u vanishing on the outer boundary, a(u, u) = |grad u|^2 + |div u|^2:
     # the scalar Laplacian on each component plus the divergence term.
@@ -320,18 +334,21 @@ def test_elastic_extension_matches_the_coupled_direct_solve(monkeypatch):
 @pytest.mark.parametrize("level", [1, 2])
 def test_elastic_extension_iterations_do_not_grow_with_the_mesh(monkeypatch, level):
     m = driver.initial_mesh(driver.mesh_at_level(driver.ExperimentConfig(), level))
-    applications = []
+    applications = {}
     solve_free = mm.DirichletSystem.solve_free
 
     def counted(self, bf):
-        applications.append(bf.shape)
+        applications.setdefault(id(self), []).append(bf.shape)
         return solve_free(self, bf)
 
     monkeypatch.setattr(mm.DirichletSystem, "solve_free", counted)
     mm.solve_elastic_deformation(m, interface_bump(m), fem.assemble_stiffness(m))
-    # One preconditioner application per iteration, on both components at once.
-    assert 0 < len(applications) <= 20
-    assert {shape[1] for shape in applications} == {2}
+    # Two halves, each one preconditioner application per iteration, on both
+    # components at once.
+    assert len(applications) == 2
+    for shapes in applications.values():
+        assert 0 < len(shapes) <= 20
+        assert {shape[1] for shape in shapes} == {2}
 
 
 @pytest.mark.parametrize("corrupt, pcg_cap, reason", [
@@ -400,15 +417,19 @@ def test_poisson_and_elastic_solves_share_one_dirichlet_path(monkeypatch):
     m = mm.build_template(8)
     fem.DirichletSolver(m, fem.assemble_stiffness(m))
     assert (len(systems), len(factors)) == (1, 1)
+    # One system per subdomain half of the extension.
     mm.solve_elastic_deformation(m, interface_bump(m), fem.assemble_stiffness(m))
-    assert (len(systems), len(factors)) == (2, 2)
+    assert (len(systems), len(factors)) == (3, 3)
 
 
 def test_newton_and_extension_share_one_cg_loop(monkeypatch):
     config = driver.ExperimentConfig(n=8, levels=1, max_sqp_iters=1)
     start = driver.initial_mesh(driver.mesh_at_level(config, 1))
-    callers, checked, depth, outside = [], [], [0], []
+    callers, checked, depth, outside = [], [], threading.local(), []
     pcg = mm.pcg
+
+    def inside():
+        return getattr(depth, "value", 0) > 0
 
     def counted(*args):
         frame = sys._getframe(1)
@@ -416,22 +437,22 @@ def test_newton_and_extension_share_one_cg_loop(monkeypatch):
             frame = frame.f_back
             checked.append(frame.f_code.co_name)
         callers.append(frame.f_code.co_name)
-        depth[0] += 1
+        depth.value = getattr(depth, "value", 0) + 1
         try:
             return pcg(*args)
         finally:
-            depth[0] -= 1
+            depth.value -= 1
 
     hessian_apply = qp.reduced_hessian_apply
     solve_free = mm.DirichletSystem.solve_free
 
     def hessian(ws, w):
-        if not depth[0]:
+        if not inside():
             outside.append("reduced Hessian")
         return hessian_apply(ws, w)
 
     def preconditioner(self, bf):
-        if bf.ndim == 2 and not depth[0]:
+        if bf.ndim == 2 and not inside():
             outside.append("elastic preconditioner")
         return solve_free(self, bf)
 
@@ -441,15 +462,132 @@ def test_newton_and_extension_share_one_cg_loop(monkeypatch):
     trace = driver.sqp_solve(config, driver.generate_data(config), 1, start=start)
     # The lattice solves of the data oracle and of five states (the start and
     # the step's three trials), then one Newton iteration: one CG solve of
-    # the reduced system and one of the step's extension, and every
-    # reduced-Hessian application and every elastic preconditioner solve
-    # happens inside mesh.pcg.  The lattice solves and the extension run it
-    # through the same residual checks.
+    # the reduced system and one of each half of the step's extension, and
+    # every reduced-Hessian application and every elastic preconditioner
+    # solve happens inside mesh.pcg on its own thread.  The lattice solves
+    # and the extension run it through the same residual checks.
     assert trace.rows[0].cg_iterations > 0
     lattice_solves = ["solve_lattice_poisson"] * 5
-    assert sorted(callers) == ["solve_elastic_deformation", *lattice_solves, "solve_qp_cg"]
-    assert sorted(checked) == ["solve_elastic_deformation", *lattice_solves]
+    halves = ["_extend_half"] * 2
+    assert sorted(callers) == [*halves, *lattice_solves, "solve_qp_cg"]
+    assert sorted(checked) == [*halves, *lattice_solves]
     assert outside == []
+
+
+@pytest.mark.parametrize("fault", ["left", "right", "cancelled"])
+def test_a_failing_half_or_a_cancelled_step_ends_the_extension_cleanly(monkeypatch, fault):
+    # A bad factor on either half, or a step that never comes, makes the
+    # extension raise; its helper thread has ended by then, and each half's
+    # Dirichlet system is released on the thread that built it.
+    m = driver.initial_mesh(driver.mesh_at_level(driver.ExperimentConfig(n=16), 1))
+    stiffness = fem.assemble_stiffness(m)
+    built, released = [], []
+    init = mm.DirichletSystem.__init__
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        maker = threading.current_thread()
+        built.append(maker)
+        weakref.finalize(self, lambda: released.append((maker, threading.current_thread())))
+
+    monkeypatch.setattr(mm.DirichletSystem, "__init__", recorded_init)
+    displacement, expected = interface_bump(m), LinearSolverError
+    if fault == "cancelled":
+        step = Future()
+        step.cancel()
+        displacement, expected = step.result, CancelledError
+    else:
+        splu = mm.spla.splu
+        caller_fails = fault == "left"
+
+        class PlantedFactor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                return np.full_like(self.lu.solve(rhs), np.nan)
+
+        def planted_splu(*args, **kwargs):
+            lu = splu(*args, **kwargs)
+            on_caller = threading.current_thread() is threading.main_thread()
+            return PlantedFactor(lu) if on_caller == caller_fails else lu
+
+        monkeypatch.setattr(mm.spla, "splu", planted_splu)
+    threads = set(threading.enumerate())
+    with pytest.raises(expected):
+        mm.solve_elastic_deformation(m, displacement, stiffness)
+    assert set(threading.enumerate()) == threads
+    gc.collect()
+    assert len(built) == 2
+    assert sum(maker is threading.main_thread() for maker in built) == 1
+    assert sorted(map(id, built)) == sorted(id(maker) for maker, _ in released)
+    assert all(maker is freer for maker, freer in released)
+
+
+def mislabelled_template():
+    """The 4 x 4 template with triangle 0, left of the interface, labelled
+    2: its vertex 6, at lattice point (1, 1), now lies in both subdomains."""
+    m = mm.build_template(4)
+    labels = m.subdomain.copy()
+    labels[0] = 2
+    return mm.TriMesh(m.vertices, m.triangles, labels, m.outer_boundary_nodes,
+                      m.interface_nodes)
+
+
+def unlabelled_template():
+    """The 4 x 4 template with every triangle at vertex 6, at lattice point
+    (1, 1), labelled 0, so that the vertex lies in no subdomain."""
+    m = mm.build_template(4)
+    labels = m.subdomain.copy()
+    labels[np.flatnonzero((m.triangles == 6).any(axis=1))] = 0
+    return mm.TriMesh(m.vertices, m.triangles, labels, m.outer_boundary_nodes,
+                      m.interface_nodes)
+
+
+def template_with_a_loose_vertex():
+    """The 4 x 4 template with vertex 25 added, in no triangle."""
+    m = mm.build_template(4)
+    return mm.TriMesh(np.vstack([m.vertices, [[0.3, 0.3]]]), m.triangles, m.subdomain,
+                      m.outer_boundary_nodes, m.interface_nodes)
+
+
+@pytest.mark.parametrize("build, reason", [
+    pytest.param(mislabelled_template, "free vertex 6 lies in both subdomains",
+                 id="mislabelled"),
+    pytest.param(template_with_a_loose_vertex, "free vertex 25 lies in no subdomain",
+                 id="loose-vertex"),
+    pytest.param(unlabelled_template, "free vertex 6 lies in no subdomain",
+                 id="unlabelled"),
+])
+def test_a_bad_split_fails_before_anything_factors(monkeypatch, build, reason):
+    # Neither mesh is validated; the extension's split refuses both.
+    m = build()
+    factors = []
+    monkeypatch.setattr(mm.spla, "splu", lambda *args, **kwargs: factors.append(1))
+    g = np.zeros((m.interface_nodes.shape[0], 2))
+    with pytest.raises(MeshInvariantError, match=reason):
+        mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m))
+    assert factors == []
+
+
+def test_pattern_matches_the_coo_scatter_on_a_moved_mesh():
+    moved, straight, _, _ = moved_level2_state()
+    pattern = mm.CsrPattern(straight)
+    b, c, area = mm.p1_gradients(moved)
+    for elements in (mm.stiffness_elements(b, c, area), fem.mass_elements(area)):
+        want = mm.scatter(moved.triangles, elements, moved.n_vertices)
+        got = pattern.scatter(moved, elements)
+        assert got.shape == want.shape
+        assert abs(got - want).max() <= 1e-14 * abs(want).max()
+    # A mesh of other connectivity: another level, or the same triangles in
+    # another order.
+    others = [driver.mesh_at_level(driver.ExperimentConfig(), 1),
+              mm.TriMesh(moved.vertices, moved.triangles[::-1].copy(),
+                         moved.subdomain[::-1].copy(), moved.outer_boundary_nodes,
+                         moved.interface_nodes)]
+    for other in others:
+        with pytest.raises(ValueError, match="connectivity"):
+            pattern.scatter(other, mm.stiffness_elements(*mm.p1_gradients(other)))
 
 
 def test_apply_deformation_round_trip():
@@ -731,15 +869,18 @@ def test_a_wrong_lattice_preconditioner_fails_a_trial_state_loudly(monkeypatch, 
 
     moved, straight, _, _ = moved_level2_state()
     ybar = fem.NodalField(moved, np.zeros(moved.n_vertices))
-    want = qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight)).y.values
+    pattern = mm.CsrPattern(straight)
+    want = qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight),
+                        pattern).y.values
     monkeypatch.setattr(mm, "_lattice_laplacian_inverse", planted)
     if sign < 0.0:  # the plant itself is sound
-        got = qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight)).y.values
+        got = qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight),
+                           pattern).y.values
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
         return
     with pytest.raises(LinearSolverError,
                        match=f"stopped after {mm._PCG_MAX_ITERS} iterations"):
-        qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight))
+        qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight), pattern)
 
 
 def test_locate_repeatable():

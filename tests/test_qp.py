@@ -23,15 +23,17 @@ def sine_field(m: mesh.TriMesh, amp=1.0, harmonic=1):
     return InterfaceField(mesh=m, values=pinned(amp * np.sin(harmonic * np.pi * y)))
 
 
-def template_lattice(m: mesh.TriMesh) -> mesh.Lattice:
-    """The lattice of the template that the level-1 mesh m was moved from."""
+def template_of(m: mesh.TriMesh) -> mesh.TriMesh:
+    """The template that the level-1 mesh m was moved from."""
     template = mesh.build_template(math.isqrt(m.n_triangles // 2))
     assert np.array_equal(template.triangles, m.triangles)
-    return mesh.Lattice(template)
+    return template
 
 
 def mesh_state(m, ybar, f1=F1, f2=F2, mu=MU):
-    return qp.MeshState(m, ybar, f1, f2, mu, template_lattice(m))
+    template = template_of(m)
+    return qp.MeshState(m, ybar, f1, f2, mu, mesh.Lattice(template),
+                        mesh.CsrPattern(template))
 
 
 def workspace(m, ybar, f1=F1, f2=F2, mu=MU, **settings):
