@@ -23,8 +23,8 @@ from .mesh import (
     TriMesh,
     build_template,
     refine_uniform,
-    released_on_error,
     solve_lattice_poisson,
+    validate,
 )
 
 log = logging.getLogger(__name__)
@@ -268,40 +268,33 @@ def _take_step(state: qp.MeshState, extension, alphas: list[float],
                            f"and {_MAX_HALVINGS} halvings")
 
 
-def _extend(state: qp.MeshState, step: Future):
-    """The elastic extension of the step that the Future step will hold, on
-    the state's mesh: a worker job that, with the helper thread of
-    solve_elastic_deformation, factors the Laplacians of both subdomains
-    before it waits for the step.  scipy's SuperLU frees a factor only on
-    the thread that made it, so each factor is released on its thread, on
-    an error (a cancelled step included) as well: the frames the error
-    passed through are cleared before it leaves the job (released_on_error)."""
-    return released_on_error(shape.extend, state.mesh, step.result, state.geometry,
-                             state.stiffness)
-
-
 def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
              step_fn, alphas: list[float], observer=None,
              start: TriMesh | None = None) -> SqpTrace:
     """Shared iteration loop; step_fn produces (w, cg_iterations) from the
     workspace and the gradient, and each step tries the lengths alphas.  A
     working mesh finer than the data (default: generate_data) is an error,
-    and so is a start mesh that is not a level-`level` mesh.  The level's
-    Lattice and CsrPattern are read once from its straight mesh
-    (mesh_at_level) and serve every state of the run.
+    and so is a start mesh that fails validate or whose arrays, but for its
+    vertices, are not those of the level's straight mesh (mesh_at_level).
+    The level's Lattice and CsrPattern are read once from the straight mesh
+    and serve every state of the run.
 
     Each iteration that may step hands a worker the step as a Future: the
-    worker and its helper factor the step's two extension Laplacians, one
-    per subdomain, while this thread factors the workspace and solves for
-    the step.  Stopping without a step, or failing, cancels the Future,
-    which releases the worker at once.
+    worker's extension (shape.extend) factors its two Laplacians while this
+    thread factors the workspace and solves for the step; the workspace's
+    with block ends there, before the line search.  Stopping without a
+    step, or failing, cancels the Future, which releases the worker at once.
     """
     if data is None:
         data = generate_data(config)
     check_level(config, level, data.field.mesh.n_triangles)
     straight = mesh_at_level(config, level)
-    if start is not None and not np.array_equal(start.triangles, straight.triangles):
-        raise ConfigError(f"the start mesh is not a level-{level} mesh of n = {config.n}")
+    if start is not None:
+        for name in ("triangles", "subdomain", "outer_boundary_nodes", "interface_nodes"):
+            if not np.array_equal(getattr(start, name), getattr(straight, name)):
+                raise ConfigError(f"the start mesh is not a level-{level} mesh of "
+                                  f"n = {config.n}: its {name} differ")
+        validate(start)
     lattice, pattern = Lattice(straight), CsrPattern(straight)
     first = initial_mesh(straight) if start is None else start
     state = qp.MeshState(first, data.sample(first), config.f1, config.f2, config.mu,
@@ -312,21 +305,23 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
             cur = state.mesh
             last = it == config.max_sqp_iters
             step = Future()
-            extension = None if last else extender.submit(_extend, state, step)
+            extension = None if last else extender.submit(
+                shape.extend, cur, step.result, state.geometry, state.stiffness)
             try:
-                ws = qp.QpWorkspace(state, cg_tol=config.cg_tol)
-                g = shape.shape_gradient(cur, state.geometry, ws.p, config.f1, config.f2,
-                                         config.mu)
-                grad_norm = shape.s_norm(state.geometry, g.values)
-                value = state.objective
-                dist = shape.dist_to_solution(cur)
-                snapshot = IterationSnapshot(cur, state.geometry, state.y, ws.p, g)
+                with qp.QpWorkspace(state, cg_tol=config.cg_tol) as ws:
+                    g = shape.shape_gradient(cur, state.geometry, ws.p, config.f1,
+                                             config.f2, config.mu)
+                    grad_norm = shape.s_norm(state.geometry, g.values)
+                    value = state.objective
+                    dist = shape.dist_to_solution(cur)
+                    snapshot = IterationSnapshot(cur, state.geometry, state.y, ws.p, g)
 
-                last = last or grad_norm <= GRAD_TOL
-                cg_iters, alpha_used = 0, 0.0
+                    last = last or grad_norm <= GRAD_TOL
+                    cg_iters, alpha_used = 0, 0.0
+                    if not last:
+                        w, cg_iters = step_fn(ws, g)
+                        step.set_result(w)
                 if not last:
-                    w, cg_iters = step_fn(ws, g)
-                    step.set_result(w)
                     state, alpha_used = _take_step(state, extension.result(), alphas,
                                                    data)
             except StepFailureError as exc:
@@ -358,16 +353,16 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     directly.  Every trial length scales the step's one elastic extension,
     solved by Laplacian-preconditioned CG on the state's own stiffness, one
     subdomain on a worker thread and the other on its helper, beside this
-    thread's workspace factor and Newton CG (see _iterate).  When no
-    candidate is acceptable, the step is halved from the smallest one at
-    most _MAX_HALVINGS times before the run fails with StepFailureError.
-    The candidates and the halvings run through one loop, and a pool of
-    worker threads builds each trial whole, its matrices scattered through
-    the level's pattern and its state solved on the level's lattice
-    without a factor (see _take_step); only the workspace factors, once
-    per iteration.  The run starts from the
-    reference curve unless an explicit start mesh of the level is given.
-    CG that meets negative curvature, or stops above cg_tol, raises
+    thread's workspace factor and Newton CG (see _iterate); each factor is
+    a mesh.DirichletSystem, released by scope on the thread that made it.
+    When no candidate is acceptable, the step is halved from the smallest
+    one at most _MAX_HALVINGS times before the run fails with
+    StepFailureError.  The candidates and the halvings run through one
+    loop, and a pool of worker threads builds each trial whole, its
+    matrices scattered through the level's pattern and its state solved on
+    the level's lattice without a factor (see _take_step).  The run starts
+    from the reference curve unless an explicit start mesh of the level is
+    given.  CG that meets negative curvature, or stops above cg_tol, raises
     StepFailureError.
     """
     scales = (1.0, 1.25, 1.5) if config.line_search else (1.0,)

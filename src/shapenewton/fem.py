@@ -88,7 +88,7 @@ def assemble_load_function(mesh: TriMesh, f: Callable[[np.ndarray], np.ndarray])
 class DirichletSolver:
     """The P1 stiffness matrix of one mesh (assemble_stiffness) with
     homogeneous Dirichlet data on the outer boundary, held as a
-    DirichletSystem.
+    DirichletSystem, whose with block it forwards.
 
     The factorization is computed once and reused across right-hand sides,
     which keeps repeated solves on the same mesh cheap and deterministic.
@@ -97,6 +97,12 @@ class DirichletSolver:
     def __init__(self, mesh: TriMesh, stiffness: sp.csr_matrix):
         self.mesh = mesh
         self.system = DirichletSystem(stiffness, mesh.outer_boundary_nodes)
+
+    def __enter__(self) -> DirichletSolver:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.system.__exit__(*exc_info)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the given full-length rhs; constrained entries are zero."""

@@ -17,8 +17,7 @@ data oracle and every line-search trial's state.
 from __future__ import annotations
 
 import math
-import traceback
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -416,6 +415,11 @@ class DirichletSystem:
     diagonal pivots keep the factor's symmetric structure, with less fill and
     faster solves than the default column ordering.  Minimum degree without
     symmetric mode is much slower to factor.
+
+    scipy frees a SuperLU factor only on the thread that made it, so a
+    system is a context manager: leaving its with block, on an error too,
+    releases the factor on the thread that built it, whatever still holds
+    the system (a traceback, a Future), and the system then refuses to solve.
     """
 
     def __init__(self, matrix: sp.csr_matrix, constrained: np.ndarray):
@@ -426,6 +430,12 @@ class DirichletSystem:
         self.kff = matrix[self.free][:, self.free].tocsc()
         self._lu = spla.splu(self.kff, permc_spec="MMD_AT_PLUS_A",
                              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    def __enter__(self) -> DirichletSystem:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._lu = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Full solution for the full-length rhs, whose constrained entries
@@ -446,6 +456,8 @@ class DirichletSystem:
     def solve_free(self, bf: np.ndarray) -> np.ndarray:
         """The factor applied, unchecked, to right-hand sides on the free
         dofs, of shape (n_free,) or (n_free, k)."""
+        if self._lu is None:
+            raise ValueError("the system's factor was released when its with block ended")
         return self._lu.solve(bf)
 
 
@@ -457,8 +469,8 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement,
     outer boundary.  Lame parameters lambda = 0, mu = 1.  Dof 2 v + c is
     component c of vertex v; stiffness is the mesh's P1 stiffness matrix
     (assemble_stiffness).  interface_displacement is an (m, 2) array, or a
-    function returning one, which is called once, after this thread has
-    factored a Laplacian: a worker can factor while its caller still
+    function returning one, which each half calls once, after it has
+    factored its Laplacian: a worker can factor while its caller still
     computes the step.
 
     No elasticity matrix is assembled.  For test functions that vanish on
@@ -476,9 +488,9 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement,
     preconditioned condition number is at most 3 on each half and the
     iteration count does not grow with the mesh.  Each half factors its own
     Laplacian, which serves both components: each application is one solve
-    on an (n_half, 2) block.  The right half runs on a helper thread and
-    the left half on this one, each factor made, used and released on its
-    thread; the helper has ended when this call returns or raises.  Raises
+    on an (n_half, 2) block.  The right half runs on a helper thread, which
+    has ended when this call returns or raises, and the left half on this
+    one; each holds its factor as a DirichletSystem.  Raises
     LinearSolverError when a CG does not reach _PCG_TOL within
     _PCG_MAX_ITERS iterations, or its answer misses _RESIDUAL_TOL on the
     true residual.
@@ -492,39 +504,12 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement,
                          (2 * mesh.triangles[:, :, None] + np.arange(2)).ravel(),
                          np.arange(0, 6 * mesh.n_triangles + 1, 6)),
                         shape=(mesh.n_triangles, 2 * mesh.n_vertices))
-    lifted = Future()
-
-    def lift():
-        """The interface data lifted to the vertices, and the right-hand
-        side -(K (x) I + D^T D) of that lift, both (n_vertices, 2); handed
-        to the helper too."""
-        g = np.asarray(interface_displacement() if callable(interface_displacement)
-                       else interface_displacement, dtype=np.float64)
-        if g.shape != (mesh.interface_nodes.shape[0], 2):
-            raise ValueError(f"interface displacement has shape {g.shape}, "
-                             f"expected {(mesh.interface_nodes.shape[0], 2)}")
-        if np.any(g[0] != 0.0) or np.any(g[-1] != 0.0):
-            raise ValueError("displacement at the pinned interface endpoints must be zero")
-        u = np.zeros((mesh.n_vertices, 2))
-        u[mesh.interface_nodes] = g
-        rhs = -(stiffness @ u + (div.T @ (div @ u.ravel())).reshape(-1, 2))
-        lifted.set_result((u, rhs))
-        return rhs
-
     with ThreadPoolExecutor(max_workers=1) as helper:
-        right_job = helper.submit(released_on_error, _extend_half, stiffness,
-                                  div[mesh.subdomain == 2], right,
-                                  lambda: lifted.result()[1])
-        try:
-            u_left = _extend_half(stiffness, div[mesh.subdomain == 1], left, lift)
-        finally:
-            # Lifting failed if the load is not set by now: cancelling
-            # releases the helper, which waits for it.
-            lifted.cancel()
-        u_right = right_job.result()
-    u = lifted.result()[0]
-    u[left] = u_left
-    u[right] = u_right
+        right_half = helper.submit(_extend_half, mesh, stiffness,
+                                   div[mesh.subdomain == 2], right, interface_displacement)
+        u = _extend_half(mesh, stiffness, div[mesh.subdomain == 1], left,
+                         interface_displacement)
+        u[right] = right_half.result()[right]
     return DeformationField(mesh=mesh, displacement=u)
 
 
@@ -548,36 +533,37 @@ def _free_halves(mesh: TriMesh):
     return np.flatnonzero(touches[0] & ~fixed), np.flatnonzero(touches[1] & ~fixed)
 
 
-def _extend_half(stiffness: sp.csr_matrix, div: sp.csr_matrix, free: np.ndarray,
-                 load) -> np.ndarray:
-    """The extension's displacement (n_free, 2) on one subdomain's free
-    vertices.  div holds the subdomain's rows of D; load() returns the
-    right-hand side (n_vertices, 2), and is called once the subdomain's
-    Laplacian is factored.  The factor lives and dies in this frame."""
+def _extend_half(mesh: TriMesh, stiffness: sp.csr_matrix, div: sp.csr_matrix,
+                 free: np.ndarray, interface_displacement) -> np.ndarray:
+    """The interface displacement lifted to the vertices and extended to one
+    subdomain's free vertices, (n_vertices, 2); zero on the other half's.
+    div holds the subdomain's rows of D.  interface_displacement is called
+    once the subdomain's Laplacian is factored."""
     constrained = np.ones(stiffness.shape[0], dtype=bool)
     constrained[free] = False
-    laplacian = DirichletSystem(stiffness, np.flatnonzero(constrained))
-    dff = div[:, (2 * free[:, None] + np.arange(2)).ravel()]
-    rhs = load()[free].ravel()
+    with DirichletSystem(stiffness, np.flatnonzero(constrained)) as laplacian:
+        dff = div[:, (2 * free[:, None] + np.arange(2)).ravel()]
+        g = np.asarray(interface_displacement() if callable(interface_displacement)
+                       else interface_displacement, dtype=np.float64)
+        if g.shape != (mesh.interface_nodes.shape[0], 2):
+            raise ValueError(f"interface displacement has shape {g.shape}, "
+                             f"expected {(mesh.interface_nodes.shape[0], 2)}")
+        if np.any(g[0] != 0.0) or np.any(g[-1] != 0.0):
+            raise ValueError("displacement at the pinned interface endpoints must be zero")
+        u = np.zeros((mesh.n_vertices, 2))
+        u[mesh.interface_nodes] = g
+        # The right-hand side -(K (x) I + D^T D) u of the lift, on the free
+        # dofs; only this subdomain's triangles touch them.
+        rhs = -((stiffness @ u)[free].ravel() + dff.T @ (div @ u.ravel()))
 
-    def operator(x):
-        """Free rows of the elasticity matrix, on free dofs in node-major
-        order, so x reshaped to (n_free, 2) holds one component per column."""
-        return (laplacian.kff @ x.reshape(-1, 2)).ravel() + dff.T @ (dff @ x)
+        def operator(x):
+            """Free rows of the elasticity matrix, on free dofs in node-major
+            order, so x reshaped to (n_free, 2) holds one component per column."""
+            return (laplacian.kff @ x.reshape(-1, 2)).ravel() + dff.T @ (dff @ x)
 
-    return _checked_pcg(operator, rhs, lambda r: laplacian.solve_free(
-        r.reshape(-1, 2)).ravel()).reshape(-1, 2)
-
-
-def released_on_error(job, *args):
-    """job(*args), for a worker thread.  SuperLU frees a factor only on the
-    thread that made it, so on an error the frames that the error passed
-    through, which hold the job's factors, are cleared before it leaves."""
-    try:
-        return job(*args)
-    except BaseException as exc:
-        traceback.clear_frames(exc.__traceback__)
-        raise
+        u[free] = _checked_pcg(operator, rhs, lambda r: laplacian.solve_free(
+            r.reshape(-1, 2)).ravel()).reshape(-1, 2)
+    return u
 
 
 def _checked_pcg(operator, rhs: np.ndarray, precondition) -> np.ndarray:

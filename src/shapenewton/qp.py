@@ -77,8 +77,8 @@ class QpWorkspace:
     The workspace checks the state against the state equation, factors the
     stiffness once (fem.DirichletSolver), and solves the adjoint
     K p = -M (y - ybar) on that factor, as does every reduced-Hessian
-    application.  scipy's SuperLU frees a factor only on the thread that
-    made it, so a workspace is built and dropped on one thread.
+    application.  Leaving its with block releases the factor, as that of
+    a mesh.DirichletSystem does.
     """
 
     def __init__(self, state: MeshState, cg_tol: float = 1e-8):
@@ -97,6 +97,12 @@ class QpWorkspace:
         ascale = 1.0 + np.abs(misfit).max()
         if _free_max(state.mesh, aresid) > _CONSISTENCY_TOL * ascale:
             raise LinearSolverError("workspace adjoint violates the discrete adjoint equation")
+
+    def __enter__(self) -> QpWorkspace:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.solver.__exit__(*exc_info)
 
 
 def reduced_hessian_apply(ws: QpWorkspace, w: InterfaceField) -> InterfaceField:

@@ -155,11 +155,11 @@ def extend(mesh: TriMesh, w, geometry: InterfaceGeometry,
 
     stiffness is the mesh's P1 stiffness matrix, which a state on the mesh
     already holds; the extension assembles no matrix of its own.  w is an
-    InterfaceField, or a function returning one, which is called once,
-    after solve_elastic_deformation has factored the Laplacian of the half
-    it solves on the calling thread.  The extension is
-    linear in the step, so retract() scales this one field to every trial
-    length along w.
+    InterfaceField, or a function returning one, which each subdomain half
+    of solve_elastic_deformation calls once its Laplacian factor, a
+    mesh.DirichletSystem released by scope on its thread, exists.  The
+    extension is linear in the step, so retract() scales this one field to
+    every trial length along w.
     """
     if geometry.n_nodes != mesh.interface_nodes.shape[0]:
         raise ValueError("geometry does not match the mesh interface")

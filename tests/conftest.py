@@ -1,4 +1,5 @@
 """Shared fixtures; the refinement study is expensive and reused across files."""
+import threading
 import time
 from typing import NamedTuple
 
@@ -13,6 +14,17 @@ class StudyBundle(NamedTuple):
     traces: list
     level_seconds: list
     data_seconds: float
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread it started still running: every
+    helper and worker pool of the solver has ended when its call returns or
+    raises."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads still running after the test: {left}"
 
 
 @pytest.fixture(scope="session")

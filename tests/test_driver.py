@@ -2,9 +2,7 @@
 import dataclasses
 import gc
 import threading
-import traceback
 import weakref
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -87,6 +85,25 @@ def test_a_start_mesh_finer_than_the_data_is_a_config_error():
         driver.sqp_solve(config, data, start=driver.mesh_at_level(config, 2))
 
 
+def test_a_start_mesh_is_checked_in_full():
+    # Its labels, boundary and interface must be the level's, and its
+    # triangles positively oriented, before anything is solved on it.
+    config = driver.ExperimentConfig(n=8, max_sqp_iters=1)
+    data = driver.generate_data(config)
+    m = driver.mesh_at_level(config, 1)
+    arrays = {"subdomain": np.ones_like(m.subdomain),
+              "outer_boundary_nodes": m.outer_boundary_nodes[1:],
+              "interface_nodes": m.interface_nodes[::-1]}
+    for name, changed in arrays.items():
+        start = dataclasses.replace(m, **{name: changed})
+        with pytest.raises(ConfigError, match=f"not a level-1 mesh of n = 8: its {name}"):
+            driver.sqp_solve(config, data, start=start)
+    vertices = m.vertices.copy()
+    vertices[10] += 0.3
+    with pytest.raises(InvertedElementError):
+        driver.sqp_solve(config, data, start=dataclasses.replace(m, vertices=vertices))
+
+
 def test_data_oracle_self_sample_is_exact():
     config = driver.ExperimentConfig(n=16)
     data = driver.generate_data(config)
@@ -149,8 +166,6 @@ def returns_promptly(fn, seconds=60.0):
         try:
             outcome["value"] = fn()
         except BaseException as exc:  # handed to the test thread
-            # Its frames hold this thread's factors: release them here.
-            traceback.clear_frames(exc.__traceback__)
             outcome["error"] = exc
 
     watched = threading.Thread(target=run, daemon=True)
@@ -461,9 +476,7 @@ def test_a_step_assembles_one_stiffness_per_candidate(monkeypatch):
     monkeypatch.setattr(mesh.CsrPattern, "scatter", counted_scatter)
     monkeypatch.setattr(fem, "assemble_stiffness", counted_assemble)
     monkeypatch.setattr(mesh, "assemble_stiffness", counted_assemble)
-    step = Future()
-    step.set_result(w)
-    extension = driver._extend(state, step)
+    extension = shape.extend(state.mesh, w, state.geometry, state.stiffness)
     assert assembled == []
     accepted, _ = driver._take_step(state, extension, [1.0, 1.25, 1.5], data)
     meshes = [id(m) for m, _ in assembled]
@@ -558,6 +571,37 @@ def test_no_factor_crosses_threads(monkeypatch):
     assert sorted(map(id, built)) == sorted(id(maker) for maker, _ in released)
     assert all(maker is freer for maker, freer in released)
     assert state_factors == []
+
+
+def test_the_workspace_factor_is_released_before_the_line_search(monkeypatch):
+    # The workspace's with block ends once the step is computed, so no
+    # factor made on the calling thread is alive while the trials are built.
+    # A SuperLU factor takes no weak references: each is tracked through a
+    # proxy that is its only holder.
+    alive, counts, splu, take_step = weakref.WeakSet(), [], spla.splu, driver._take_step
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs)
+
+    def recorded_splu(*args, **kwargs):
+        factor = Factor(splu(*args, **kwargs))
+        if threading.current_thread() is threading.main_thread():
+            alive.add(factor)
+        return factor
+
+    def counted_step(*args):
+        counts.append(len(alive))
+        return take_step(*args)
+
+    monkeypatch.setattr(spla, "splu", recorded_splu)
+    monkeypatch.setattr(driver, "_take_step", counted_step)
+    config = driver.ExperimentConfig(n=8)
+    driver.sqp_solve(config, driver.generate_data(config))
+    assert counts == [0] * config.max_sqp_iters
 
 
 def test_the_data_oracle_builds_no_pattern(monkeypatch):

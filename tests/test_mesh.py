@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 import sys
 import threading
 import weakref
@@ -477,51 +476,59 @@ def test_newton_and_extension_share_one_cg_loop(monkeypatch):
 @pytest.mark.parametrize("fault", ["left", "right", "cancelled"])
 def test_a_failing_half_or_a_cancelled_step_ends_the_extension_cleanly(monkeypatch, fault):
     # A bad factor on either half, or a step that never comes, makes the
-    # extension raise; its helper thread has ended by then, and each half's
-    # Dirichlet system is released on the thread that built it.
+    # extension raise; by the time the error reaches the caller, each half's
+    # factor has been released on the thread that made it.  A SuperLU
+    # factor takes no weak references, so each is tracked through a proxy
+    # that is its only holder.
     m = driver.initial_mesh(driver.mesh_at_level(driver.ExperimentConfig(n=16), 1))
     stiffness = fem.assemble_stiffness(m)
-    built, released = [], []
-    init = mm.DirichletSystem.__init__
+    made, released = [], []
+    splu = mm.spla.splu
 
-    def recorded_init(self, *args):
-        init(self, *args)
+    class Factor:
+        def __init__(self, lu, planted):
+            self.lu, self.planted = lu, planted
+
+        def solve(self, rhs):
+            x = self.lu.solve(rhs)
+            return np.full_like(x, np.nan) if self.planted else x
+
+    def recorded_splu(*args, **kwargs):
         maker = threading.current_thread()
-        built.append(maker)
-        weakref.finalize(self, lambda: released.append((maker, threading.current_thread())))
+        planted = fault != "cancelled" and (maker is threading.main_thread()) == (
+            fault == "left")
+        factor = Factor(splu(*args, **kwargs), planted)
+        made.append(maker)
+        weakref.finalize(factor, lambda: released.append((maker, threading.current_thread())))
+        return factor
 
-    monkeypatch.setattr(mm.DirichletSystem, "__init__", recorded_init)
+    monkeypatch.setattr(mm.spla, "splu", recorded_splu)
     displacement, expected = interface_bump(m), LinearSolverError
     if fault == "cancelled":
         step = Future()
         step.cancel()
         displacement, expected = step.result, CancelledError
-    else:
-        splu = mm.spla.splu
-        caller_fails = fault == "left"
-
-        class PlantedFactor:
-            def __init__(self, lu):
-                self.lu = lu
-
-            def solve(self, rhs):
-                return np.full_like(self.lu.solve(rhs), np.nan)
-
-        def planted_splu(*args, **kwargs):
-            lu = splu(*args, **kwargs)
-            on_caller = threading.current_thread() is threading.main_thread()
-            return PlantedFactor(lu) if on_caller == caller_fails else lu
-
-        monkeypatch.setattr(mm.spla, "splu", planted_splu)
-    threads = set(threading.enumerate())
     with pytest.raises(expected):
-        mm.solve_elastic_deformation(m, displacement, stiffness)
-    assert set(threading.enumerate()) == threads
-    gc.collect()
-    assert len(built) == 2
-    assert sum(maker is threading.main_thread() for maker in built) == 1
-    assert sorted(map(id, built)) == sorted(id(maker) for maker, _ in released)
-    assert all(maker is freer for maker, freer in released)
+        try:
+            mm.solve_elastic_deformation(m, displacement, stiffness)
+        finally:
+            released_by_then = list(released)
+    assert len(made) == 2
+    assert sum(maker is threading.main_thread() for maker in made) == 1
+    assert sorted(map(id, made)) == sorted(id(maker) for maker, _ in released_by_then)
+    assert all(maker is freer for maker, freer in released_by_then)
+
+
+def test_a_system_used_after_its_with_block_refuses_to_solve():
+    m = mm.build_template(4)
+    stiffness, load = fem.assemble_stiffness(m), np.ones(m.n_vertices)
+    with mm.DirichletSystem(stiffness, m.outer_boundary_nodes) as system:
+        inside = system.solve(load)
+    with fem.DirichletSolver(m, stiffness) as solver:
+        np.testing.assert_array_equal(solver.solve(load), inside)
+    for released in (system, solver):
+        with pytest.raises(ValueError, match="released when its with block ended"):
+            released.solve(load)
 
 
 def mislabelled_template():
