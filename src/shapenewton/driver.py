@@ -19,7 +19,6 @@ from .errors import ConfigError, MeshInvariantError, StepFailureError
 from .mesh import (
     CsrPattern,
     Lattice,
-    Locator,
     TriMesh,
     build_template,
     refine_uniform,
@@ -132,26 +131,27 @@ class IterationSnapshot:
 
 @dataclass(frozen=True)
 class DataOracle:
-    """Reference observation on its own fine mesh, with that mesh's locator.
+    """Reference observation on its own fine mesh, with that mesh's Lattice.
 
-    sample() interpolates the observation onto another mesh's vertices, so
-    every working level sees the same underlying data.
+    sample() interpolates the observation onto another mesh's vertices,
+    located by the lattice, so every working level sees the same underlying
+    data.
     """
 
     field: fem.NodalField
-    locator: Locator
+    lattice: Lattice
 
     @classmethod
     def on_lattice(cls, mesh: TriMesh, f1: float, f2: float) -> DataOracle:
         """The state with sources f1, f2 on a uniform lattice mesh, solved by
-        mesh.solve_lattice_poisson, with the mesh's locator."""
-        locator = Locator(mesh)
-        values = solve_lattice_poisson(locator.lattice, fem.assemble_stiffness(mesh),
+        mesh.solve_lattice_poisson on the mesh's Lattice."""
+        lattice = Lattice(mesh)
+        values = solve_lattice_poisson(lattice, fem.assemble_stiffness(mesh),
                                        fem.assemble_load_piecewise(mesh, f1, f2))
-        return cls(field=fem.NodalField(mesh, values), locator=locator)
+        return cls(field=fem.NodalField(mesh, values), lattice=lattice)
 
     def sample(self, target: TriMesh) -> fem.NodalField:
-        values = fem.evaluate_field(self.locator, self.field, target.vertices)
+        values = fem.evaluate_field(self.lattice, self.field, target.vertices)
         return fem.NodalField(mesh=target, values=values)
 
 
@@ -189,8 +189,11 @@ def generate_data(config: ExperimentConfig) -> DataOracle:
     m = mesh_at_level(config, _data_level(config))
     log.info("data mesh: %d triangles, straight interface", m.n_triangles)
     data = DataOracle.on_lattice(m, config.f1, config.f2)
-    if data.field.values.min() < -1e-9:
-        raise StepFailureError("reference observation is not nonnegative")
+    # By the maximum principle, sources of one sign give an observation of
+    # that sign; sources of mixed signs bound it by neither.
+    sign = np.sign(config.f1 + config.f2)
+    if config.f1 * config.f2 >= 0.0 and (sign * data.field.values).min() < -1e-9:
+        raise StepFailureError("reference observation does not have the sources' sign")
     return data
 
 
@@ -272,10 +275,11 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
              step_fn, alphas: list[float], observer=None,
              start: TriMesh | None = None) -> SqpTrace:
     """Shared iteration loop; step_fn produces (w, cg_iterations) from the
-    workspace and the gradient, and each step tries the lengths alphas.  A
-    working mesh finer than the data (default: generate_data) is an error,
-    and so is a start mesh that fails validate or whose arrays, but for its
-    vertices, are not those of the level's straight mesh (mesh_at_level).
+    workspace alone, reading its gradient as ws.gradient, and each step
+    tries the lengths alphas.  A working mesh finer than the data (default:
+    generate_data) is an error, and so is a start mesh that fails validate
+    or whose arrays, but for its vertices, are not those of the level's
+    straight mesh (mesh_at_level).
     The level's Lattice and CsrPattern are read once from the straight mesh
     and serve every state of the run.
 
@@ -309,17 +313,16 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
                 shape.extend, cur, step.result, state.geometry, state.stiffness)
             try:
                 with qp.QpWorkspace(state, cg_tol=config.cg_tol) as ws:
-                    g = shape.shape_gradient(cur, state.geometry, ws.p, config.f1,
-                                             config.f2, config.mu)
-                    grad_norm = shape.s_norm(state.geometry, g.values)
+                    grad_norm = shape.s_norm(state.geometry, ws.gradient.values)
                     value = state.objective
                     dist = shape.dist_to_solution(cur)
-                    snapshot = IterationSnapshot(cur, state.geometry, state.y, ws.p, g)
+                    snapshot = IterationSnapshot(cur, state.geometry, state.y, ws.p,
+                                                 ws.gradient)
 
                     last = last or grad_norm <= GRAD_TOL
                     cg_iters, alpha_used = 0, 0.0
                     if not last:
-                        w, cg_iters = step_fn(ws, g)
+                        w, cg_iters = step_fn(ws)
                         step.set_result(w)
                 if not last:
                     state, alpha_used = _take_step(state, extension.result(), alphas,
@@ -368,7 +371,7 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     scales = (1.0, 1.25, 1.5) if config.line_search else (1.0,)
     alphas = [scale * config.step_length for scale in scales]
 
-    def step_fn(ws, g):
+    def step_fn(ws):
         result = qp.solve_qp_cg(ws)
         if result.negative_curvature:
             raise StepFailureError(
@@ -394,8 +397,8 @@ def steepest_descent_solve(config: ExperimentConfig, data: DataOracle | None = N
     """
     jump_sq = (config.f1 - config.f2) ** 2
 
-    def step_fn(ws, g):
-        values = config.baseline_scaling * (-g.values) / jump_sq
+    def step_fn(ws):
+        values = config.baseline_scaling * (-ws.gradient.values) / jump_sq
         return shape.InterfaceField(mesh=ws.state.mesh, values=values), 0
 
     return _iterate(config, data, level, step_fn, [config.step_length], observer,

@@ -4,8 +4,9 @@ Assembly of mass and load vectors (the stiffness matrix comes from
 mesh.assemble_stiffness, and the elastic extension reuses the matrix a state
 already holds); the element formulas are shared with qp.MeshState, which
 scatters them through a level's mesh.CsrPattern.  Also the homogeneous
-Dirichlet Poisson solve on a mesh.DirichletSystem, and the state solve of
-the two-source Poisson problem.
+Dirichlet Poisson solve on a mesh.DirichletSystem, the state solve of the
+two-source Poisson problem, and a field's values at points located by a
+mesh.Lattice.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import scipy.sparse as sp
 
 from .mesh import (
     DirichletSystem,
-    Locator,
+    Lattice,
     TriMesh,
     assemble_stiffness,
     locate_points,
@@ -95,7 +96,6 @@ class DirichletSolver:
     """
 
     def __init__(self, mesh: TriMesh, stiffness: sp.csr_matrix):
-        self.mesh = mesh
         self.system = DirichletSystem(stiffness, mesh.outer_boundary_nodes)
 
     def __enter__(self) -> DirichletSolver:
@@ -115,13 +115,11 @@ def solve_state(mesh: TriMesh, f1: float, f2: float) -> NodalField:
     return NodalField(mesh, DirichletSolver(mesh, assemble_stiffness(mesh)).solve(load))
 
 
-def evaluate_field(locator: Locator, field: NodalField, points: np.ndarray) -> np.ndarray:
-    """Evaluate a nodal field at arbitrary points inside the locator's mesh."""
-    _check_same_mesh(locator.mesh, field)
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    tri, bary = locate_points(locator, pts)
-    vals = np.einsum("pk,pk->p", bary, field.values[locator.mesh.triangles[tri]])
-    return vals if np.asarray(points).ndim > 1 else vals[0]
+def evaluate_field(lattice: Lattice, field: NodalField, points: np.ndarray) -> np.ndarray:
+    """Evaluate a nodal field on the lattice's mesh at (k, 2) points inside it."""
+    _check_same_mesh(lattice.mesh, field)
+    tri, bary = locate_points(lattice, points)
+    return np.einsum("pk,pk->p", bary, field.values[lattice.mesh.triangles[tri]])
 
 
 def objective_misfit(mesh: TriMesh, y: NodalField, ybar: NodalField,

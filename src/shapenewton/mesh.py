@@ -10,8 +10,9 @@ The module also holds the solver's linear-algebra building blocks: the
 element scatter and a level's fixed CSR pattern (CsrPattern), the one
 factored Dirichlet system (DirichletSystem), the one conjugate-gradient loop
 (pcg), which both halves of the elastic extension here and the Newton system
-in qp run, and the Poisson solve preconditioned on a level's lattice (Lattice,
-solve_lattice_poisson), which runs pcg too and factors nothing: it solves the
+in qp run, and a level's lattice (Lattice), which locates points in its own
+mesh by grid cell (locate_points) and preconditions the Poisson solve
+solve_lattice_poisson, which runs pcg too and factors nothing: it solves the
 data oracle and every line-search trial's state.
 """
 from __future__ import annotations
@@ -27,7 +28,7 @@ import scipy.sparse.linalg as spla
 from .errors import InvertedElementError, LinearSolverError, MeshInvariantError, PointLocationError
 
 # Barycentric slack used when deciding containment, and how far, in cell
-# widths, Locator lets a vertex sit off the grid lattice.  A point admissible
+# widths, Lattice lets a vertex sit off the grid lattice.  A point admissible
 # in a grid triangle of leg h (all barycentrics >= -_BARY_TOL) lies within
 # 2 _BARY_TOL h of its cell on either axis, and an off-lattice vertex adds at
 # most _BARY_TOL h more, so the cells within _CELL_SLACK cell widths of a
@@ -585,15 +586,17 @@ def _checked_pcg(operator, rhs: np.ndarray, precondition) -> np.ndarray:
 
 class Lattice:
     """The N x N lattice of a uniformly refined template, a grid of N x N
-    square cells with two triangles each (N read from the 2 N^2 triangles),
-    and the exact inverse of its 5-point Laplacian.
+    square cells with two triangles each (N read from the 2 N^2 triangles):
+    point location in that mesh by grid cell, and the exact inverse of its
+    5-point Laplacian.
 
     Retraction moves vertices but keeps their indices, so the lattice read
-    once from a level's straight mesh serves every mesh moved from it.
-    Holds N, the cell i + N j of each triangle, and free: the vertices at
-    the interior lattice points (i, j), j-major, so that an array on them
-    reshapes to the (N-1) x (N-1) grid.  Any other mesh, a moved one
-    included, raises ValueError.
+    once from a level's straight mesh preconditions every mesh moved from
+    it; points are located in the lattice's own mesh.  Holds the mesh, N,
+    cells: the two triangles of cell i + N j in ascending order, (N^2, 2),
+    and free: the vertices at the interior lattice points (i, j), j-major,
+    so that an array on them reshapes to the (N-1) x (N-1) grid.  Any other
+    mesh, a moved one included, raises ValueError.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -612,13 +615,71 @@ class Lattice:
                              "two triangles each and vertices on the lattice")
         vertex = np.empty((n + 1) ** 2, dtype=np.int64)
         vertex[point] = np.arange(mesh.n_vertices)
-        self.n, self.cell = n, cell
+        self.mesh, self.n = mesh, n
+        self.cells = np.argsort(cell, kind="stable").reshape(n * n, 2)
         self.free = vertex.reshape(n + 1, n + 1)[1:-1, 1:-1].ravel()
         self._inverse = _lattice_laplacian_inverse(n)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """The 5-point Laplacian's inverse applied to r on the free vertices."""
         return self._inverse(r.reshape(self.n - 1, self.n - 1)).ravel()
+
+    def _barycentric(self, points: np.ndarray, tris: np.ndarray):
+        """Barycentric coordinates of points[i] in each triangle tris[i, j],
+        stacked on the first axis."""
+        verts = self.mesh.vertices
+        tv = self.mesh.triangles[tris]
+        p0 = verts[tv[..., 0]]
+        d1 = verts[tv[..., 1]] - p0
+        d2 = verts[tv[..., 2]] - p0
+        det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+        r = points[:, None, :] - p0
+        b1 = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / det
+        b2 = (d1[..., 0] * r[..., 1] - d1[..., 1] * r[..., 0]) / det
+        b0 = 1.0 - b1 - b2
+        return np.stack([b0, b1, b2])
+
+    def locate(self, points: np.ndarray):
+        """locate_points in the lattice's mesh, for (k, 2) points."""
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            raise PointLocationError(f"point {points[np.argmin(finite)]} is not finite")
+        npts = points.shape[0]
+        n = self.n
+        # The at most four cells within _CELL_SLACK of each point hold every
+        # triangle admissible for it.  A point that far from every cell edge
+        # has one cell and two candidates; the rest get the eight triangles
+        # of their four cells, repeats included, which do no harm.
+        ij = np.clip(np.floor(points[:, :, None] * n + [-_CELL_SLACK, _CELL_SLACK]),
+                     0, n - 1).astype(np.int64)
+        one_cell = (ij[:, :, 0] == ij[:, :, 1]).all(axis=1)
+        tri_out = np.empty(npts, dtype=np.int64)
+        bary_out = np.empty((npts, 3))
+        for k, group in ((1, np.flatnonzero(one_cell)), (2, np.flatnonzero(~one_cell))):
+            for block in np.array_split(group, max(1, group.size // 8192)):
+                p, c = points[block], ij[block]
+                cands = self.cells[c[:, 0, :k, None]
+                                   + n * c[:, 1, None, :k]].reshape(-1, 2 * k * k)
+                bary = self._barycentric(p, cands)
+                ok = bary.min(axis=0) >= -_BARY_TOL
+                # lowest triangle index wins among admissible candidates
+                pick = np.argmin(np.where(ok, cands, np.iinfo(np.int64).max), axis=1)
+                rows = np.arange(block.size)
+                missed = ~ok[rows, pick]
+                if missed.any():
+                    raise PointLocationError(
+                        f"point {p[np.argmax(missed)]} lies outside the mesh")
+                tri_out[block] = cands[rows, pick]
+                b = np.clip(bary[:, rows, pick].T, 0.0, None)
+                b /= b.sum(axis=1, keepdims=True)
+                snap = b.max(axis=1) >= 1.0 - 1e-12
+                if snap.any():
+                    hot = np.argmax(b[snap], axis=1)
+                    b[snap] = 0.0
+                    b[np.flatnonzero(snap), hot] = 1.0
+                bary_out[block] = b
+        return tri_out, bary_out
 
 
 def _lattice_laplacian_inverse(n: int):
@@ -707,81 +768,10 @@ def apply_deformation(mesh: TriMesh, deformation: DeformationField) -> TriMesh:
     return moved
 
 
-class Locator:
-    """Point location by grid cell in a uniformly refined template, whose
-    N x N square cells hold two triangles each; build it once per mesh.
-
-    Any other mesh, a moved one included, raises ValueError (see Lattice).
-    """
-
-    def __init__(self, mesh: TriMesh):
-        self.mesh = mesh
-        self.lattice = Lattice(mesh)
-        n = self.n = self.lattice.n
-        # (n^2, 2): the two triangles of cell ci + n cj, in ascending order.
-        self.cells = np.argsort(self.lattice.cell, kind="stable").reshape(n * n, 2)
-
-    def _barycentric(self, points: np.ndarray, tris: np.ndarray):
-        """Barycentric coordinates of points[i] in each triangle tris[i, j],
-        stacked on the first axis."""
-        verts = self.mesh.vertices
-        tv = self.mesh.triangles[tris]
-        p0 = verts[tv[..., 0]]
-        d1 = verts[tv[..., 1]] - p0
-        d2 = verts[tv[..., 2]] - p0
-        det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-        r = points[:, None, :] - p0
-        b1 = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / det
-        b2 = (d1[..., 0] * r[..., 1] - d1[..., 1] * r[..., 0]) / det
-        b0 = 1.0 - b1 - b2
-        return np.stack([b0, b1, b2])
-
-    def locate(self, points: np.ndarray):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        finite = np.isfinite(points).all(axis=1)
-        if not finite.all():
-            raise PointLocationError(f"point {points[np.argmin(finite)]} is not finite")
-        npts = points.shape[0]
-        n = self.n
-        # The at most four cells within _CELL_SLACK of each point hold every
-        # triangle admissible for it.  A point that far from every cell edge
-        # has one cell and two candidates; the rest get the eight triangles
-        # of their four cells, repeats included, which do no harm.
-        ij = np.clip(np.floor(points[:, :, None] * n + [-_CELL_SLACK, _CELL_SLACK]),
-                     0, n - 1).astype(np.int64)
-        one_cell = (ij[:, :, 0] == ij[:, :, 1]).all(axis=1)
-        tri_out = np.empty(npts, dtype=np.int64)
-        bary_out = np.empty((npts, 3))
-        for k, group in ((1, np.flatnonzero(one_cell)), (2, np.flatnonzero(~one_cell))):
-            for block in np.array_split(group, max(1, group.size // 8192)):
-                p, c = points[block], ij[block]
-                cands = self.cells[c[:, 0, :k, None]
-                                   + n * c[:, 1, None, :k]].reshape(-1, 2 * k * k)
-                bary = self._barycentric(p, cands)
-                ok = bary.min(axis=0) >= -_BARY_TOL
-                # lowest triangle index wins among admissible candidates
-                pick = np.argmin(np.where(ok, cands, np.iinfo(np.int64).max), axis=1)
-                rows = np.arange(block.size)
-                missed = ~ok[rows, pick]
-                if missed.any():
-                    raise PointLocationError(
-                        f"point {p[np.argmax(missed)]} lies outside the mesh")
-                tri_out[block] = cands[rows, pick]
-                b = np.clip(bary[:, rows, pick].T, 0.0, None)
-                b /= b.sum(axis=1, keepdims=True)
-                snap = b.max(axis=1) >= 1.0 - 1e-12
-                if snap.any():
-                    hot = np.argmax(b[snap], axis=1)
-                    b[snap] = 0.0
-                    b[np.flatnonzero(snap), hot] = 1.0
-                bary_out[block] = b
-        return tri_out, bary_out
-
-
-def locate_points(locator: Locator, points: np.ndarray):
-    """Vectorized point location in the locator's mesh; returns (triangle
+def locate_points(lattice: Lattice, points: np.ndarray):
+    """Vectorized point location in the lattice's mesh; returns (triangle
     indices, barycentrics).
 
     Points on shared edges resolve to the lowest incident triangle index.
     """
-    return locator.locate(points)
+    return lattice.locate(points)

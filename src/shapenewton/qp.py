@@ -11,6 +11,7 @@ factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -71,8 +72,8 @@ def _free_max(mesh: TriMesh, values: np.ndarray) -> float:
 
 
 class QpWorkspace:
-    """The factored stiffness of a MeshState, its adjoint, and the CG
-    settings for one outer iteration.
+    """The factored stiffness of a MeshState, its adjoint, the adjoint's
+    shape gradient, and the CG settings for one outer iteration.
 
     The workspace checks the state against the state equation, factors the
     stiffness once (fem.DirichletSolver), and solves the adjoint
@@ -97,6 +98,14 @@ class QpWorkspace:
         ascale = 1.0 + np.abs(misfit).max()
         if _free_max(state.mesh, aresid) > _CONSISTENCY_TOL * ascale:
             raise LinearSolverError("workspace adjoint violates the discrete adjoint equation")
+
+    @cached_property
+    def gradient(self) -> InterfaceField:
+        """The shape gradient (shape.shape_gradient) of the adjoint p,
+        computed once per workspace."""
+        state = self.state
+        return shape.shape_gradient(state.mesh, state.geometry, self.p, state.f1,
+                                    state.f2, state.mu)
 
     def __enter__(self) -> QpWorkspace:
         return self
@@ -169,8 +178,8 @@ class CgResult:
 
 def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "laplacian") -> CgResult:
     """Solve A w = -g by conjugate gradients (mesh.pcg) in the lumped
-    arc-length inner product, with g the shape gradient of the workspace
-    adjoint, capped at 2 (m - 2) iterations on m interface nodes.
+    arc-length inner product, with g the workspace's gradient, capped at
+    2 (m - 2) iterations on m interface nodes.
 
     preconditioner="laplacian" (the default) applies the inverse of the
     tridiagonal regularization block mu L, which dominates the reduced
@@ -193,11 +202,9 @@ def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "laplacian") -> CgResult:
     def operator(d):
         return reduced_hessian_apply(ws, InterfaceField(mesh=state.mesh, values=d)).values
 
-    b = -shape.shape_gradient(state.mesh, geo, ws.p, state.f1, state.f2,
-                              state.mu).values
     w, history, negative, converged = mesh.pcg(
-        operator, b, apply_precond, lambda u, v: shape.s_inner(geo, u, v), ws.cg_tol,
-        2 * (geo.n_nodes - 2))
+        operator, -ws.gradient.values, apply_precond,
+        lambda u, v: shape.s_inner(geo, u, v), ws.cg_tol, 2 * (geo.n_nodes - 2))
     w[0] = 0.0
     w[-1] = 0.0
     return CgResult(w=InterfaceField(mesh=state.mesh, values=w),

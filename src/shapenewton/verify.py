@@ -72,8 +72,7 @@ def gradient_fd_check() -> CheckResult:
 
     state = state_of(m)
     geometry = state.geometry
-    g = shape.shape_gradient(m, geometry, qp.QpWorkspace(state).p, config.f1,
-                             config.f2, config.mu)
+    g = qp.QpWorkspace(state).gradient
 
     rng = np.random.default_rng(0)
     eps = 1e-5
@@ -136,17 +135,13 @@ def pure_regularization_tridiag() -> CheckResult:
     default preconditioner is that tridiagonal solve, which would make the
     comparison a check of the solve against itself."""
     base = build_template(16)
-    offsets = _pinned(shape.bspline_initial_interface(17)[:, 0] - 0.5)
-    curved = shape.retract(
-        base, shape.extend(base, shape.InterfaceField(mesh=base, values=offsets),
-                           shape.compute_geometry(base), fem.assemble_stiffness(base)), 1.0)
+    curved = driver.initial_mesh(base)
     ybar = fem.NodalField(mesh=curved, values=np.zeros(curved.n_vertices))
     ws = qp.QpWorkspace(qp.MeshState(curved, ybar, 7.0, 7.0, 10.0, Lattice(base),
                                      CsrPattern(base)),
                         cg_tol=1e-12)
-    geometry = ws.state.geometry
-    r0 = -shape.shape_gradient(curved, geometry, ws.p, 7.0, 7.0, 10.0).values
-    direct = qp.solve_tridiagonal_regularization(geometry, 10.0, r0)
+    direct = qp.solve_tridiagonal_regularization(ws.state.geometry, 10.0,
+                                                 -ws.gradient.values)
     result = qp.solve_qp_cg(ws, preconditioner="none")
     worst = float(np.abs(result.w.values - direct).max() / np.abs(direct).max())
     passed = (not result.negative_curvature) and worst <= 1e-8
@@ -164,8 +159,7 @@ def optimality_fixed_point() -> CheckResult:
         data = driver.DataOracle.on_lattice(refine_uniform(m), 1000.0, 1.0)
         ws = qp.QpWorkspace(qp.MeshState(m, data.sample(m), 1000.0, 1.0, 10.0,
                                          Lattice(m), CsrPattern(m)))
-        g = shape.shape_gradient(m, ws.state.geometry, ws.p, 1000.0, 1.0, 10.0)
-        return (float(np.abs(g.values).max()),
+        return (float(np.abs(ws.gradient.values).max()),
                 float(np.abs(qp.solve_qp_cg(ws).w.values).max()))
 
     res = np.array([residuals(n) for n in (16, 32, 64)])

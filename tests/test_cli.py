@@ -136,6 +136,22 @@ def test_solve_default_prints_three_row_table(tmp_path, capsys):
         assert (out / f"interface_{it:03d}.csv").is_file()
 
 
+def test_sources_of_mixed_sign_solve_as_their_jump(tmp_path, capsys):
+    # The misfit depends only on f1 - f2, so (-1000, -1) is the problem
+    # (1, 1000); the oracle's sign check must not refuse its negative data.
+    tables = []
+    for name, sources in (("signed", "f1 = -1000\nf2 = -1\n"),
+                          ("positive", "f1 = 1\nf2 = 1000\n")):
+        (tmp_path / name).mkdir()
+        cfg = write_config(tmp_path / name, sources + "n = 8\nlevels = 1\n")
+        assert cli.main(["solve", "--out", str(tmp_path / name / "run"),
+                         "--config", cfg]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+    body = [line.split() for line in tables[0].strip().split("\n")[2:]]
+    assert [row[1] for row in body] == ["0.06698816", "0.003336956", "0.001531829"]
+
+
 def test_rerun_requires_force(tmp_path, capsys):
     cfg = write_config(tmp_path, "n = 8\nmax_sqp_iters = 1\n")
     out = str(tmp_path / "run")

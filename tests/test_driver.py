@@ -18,7 +18,7 @@ from shapenewton.errors import (
     StepFailureError,
 )
 from shapenewton.mesh import (
-    Locator,
+    Lattice,
     TriMesh,
     apply_deformation,
     build_template,
@@ -65,6 +65,16 @@ def test_data_oracle_straight_fine_and_nonnegative():
     assert data.field.mesh.n_triangles == 16 * 2 * 16 ** 2
     assert shape.dist_to_solution(data.field.mesh) == 0.0
     assert data.field.values.min() >= -1e-9
+
+
+def test_data_oracle_of_the_wrong_sign_is_refused(monkeypatch):
+    # Positive sources give a nonnegative observation; a negated solve is
+    # caught before any level runs.
+    solve = driver.solve_lattice_poisson
+    monkeypatch.setattr(driver, "solve_lattice_poisson",
+                        lambda *args: -solve(*args))
+    with pytest.raises(StepFailureError, match="sources' sign"):
+        driver.generate_data(driver.ExperimentConfig(n=8, levels=1))
 
 
 def test_data_oracle_is_as_fine_as_the_finest_level():
@@ -200,7 +210,7 @@ def test_stationary_start_stops_immediately(monkeypatch):
     config = driver.ExperimentConfig()
     m = build_template(config.n)
     data = driver.DataOracle(field=fem.solve_state(m, config.f1, config.f2),
-                             locator=Locator(m))
+                             lattice=Lattice(m))
     ends = watch_extensions(monkeypatch)
     trace = returns_promptly(lambda: driver.sqp_solve(config, data, start=m))
     # Iteration 0 could have stepped, so its extension job was started; the
@@ -606,7 +616,7 @@ def test_the_workspace_factor_is_released_before_the_line_search(monkeypatch):
 
 def test_the_data_oracle_builds_no_pattern(monkeypatch):
     # A pattern belongs to a level's working meshes: the oracle's lattice
-    # solve and its locator scatter by COO, and each level solve builds one.
+    # solve scatters by COO, and each level solve builds one.
     built, init = [], mesh.CsrPattern.__init__
 
     def recorded(self, m):
@@ -619,6 +629,19 @@ def test_the_data_oracle_builds_no_pattern(monkeypatch):
     assert built == []
     driver.sqp_solve(config, data, 1)
     assert built == [driver.mesh_at_level(config, 1).n_triangles]
+
+
+def test_each_workspace_computes_its_gradient_once(monkeypatch):
+    # The iteration's norm and the Newton right-hand side read one gradient.
+    calls, gradient = [], shape.shape_gradient
+
+    def counted(*args):
+        calls.append(args[0])
+        return gradient(*args)
+
+    monkeypatch.setattr(shape, "shape_gradient", counted)
+    trace = driver.sqp_solve(driver.ExperimentConfig(n=8, levels=1))
+    assert len(calls) == len(trace.rows) == 3
 
 
 def test_solvers_attach_nothing_to_meshes():

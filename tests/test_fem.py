@@ -204,7 +204,7 @@ def test_evaluate_field_reproduces_linear_functions():
     field = fem.NodalField(m, vals)
     rng = np.random.default_rng(13)
     pts = rng.uniform(size=(10_000, 2))
-    got = fem.evaluate_field(mm.Locator(m), field, pts)
+    got = fem.evaluate_field(mm.Lattice(m), field, pts)
     want = 0.25 + 2.0 * pts[:, 0] - 0.5 * pts[:, 1]
     assert np.abs(got - want).max() < 1e-12
 
@@ -214,7 +214,7 @@ def test_evaluate_field_at_vertices_is_exact():
     rng = np.random.default_rng(21)
     vals = rng.standard_normal(m.n_vertices)
     field = fem.NodalField(m, vals)
-    got = fem.evaluate_field(mm.Locator(m), field, m.vertices.copy())
+    got = fem.evaluate_field(mm.Lattice(m), field, m.vertices.copy())
     np.testing.assert_array_equal(got, vals)
 
 
@@ -223,4 +223,4 @@ def test_field_mesh_tag_enforced():
     m2 = mm.build_template(4)
     y = fem.solve_state(m1, 1.0, 1.0)
     with pytest.raises(ValueError):
-        fem.evaluate_field(mm.Locator(m2), y, np.array([[0.5, 0.5]]))
+        fem.evaluate_field(mm.Lattice(m2), y, np.array([[0.5, 0.5]]))

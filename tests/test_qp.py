@@ -101,7 +101,7 @@ def bulged_ws():
     data_mesh = mesh.refine_uniform(mesh.refine_uniform(mesh.build_template(16)))
     ydata = fem.solve_state(data_mesh, F1, F2)
     ybar = fem.NodalField(mesh=bulged, values=fem.evaluate_field(
-        mesh.Locator(data_mesh), ydata, bulged.vertices))
+        mesh.Lattice(data_mesh), ydata, bulged.vertices))
     return workspace(bulged, ybar)
 
 
@@ -189,7 +189,7 @@ def test_state_solve_is_affine(bulged_ws):
 
 def evaluate_in_moved_mesh(field: fem.NodalField, pts: np.ndarray) -> np.ndarray:
     """P1 field at points by brute force, in the lowest-index triangle that
-    holds each point: mesh.Locator serves only uniform grids, not moved meshes."""
+    holds each point: mesh.Lattice locates only in uniform grids, not moved meshes."""
     m = field.mesh
     p = m.vertices[m.triangles]                                   # (T, 3, 2)
     lhs = np.concatenate([p.transpose(0, 2, 1), np.ones((m.n_triangles, 1, 3))], axis=1)

@@ -162,7 +162,7 @@ def test_gradient_pushes_a_rightward_bulge_back():
     data_mesh = mesh.refine_uniform(mesh.refine_uniform(straight(n)))
     ybar_data = fem.solve_state(data_mesh, 1000.0, 1.0)
     ybar = fem.NodalField(mesh=bulged, values=fem.evaluate_field(
-        mesh.Locator(data_mesh), ybar_data, bulged.vertices))
+        mesh.Lattice(data_mesh), ybar_data, bulged.vertices))
 
     p = qp.QpWorkspace(qp.MeshState(bulged, ybar, 1000.0, 1.0, 10.0,
                                     mesh.Lattice(base), mesh.CsrPattern(base))).p
