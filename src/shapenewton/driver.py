@@ -17,7 +17,6 @@ import numpy as np
 from . import fem, qp, shape
 from .errors import ConfigError, MeshInvariantError, StepFailureError
 from .mesh import (
-    CsrPattern,
     Lattice,
     TriMesh,
     build_template,
@@ -239,10 +238,10 @@ def _take_step(state: qp.MeshState, extension, alphas: list[float],
     trial meshes.
 
     A pool of _TRIAL_WORKERS threads builds each trial whole: it moves the
-    mesh, samples the data, assembles through the level's pattern, solves
-    the state on the level's lattice and computes the objective.  A trial
-    factors nothing, so this thread only compares objectives.  Only a
-    MeshInvariantError makes a trial invalid; any other error propagates.
+    mesh, samples the data, assembles and solves the state on the level's
+    lattice and computes the objective.  A trial factors nothing, so this
+    thread only compares objectives.  Only a MeshInvariantError makes a
+    trial invalid; any other error propagates.
     """
     mesh = state.mesh
     limit = ACCEPT_FACTOR * state.objective
@@ -254,7 +253,7 @@ def _take_step(state: qp.MeshState, extension, alphas: list[float],
         except MeshInvariantError:
             return None
         return qp.MeshState(moved, data.sample(moved), state.f1, state.f2, state.mu,
-                            state.lattice, state.pattern)
+                            state.lattice)
 
     shortest = min(alphas)
     batches = [alphas] + [[shortest * 0.5 ** k] for k in range(1, _MAX_HALVINGS + 1)]
@@ -280,8 +279,9 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
     generate_data) is an error, and so is a start mesh that fails validate
     or whose arrays, but for its vertices, are not those of the level's
     straight mesh (mesh_at_level).
-    The level's Lattice and CsrPattern are read once from the straight mesh
-    and serve every state of the run.
+    The level's Lattice is read once from the straight mesh and serves
+    every state of the run; the first state, built on this thread before
+    any trial worker starts, reads its CSR pattern.
 
     Each iteration that may step hands a worker the step as a Future: the
     worker's extension (shape.extend) factors its two Laplacians while this
@@ -299,10 +299,9 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
                 raise ConfigError(f"the start mesh is not a level-{level} mesh of "
                                   f"n = {config.n}: its {name} differ")
         validate(start)
-    lattice, pattern = Lattice(straight), CsrPattern(straight)
     first = initial_mesh(straight) if start is None else start
     state = qp.MeshState(first, data.sample(first), config.f1, config.f2, config.mu,
-                         lattice, pattern)
+                         Lattice(straight))
     rows = []
     with ThreadPoolExecutor(max_workers=1) as extender:
         for it in range(config.max_sqp_iters + 1):
@@ -362,11 +361,10 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     one at most _MAX_HALVINGS times before the run fails with
     StepFailureError.  The candidates and the halvings run through one
     loop, and a pool of worker threads builds each trial whole, its
-    matrices scattered through the level's pattern and its state solved on
-    the level's lattice without a factor (see _take_step).  The run starts
-    from the reference curve unless an explicit start mesh of the level is
-    given.  CG that meets negative curvature, or stops above cg_tol, raises
-    StepFailureError.
+    matrices scattered and its state solved on the level's lattice without
+    a factor (see _take_step).  The run starts from the reference curve
+    unless an explicit start mesh of the level is given.  CG that meets
+    negative curvature, or stops above cg_tol, raises StepFailureError.
     """
     scales = (1.0, 1.25, 1.5) if config.line_search else (1.0,)
     alphas = [scale * config.step_length for scale in scales]

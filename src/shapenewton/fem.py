@@ -3,7 +3,7 @@
 Assembly of mass and load vectors (the stiffness matrix comes from
 mesh.assemble_stiffness, and the elastic extension reuses the matrix a state
 already holds); the element formulas are shared with qp.MeshState, which
-scatters them through a level's mesh.CsrPattern.  Also the homogeneous
+scatters them through a level's mesh.Lattice.  Also the homogeneous
 Dirichlet Poisson solve on a mesh.DirichletSystem, the state solve of the
 two-source Poisson problem, and a field's values at points located by a
 mesh.Lattice.

@@ -7,19 +7,20 @@ validate it in full; deformation keeps the connectivity and re-checks only
 the invariants that moving vertices can break.
 
 The module also holds the solver's linear-algebra building blocks: the
-element scatter and a level's fixed CSR pattern (CsrPattern), the one
-factored Dirichlet system (DirichletSystem), the one conjugate-gradient loop
-(pcg), which both halves of the elastic extension here and the Newton system
-in qp run, and a level's lattice (Lattice), which locates points in its own
-mesh by grid cell (locate_points) and preconditions the Poisson solve
-solve_lattice_poisson, which runs pcg too and factors nothing: it solves the
-data oracle and every line-search trial's state.
+element scatter, the one factored Dirichlet system (DirichletSystem), the
+one conjugate-gradient loop (pcg), which both halves of the elastic
+extension here and the Newton system in qp run, and a level's lattice
+(Lattice), which locates points in its own mesh by grid cell, holds the
+level's CSR pattern and preconditions solve_lattice_poisson, which runs pcg
+too and factors nothing: it solves the data oracle and every line-search
+trial's state.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -202,7 +203,12 @@ def validate(mesh: TriMesh) -> None:
 def _check_geometry(mesh: TriMesh) -> None:
     """The invariants that read vertex coordinates: positive orientation,
     pinned interface endpoints, an interface inside the open strip that does
-    not cross itself, and subdomain 1 at the leftmost triangle."""
+    not cross itself, and subdomain 1 at the leftmost triangle, all at
+    finite vertices."""
+    finite = np.isfinite(mesh.vertices).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise MeshInvariantError(f"vertex {bad} at {mesh.vertices[bad]} is not finite")
     areas = signed_areas(mesh)
     if areas.size and areas.min() <= 0.0:
         bad = int(np.argmin(areas))
@@ -363,37 +369,6 @@ def scatter(dofs: np.ndarray, element_matrices: np.ndarray, size: int) -> sp.csr
     cols = np.tile(dofs, (1, k)).ravel()
     return sp.coo_matrix((element_matrices.ravel(), (rows, cols)),
                          shape=(size, size)).tocsr()
-
-
-class CsrPattern:
-    """The CSR pattern of the P1 matrices on one connectivity, and the map
-    that scatters element matrices into it.
-
-    Retraction moves vertices but keeps the connectivity, so the pattern
-    read once from a level's straight mesh serves every mesh moved from it:
-    scatter sums the (nt, 3, 3) element matrices by np.bincount into fixed
-    indptr and indices, where scatter() sorts and sums a COO matrix anew.
-    Summed in another order, the entries may differ from scatter()'s in the
-    last bit.  A mesh of other connectivity raises ValueError.
-    """
-
-    def __init__(self, mesh: TriMesh):
-        t, n = mesh.triangles, mesh.n_vertices
-        keys = (np.repeat(t, 3, axis=1) * n + np.tile(t, (1, 3))).ravel()
-        entries, self._map = np.unique(keys, return_inverse=True)
-        self._triangles = t
-        self.shape = (n, n)
-        self.indices = (entries % n).astype(np.int32)
-        self.indptr = np.searchsorted(entries, np.arange(n + 1) * n).astype(np.int32)
-
-    def scatter(self, mesh: TriMesh, element_matrices: np.ndarray) -> sp.csr_matrix:
-        """Sum element matrices (nt, 3, 3) of the mesh's triangles."""
-        if mesh.triangles is not self._triangles and not np.array_equal(
-                mesh.triangles, self._triangles):
-            raise ValueError("mesh connectivity differs from the pattern's")
-        data = np.bincount(self._map, element_matrices.ravel(),
-                           minlength=self.indices.shape[0])
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 def stiffness_elements(b: np.ndarray, c: np.ndarray, area: np.ndarray) -> np.ndarray:
@@ -586,17 +561,18 @@ def _checked_pcg(operator, rhs: np.ndarray, precondition) -> np.ndarray:
 
 class Lattice:
     """The N x N lattice of a uniformly refined template, a grid of N x N
-    square cells with two triangles each (N read from the 2 N^2 triangles):
-    point location in that mesh by grid cell, and the exact inverse of its
-    5-point Laplacian.
+    square cells with two triangles each (N read from the 2 N^2 triangles).
 
-    Retraction moves vertices but keeps their indices, so the lattice read
-    once from a level's straight mesh preconditions every mesh moved from
-    it; points are located in the lattice's own mesh.  Holds the mesh, N,
-    cells: the two triangles of cell i + N j in ascending order, (N^2, 2),
-    and free: the vertices at the interior lattice points (i, j), j-major,
-    so that an array on them reshapes to the (N-1) x (N-1) grid.  Any other
-    mesh, a moved one included, raises ValueError.
+    Retraction moves vertices but keeps their indices and the connectivity,
+    so the lattice read once from a level's straight mesh serves every mesh
+    moved from it: it scatters their element matrices into its CSR pattern
+    and preconditions their Poisson solves by the exact inverse of its
+    5-point Laplacian, while it locates points in its own mesh by grid cell.
+    Holds the mesh, N, cells: the two triangles of cell i + N j in ascending
+    order, (N^2, 2), and free: the vertices at the interior lattice points
+    (i, j), j-major, so that an array on them reshapes to the (N-1) x (N-1)
+    grid.  Built from any other mesh, a moved one included, it raises
+    ValueError.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -619,6 +595,32 @@ class Lattice:
         self.cells = np.argsort(cell, kind="stable").reshape(n * n, 2)
         self.free = vertex.reshape(n + 1, n + 1)[1:-1, 1:-1].ravel()
         self._inverse = _lattice_laplacian_inverse(n)
+
+    @cached_property
+    def pattern(self):
+        """(indptr, indices, slots): the CSR pattern of the P1 matrices on
+        the mesh's connectivity and the slot in it of each element-matrix
+        entry, read on the first scatter, so the data oracle's lattice,
+        which never scatters, never builds it."""
+        t, n = self.mesh.triangles, self.mesh.n_vertices
+        keys = (np.repeat(t, 3, axis=1) * n + np.tile(t, (1, 3))).ravel()
+        entries, slots = np.unique(keys, return_inverse=True)
+        indptr = np.searchsorted(entries, np.arange(n + 1) * n).astype(np.int32)
+        return indptr, (entries % n).astype(np.int32), slots
+
+    def scatter(self, mesh: TriMesh, element_matrices: np.ndarray) -> sp.csr_matrix:
+        """Sum element matrices (nt, 3, 3) of a mesh moved from the lattice's
+        by np.bincount into the fixed pattern, where the module's scatter()
+        sorts and sums a COO matrix anew.  Summed in another order, the
+        entries may differ from scatter()'s in the last bit.  A mesh of other
+        connectivity raises ValueError."""
+        if mesh.triangles is not self.mesh.triangles and not np.array_equal(
+                mesh.triangles, self.mesh.triangles):
+            raise ValueError("mesh connectivity differs from the lattice's")
+        indptr, indices, slots = self.pattern
+        data = np.bincount(slots, element_matrices.ravel(), minlength=indices.shape[0])
+        n = self.mesh.n_vertices
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """The 5-point Laplacian's inverse applied to r on the free vertices."""

@@ -19,7 +19,6 @@ import scipy.linalg
 from . import fem, mesh, shape
 from .errors import LinearSolverError
 from .mesh import (
-    CsrPattern,
     Lattice,
     TriMesh,
     p1_gradients,
@@ -35,15 +34,15 @@ class MeshState:
     """Sampled data and everything assembled on one mesh (geometry, mass,
     load and P1 stiffness), the state, and the objective.
 
-    lattice and pattern are the Lattice and the CsrPattern of the straight
-    mesh the mesh was moved from.  The gradients are computed once, the mass
-    and the stiffness scattered through the pattern, and the state solved by
-    mesh.solve_lattice_poisson, preconditioned on the lattice, so building a
-    state factors nothing and may run on any thread.
+    lattice is the Lattice of the straight mesh the mesh was moved from.
+    The gradients are computed once, the mass and the stiffness scattered
+    through the lattice, and the state solved by mesh.solve_lattice_poisson,
+    preconditioned on the lattice, so building a state factors nothing and
+    may run on any thread.
     """
 
     def __init__(self, mesh: TriMesh, ybar: fem.NodalField, f1: float, f2: float,
-                 mu: float, lattice: Lattice, pattern: CsrPattern):
+                 mu: float, lattice: Lattice):
         if ybar.mesh is not mesh:
             raise ValueError("ybar belongs to a different mesh")
         if f1 == f2 and mu <= 0.0:
@@ -54,12 +53,11 @@ class MeshState:
         self.f2 = float(f2)
         self.mu = float(mu)
         self.lattice = lattice
-        self.pattern = pattern
         self.geometry: InterfaceGeometry = shape.compute_geometry(mesh)
         b, c, area = p1_gradients(mesh)
-        self.mass = pattern.scatter(mesh, fem.mass_elements(area))
+        self.mass = lattice.scatter(mesh, fem.mass_elements(area))
         self.load = fem.load_piecewise(mesh, area, f1, f2)
-        self.stiffness = pattern.scatter(mesh, stiffness_elements(b, c, area))
+        self.stiffness = lattice.scatter(mesh, stiffness_elements(b, c, area))
         self.y = fem.NodalField(mesh=mesh, values=solve_lattice_poisson(
             lattice, self.stiffness, self.load))
         self.objective = shape.objective(mesh, self.y, self.ybar, self.geometry,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import driver, fem, qp, shape
-from .mesh import CsrPattern, Lattice, build_template, refine_uniform
+from .mesh import Lattice, build_template, refine_uniform
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,11 @@ def gradient_fd_check() -> CheckResult:
         mesh=base, values=_pinned(0.02 * np.sin(np.pi * heights)))
     m = shape.retract(base, shape.extend(base, bump, shape.compute_geometry(base),
                                          fem.assemble_stiffness(base)), 1.0)
-    lattice, pattern = Lattice(base), CsrPattern(base)
+    lattice = Lattice(base)
 
     def state_of(mesh):
         return qp.MeshState(mesh, data.sample(mesh), config.f1, config.f2, config.mu,
-                            lattice, pattern)
+                            lattice)
 
     state = state_of(m)
     geometry = state.geometry
@@ -98,8 +98,7 @@ def hessian_symmetry() -> CheckResult:
     be symmetric in the arc-length inner product."""
     m = build_template(54)
     ybar = fem.solve_state(m, 1000.0, 1.0)
-    ws = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0, Lattice(m),
-                                     CsrPattern(m)))
+    ws = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0, Lattice(m)))
     rng = np.random.default_rng(1)
     nodes = m.interface_nodes.shape[0]
     worst = 0.0
@@ -137,8 +136,7 @@ def pure_regularization_tridiag() -> CheckResult:
     base = build_template(16)
     curved = driver.initial_mesh(base)
     ybar = fem.NodalField(mesh=curved, values=np.zeros(curved.n_vertices))
-    ws = qp.QpWorkspace(qp.MeshState(curved, ybar, 7.0, 7.0, 10.0, Lattice(base),
-                                     CsrPattern(base)),
+    ws = qp.QpWorkspace(qp.MeshState(curved, ybar, 7.0, 7.0, 10.0, Lattice(base)),
                         cg_tol=1e-12)
     direct = qp.solve_tridiagonal_regularization(ws.state.geometry, 10.0,
                                                  -ws.gradient.values)
@@ -158,7 +156,7 @@ def optimality_fixed_point() -> CheckResult:
         m = build_template(n)
         data = driver.DataOracle.on_lattice(refine_uniform(m), 1000.0, 1.0)
         ws = qp.QpWorkspace(qp.MeshState(m, data.sample(m), 1000.0, 1.0, 10.0,
-                                         Lattice(m), CsrPattern(m)))
+                                         Lattice(m)))
         return (float(np.abs(ws.gradient.values).max()),
                 float(np.abs(qp.solve_qp_cg(ws).w.values).max()))
 

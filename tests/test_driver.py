@@ -97,7 +97,8 @@ def test_a_start_mesh_finer_than_the_data_is_a_config_error():
 
 def test_a_start_mesh_is_checked_in_full():
     # Its labels, boundary and interface must be the level's, and its
-    # triangles positively oriented, before anything is solved on it.
+    # vertices finite and triangles positively oriented, before anything is
+    # solved on it.
     config = driver.ExperimentConfig(n=8, max_sqp_iters=1)
     data = driver.generate_data(config)
     m = driver.mesh_at_level(config, 1)
@@ -112,6 +113,14 @@ def test_a_start_mesh_is_checked_in_full():
     vertices[10] += 0.3
     with pytest.raises(InvertedElementError):
         driver.sqp_solve(config, data, start=dataclasses.replace(m, vertices=vertices))
+    # A NaN vertex orients no triangle either way: it must not reach sampling.
+    vertices = m.vertices.copy()
+    vertices[10] = np.nan
+    start = dataclasses.replace(m, vertices=vertices)
+    with pytest.raises(MeshInvariantError, match="vertex 10 .* is not finite"):
+        mesh.validate(start)
+    with pytest.raises(MeshInvariantError, match="vertex 10 .* is not finite"):
+        driver.sqp_solve(config, data, start=start)
 
 
 def test_data_oracle_self_sample_is_exact():
@@ -326,7 +335,7 @@ def step_setup(amplitude):
     data = driver.generate_data(config)
     m = build_template(config.n)
     state = qp.MeshState(m, data.sample(m), config.f1, config.f2, config.mu,
-                         mesh.Lattice(m), mesh.CsrPattern(m))
+                         mesh.Lattice(m))
     heights = m.interface_points[:, 1]
     values = amplitude * np.sin(np.pi * heights)
     values[[0, -1]] = 0.0
@@ -388,7 +397,7 @@ def newton_step_setup():
     straight = driver.mesh_at_level(config, 1)
     m = driver.initial_mesh(straight)
     state = qp.MeshState(m, data.sample(m), config.f1, config.f2, config.mu,
-                         mesh.Lattice(straight), mesh.CsrPattern(straight))
+                         mesh.Lattice(straight))
     w = qp.solve_qp_cg(qp.QpWorkspace(state, cg_tol=config.cg_tol)).w
     return state, w, data, config
 
@@ -413,7 +422,7 @@ def serial_oracle(state, extension, alphas, data):
         except MeshInvariantError:
             continue
         candidate = qp.MeshState(moved, data.sample(moved), state.f1, state.f2,
-                                 state.mu, state.lattice, state.pattern)
+                                 state.mu, state.lattice)
         if best is None or candidate.objective < best[0].objective:
             best = (candidate, a)
     return best
@@ -432,12 +441,12 @@ def test_concurrent_candidates_match_a_serial_oracle(monkeypatch):
     alphas = [1.0, 1.25, 1.5]
     sampled_on_main, assembled_on_main, solved_on_main, factors = [], [], [], []
     record_threads(monkeypatch, driver.DataOracle, "sample", sampled_on_main)
-    record_threads(monkeypatch, mesh.CsrPattern, "scatter", assembled_on_main)
+    record_threads(monkeypatch, mesh.Lattice, "scatter", assembled_on_main)
     record_threads(monkeypatch, qp, "solve_lattice_poisson", solved_on_main)
     record_threads(monkeypatch, spla, "splu", factors)
     accepted, alpha = driver._take_step(state, extension, alphas, data)
     # Every candidate is moved, sampled, assembled (its mass and stiffness
-    # scattered through the level's pattern) and solved on the pool, its
+    # scattered through the level's lattice) and solved on the pool, its
     # state on the lattice: the line search factors nothing.
     assert sampled_on_main == [False] * len(alphas)
     assert assembled_on_main == [False] * 2 * len(alphas)
@@ -468,22 +477,46 @@ def test_every_trial_is_built_on_the_trial_pool(monkeypatch):
     assert threading.main_thread() not in threads
 
 
+def test_one_pool_size_one_answer(monkeypatch, study_bundle):
+    # The trial pool's size decides which thread builds a trial, never what
+    # the run computes: with one worker or two, the rows of a Newton study,
+    # of a descent and a halving step agree to the bit.
+    config, data = study_bundle.config, study_bundle.data
+    descent = dataclasses.replace(config, max_sqp_iters=3)
+    state, w, step_data, _ = step_setup(0.4)
+    extension = extension_of(state, w)
+
+    def answer(workers):
+        monkeypatch.setattr(driver, "_TRIAL_WORKERS", workers)
+        traces = [driver.sqp_solve(config, data, level) for level in (1, 2)]
+        traces.append(driver.steepest_descent_solve(descent, data, 1))
+        accepted, alpha = driver._take_step(state, extension, [1.0, 1.25, 1.5],
+                                            step_data)
+        assert alpha < 1.0  # the step was halved
+        return ([repr(row) for trace in traces for row in trace.rows],
+                repr((alpha, accepted.objective)), accepted.mesh.vertices)
+
+    one, two = answer(1), answer(2)
+    assert one[:2] == two[:2]
+    np.testing.assert_array_equal(one[2], two[2])
+
+
 def test_a_step_assembles_one_stiffness_per_candidate(monkeypatch):
     # The step is extended on the stiffness its state already holds, so the
     # extension assembles nothing and a step only the candidates' matrices:
-    # one stiffness and one mass each, scattered through the level's pattern.
+    # one stiffness and one mass each, scattered through the level's lattice.
     state, w, data, config = newton_step_setup()
-    scatter, assemble, assembled = mesh.CsrPattern.scatter, mesh.assemble_stiffness, []
+    scatter, assemble, assembled = mesh.Lattice.scatter, mesh.assemble_stiffness, []
 
-    def counted_scatter(pattern, m, elements):
-        assembled.append((m, scatter(pattern, m, elements)))
+    def counted_scatter(lattice, m, elements):
+        assembled.append((m, scatter(lattice, m, elements)))
         return assembled[-1][1]
 
     def counted_assemble(m):
         assembled.append((m, assemble(m)))
         return assembled[-1][1]
 
-    monkeypatch.setattr(mesh.CsrPattern, "scatter", counted_scatter)
+    monkeypatch.setattr(mesh.Lattice, "scatter", counted_scatter)
     monkeypatch.setattr(fem, "assemble_stiffness", counted_assemble)
     monkeypatch.setattr(mesh, "assemble_stiffness", counted_assemble)
     extension = shape.extend(state.mesh, w, state.geometry, state.stiffness)
@@ -501,7 +534,7 @@ def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
     # must leave _take_step, not be skipped.
     state, w, data, config = newton_step_setup()
     retract, sample = shape.retract, driver.DataOracle.sample
-    scatter, solve = mesh.CsrPattern.scatter, qp.solve_lattice_poisson
+    scatter, solve = mesh.Lattice.scatter, qp.solve_lattice_poisson
     moved_by_step, assembled = {}, []
 
     def recorded_retract(m, extension, step):
@@ -513,10 +546,10 @@ def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
             raise PointLocationError("planted failure at step 1.25")
         return sample(oracle, target)
 
-    def faulty_scatter(pattern, m, elements):
+    def faulty_scatter(lattice, m, elements):
         if stage == "assemble" and m is moved_by_step.get(1.25):
             raise ValueError("planted failure at step 1.25")
-        assembled.append((m, scatter(pattern, m, elements)))
+        assembled.append((m, scatter(lattice, m, elements)))
         return assembled[-1][1]
 
     def faulty_solve(lattice, stiffness, load):
@@ -527,7 +560,7 @@ def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
 
     monkeypatch.setattr(shape, "retract", recorded_retract)
     monkeypatch.setattr(driver.DataOracle, "sample", faulty_sample)
-    monkeypatch.setattr(mesh.CsrPattern, "scatter", faulty_scatter)
+    monkeypatch.setattr(mesh.Lattice, "scatter", faulty_scatter)
     monkeypatch.setattr(qp, "solve_lattice_poisson", faulty_solve)
     with pytest.raises((PointLocationError, ValueError, LinearSolverError),
                        match="planted failure at step 1.25"):
@@ -616,14 +649,16 @@ def test_the_workspace_factor_is_released_before_the_line_search(monkeypatch):
 
 def test_the_data_oracle_builds_no_pattern(monkeypatch):
     # A pattern belongs to a level's working meshes: the oracle's lattice
-    # solve scatters by COO, and each level solve builds one.
-    built, init = [], mesh.CsrPattern.__init__
+    # solve scatters by COO, and each level solve reads its lattice's
+    # pattern once, however many states it scatters.
+    prop = mesh.Lattice.__dict__["pattern"]
+    built, read = [], prop.func
 
-    def recorded(self, m):
-        built.append(m.n_triangles)
-        init(self, m)
+    def recorded(lattice):
+        built.append(lattice.mesh.n_triangles)
+        return read(lattice)
 
-    monkeypatch.setattr(mesh.CsrPattern, "__init__", recorded)
+    monkeypatch.setattr(prop, "func", recorded)
     config = driver.ExperimentConfig(n=8)
     data = driver.generate_data(config)
     assert built == []

@@ -178,7 +178,7 @@ def test_adjoint_zero_for_matching_data():
     lattice = mm.Lattice(m)
     y = fem.NodalField(m, mm.solve_lattice_poisson(
         lattice, fem.assemble_stiffness(m), fem.assemble_load_piecewise(m, 1000.0, 1.0)))
-    p = qp.QpWorkspace(qp.MeshState(m, y, 1000.0, 1.0, 10.0, lattice, mm.CsrPattern(m))).p
+    p = qp.QpWorkspace(qp.MeshState(m, y, 1000.0, 1.0, 10.0, lattice)).p
     assert np.abs(p.values).max() == 0.0
 
 
@@ -186,8 +186,7 @@ def test_adjoint_weak_form_consistency():
     m = mm.build_template(10)
     y = fem.solve_state(m, 1000.0, 1.0)
     ybar = fem.NodalField(m, np.zeros(m.n_vertices))
-    p = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0, mm.Lattice(m),
-                                    mm.CsrPattern(m))).p
+    p = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0, mm.Lattice(m))).p
     K = fem.assemble_stiffness(m)
     M = fem.assemble_mass(m)
     rng = np.random.default_rng(2)

@@ -579,11 +579,11 @@ def test_a_bad_split_fails_before_anything_factors(monkeypatch, build, reason):
 
 def test_pattern_matches_the_coo_scatter_on_a_moved_mesh():
     moved, straight, _, _ = moved_level2_state()
-    pattern = mm.CsrPattern(straight)
+    lattice = mm.Lattice(straight)
     b, c, area = mm.p1_gradients(moved)
     for elements in (mm.stiffness_elements(b, c, area), fem.mass_elements(area)):
         want = mm.scatter(moved.triangles, elements, moved.n_vertices)
-        got = pattern.scatter(moved, elements)
+        got = lattice.scatter(moved, elements)
         assert got.shape == want.shape
         assert abs(got - want).max() <= 1e-14 * abs(want).max()
     # A mesh of other connectivity: another level, or the same triangles in
@@ -594,7 +594,36 @@ def test_pattern_matches_the_coo_scatter_on_a_moved_mesh():
                          moved.interface_nodes)]
     for other in others:
         with pytest.raises(ValueError, match="connectivity"):
-            pattern.scatter(other, mm.stiffness_elements(*mm.p1_gradients(other)))
+            lattice.scatter(other, mm.stiffness_elements(*mm.p1_gradients(other)))
+
+
+def test_a_fresh_lattice_scatters_alike_on_many_threads():
+    # A lattice's pattern is read on its first scatter.  Trial workers share
+    # the lattice, so first scatters that race must each still return the
+    # COO scatter's matrix.
+    m = mm.build_template(16)
+    elements = mm.stiffness_elements(*mm.p1_gradients(m))
+    want = mm.scatter(m.triangles, elements, m.n_vertices)
+    lattice, results, start = mm.Lattice(m), [], threading.Barrier(8)
+
+    def first_scatter():
+        start.wait(timeout=10)
+        results.append(lattice.scatter(m, elements))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=first_scatter) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8
+    for got in results:
+        assert abs(got - want).max() <= 1e-14 * abs(want).max()
 
 
 def test_apply_deformation_round_trip():
@@ -866,18 +895,15 @@ def test_a_wrong_lattice_preconditioner_fails_a_trial_state_loudly(monkeypatch, 
 
     moved, straight, _, _ = moved_level2_state()
     ybar = fem.NodalField(moved, np.zeros(moved.n_vertices))
-    pattern = mm.CsrPattern(straight)
-    want = qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight),
-                        pattern).y.values
+    want = qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight)).y.values
     monkeypatch.setattr(mm, "_lattice_laplacian_inverse", planted)
     if sign < 0.0:  # the plant itself is sound
-        got = qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight),
-                           pattern).y.values
+        got = qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight)).y.values
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
         return
     with pytest.raises(LinearSolverError,
                        match=f"stopped after {mm._PCG_MAX_ITERS} iterations"):
-        qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight), pattern)
+        qp.MeshState(moved, ybar, 1000.0, 1.0, 10.0, mm.Lattice(straight))
 
 
 def test_locate_repeatable():

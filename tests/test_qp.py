@@ -31,9 +31,7 @@ def template_of(m: mesh.TriMesh) -> mesh.TriMesh:
 
 
 def mesh_state(m, ybar, f1=F1, f2=F2, mu=MU):
-    template = template_of(m)
-    return qp.MeshState(m, ybar, f1, f2, mu, mesh.Lattice(template),
-                        mesh.CsrPattern(template))
+    return qp.MeshState(m, ybar, f1, f2, mu, mesh.Lattice(template_of(m)))
 
 
 def workspace(m, ybar, f1=F1, f2=F2, mu=MU, **settings):

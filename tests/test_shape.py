@@ -165,7 +165,7 @@ def test_gradient_pushes_a_rightward_bulge_back():
         mesh.Lattice(data_mesh), ybar_data, bulged.vertices))
 
     p = qp.QpWorkspace(qp.MeshState(bulged, ybar, 1000.0, 1.0, 10.0,
-                                    mesh.Lattice(base), mesh.CsrPattern(base))).p
+                                    mesh.Lattice(base))).p
     geo = shape.compute_geometry(bulged)
     g = shape.shape_gradient(bulged, geo, p, 1000.0, 1.0, 10.0)
     assert np.all(g.values[1:-1] > 0.0)
@@ -219,8 +219,7 @@ def test_domain_and_interface_gradient_forms_agree():
     m = straight(n)
     y = fem.solve_state(m, 1000.0, 1.0)
     ybar = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
-    p = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0, mesh.Lattice(m),
-                                    mesh.CsrPattern(m))).p
+    p = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0, mesh.Lattice(m))).p
     geo = shape.compute_geometry(m)
 
     w = shape.InterfaceField(
