@@ -25,37 +25,37 @@ def write_vtk(path, mesh: TriMesh, fields: dict[str, NodalField] | None = None,
     """Write the mesh as a legacy ASCII VTK unstructured grid.
 
     The subdomain label goes into CELL_DATA; each entry of fields becomes a
-    named POINT_DATA scalar.
+    named POINT_DATA scalar.  A title that VTK cannot read back (a line
+    break, or more than 256 characters) or a field name that is empty or
+    holds whitespace raises ValueError before the file is created.
     """
     fields = fields or {}
+    if "\n" in title or "\r" in title or len(title) > 256:
+        raise ValueError("VTK title must be one line of at most 256 characters")
     for name, field in fields.items():
+        if name.split() != [name]:  # empty, or holds whitespace
+            raise ValueError(f"VTK field name {name!r} is empty or holds whitespace")
         if field.mesh is not mesh:
             raise ValueError(f"field {name!r} belongs to a different mesh")
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_vertices} double",
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    # One % over a tuple of Python scalars formats a whole block in C; "%.7g"
+    # gives the same text as _fmt.
+    blocks = [
+        "# vtk DataFile Version 3.0\n", title, "\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {nv} double\n",
+        ("%.7g %.7g 0\n" * nv) % tuple(mesh.vertices.ravel().tolist()),
+        f"CELLS {nt} {4 * nt}\n",
+        ("3 %d %d %d\n" * nt) % tuple(mesh.triangles.ravel().tolist()),
+        f"CELL_TYPES {nt}\n", "5\n" * nt,
+        f"CELL_DATA {nt}\nSCALARS subdomain int 1\nLOOKUP_TABLE default\n",
+        ("%d\n" * nt) % tuple(mesh.subdomain.tolist()),
     ]
-    # Python scalars from tolist() format several times faster than numpy's.
-    lines.extend(f"{_fmt(x)} {_fmt(y)} 0" for x, y in mesh.vertices.tolist())
-    nt = mesh.n_triangles
-    lines.append(f"CELLS {nt} {4 * nt}")
-    lines.extend(f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist())
-    lines.append(f"CELL_TYPES {nt}")
-    lines.extend(["5"] * nt)
-    lines.append(f"CELL_DATA {nt}")
-    lines.append("SCALARS subdomain int 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(map(str, mesh.subdomain.tolist()))
     if fields:
-        lines.append(f"POINT_DATA {mesh.n_vertices}")
+        blocks.append(f"POINT_DATA {nv}\n")
         for name, field in fields.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(_fmt(v) for v in field.values.tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+            blocks.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            blocks.append(("%.7g\n" * nv) % tuple(field.values.tolist()))
+    Path(path).write_text("".join(blocks))
 
 
 def write_interface_csv(path, geometry: InterfaceGeometry,

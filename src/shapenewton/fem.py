@@ -24,6 +24,7 @@ from .mesh import (
     locate_points,
     p1_gradients,
     scatter,
+    triangle_corners,
 )
 
 
@@ -71,12 +72,17 @@ def assemble_load_piecewise(mesh: TriMesh, f1: float, f2: float) -> np.ndarray:
     return load_piecewise(mesh, p1_gradients(mesh)[2], f1, f2)
 
 
+def _edge_midpoints(mesh: TriMesh) -> np.ndarray:
+    """The midpoints m01, m12, m20 of each triangle's edges, (3 nt, 2)."""
+    x, y = triangle_corners(mesh.vertices, mesh.triangles)
+    return np.stack([0.5 * (x + np.roll(x, -1, axis=1)),
+                     0.5 * (y + np.roll(y, -1, axis=1))], axis=2).reshape(-1, 2)
+
+
 def assemble_load_function(mesh: TriMesh, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Load vector for a smooth source, edge-midpoint quadrature."""
-    p = mesh.vertices[mesh.triangles]
     _, _, area = p1_gradients(mesh)
-    mids = 0.5 * (p + np.roll(p, -1, axis=1))  # m01, m12, m20
-    fm = f(mids.reshape(-1, 2)).reshape(-1, 3)
+    fm = f(_edge_midpoints(mesh)).reshape(-1, 3)
     # vertex i is supported on the two midpoints of its incident edges
     w = np.empty_like(fm)
     w[:, 0] = fm[:, 0] + fm[:, 2]
@@ -119,7 +125,8 @@ def evaluate_field(lattice: Lattice, field: NodalField, points: np.ndarray) -> n
     """Evaluate a nodal field on the lattice's mesh at (k, 2) points inside it."""
     _check_same_mesh(lattice.mesh, field)
     tri, bary = locate_points(lattice, points)
-    return np.einsum("pk,pk->p", bary, field.values[lattice.mesh.triangles[tri]])
+    return np.einsum("pk,pk->p", bary,
+                     field.values[np.take(lattice.mesh.triangles, tri, axis=0)])
 
 
 def objective_misfit(mesh: TriMesh, y: NodalField, ybar: NodalField,
@@ -134,11 +141,9 @@ def quadrature_l2_difference(mesh: TriMesh, field: NodalField,
                              exact: Callable[[np.ndarray], np.ndarray]) -> float:
     """L2 distance between a P1 field and a smooth function, midpoint rule."""
     _check_same_mesh(mesh, field)
-    p = mesh.vertices[mesh.triangles]
     v = field.values[mesh.triangles]
     _, _, area = p1_gradients(mesh)
-    mids = 0.5 * (p + np.roll(p, -1, axis=1))
     vm = 0.5 * (v + np.roll(v, -1, axis=1))
-    diff = vm - exact(mids.reshape(-1, 2)).reshape(-1, 3)
+    diff = vm - exact(_edge_midpoints(mesh)).reshape(-1, 3)
     err2 = (area / 3.0) * (diff ** 2).sum(axis=1)
     return float(np.sqrt(err2.sum()))

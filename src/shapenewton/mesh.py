@@ -93,13 +93,23 @@ class TriMesh:
         return self.vertices[self.interface_nodes]
 
 
+def triangle_corners(vertices: np.ndarray, triangles: np.ndarray):
+    """The x and y coordinates of the corners of triangles, an (..., 3)
+    array of indices into vertices (nv, 2), each shaped like triangles.
+
+    np.take gathers whole rows several times faster than numpy's fancy row
+    gather vertices[triangles] does, and returns the same values.
+    """
+    p = np.take(vertices, triangles, axis=0)
+    return p[..., 0], p[..., 1]
+
+
 def p1_gradients(mesh: TriMesh):
     """Per-triangle shape-function gradient coefficients and areas.
 
     Returns (b, c, area) with grad(phi_i) = (b_i, c_i) / (2 area).
     """
-    p = mesh.vertices[mesh.triangles]
-    x, y = p[..., 0], p[..., 1]
+    x, y = triangle_corners(mesh.vertices, mesh.triangles)
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
     area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
@@ -108,10 +118,9 @@ def p1_gradients(mesh: TriMesh):
 
 def signed_areas(mesh: TriMesh) -> np.ndarray:
     """Signed triangle areas; positive for counter-clockwise orientation."""
-    p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    x, y = triangle_corners(mesh.vertices, mesh.triangles)
+    return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                  - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
 
 
 def _edge_key(pairs: np.ndarray, n_vertices: int) -> np.ndarray:
@@ -224,7 +233,7 @@ def _check_geometry(mesh: TriMesh) -> None:
         raise MeshInvariantError("interface leaves the open strip 0 < x < 1")
     _check_simple_polyline(pts)
 
-    centroids_x = mesh.vertices[mesh.triangles, 0].mean(axis=1)
+    centroids_x = triangle_corners(mesh.vertices, mesh.triangles)[0].mean(axis=1)
     leftmost = int(np.argmin(centroids_x))
     if mesh.subdomain[leftmost] != 1:
         raise MeshInvariantError("leftmost region is not labelled subdomain 1")
@@ -318,7 +327,7 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
     uniq, counts, _, _, inverse = _unique_edges(mesh)
     lo = (uniq // nv).astype(np.int64)
     hi = (uniq % nv).astype(np.int64)
-    mid_coords = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
+    mid_coords = 0.5 * (np.take(mesh.vertices, lo, axis=0) + np.take(mesh.vertices, hi, axis=0))
     vertices = np.vstack([mesh.vertices, mid_coords])
 
     m01 = nv + inverse[:nt]
@@ -629,15 +638,14 @@ class Lattice:
     def _barycentric(self, points: np.ndarray, tris: np.ndarray):
         """Barycentric coordinates of points[i] in each triangle tris[i, j],
         stacked on the first axis."""
-        verts = self.mesh.vertices
-        tv = self.mesh.triangles[tris]
-        p0 = verts[tv[..., 0]]
-        d1 = verts[tv[..., 1]] - p0
-        d2 = verts[tv[..., 2]] - p0
-        det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-        r = points[:, None, :] - p0
-        b1 = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / det
-        b2 = (d1[..., 0] * r[..., 1] - d1[..., 1] * r[..., 0]) / det
+        x, y = triangle_corners(self.mesh.vertices,
+                                np.take(self.mesh.triangles, tris, axis=0))
+        d1x, d1y = x[..., 1] - x[..., 0], y[..., 1] - y[..., 0]
+        d2x, d2y = x[..., 2] - x[..., 0], y[..., 2] - y[..., 0]
+        det = d1x * d2y - d1y * d2x
+        rx, ry = points[:, None, 0] - x[..., 0], points[:, None, 1] - y[..., 0]
+        b1 = (rx * d2y - ry * d2x) / det
+        b2 = (d1x * ry - d1y * rx) / det
         b0 = 1.0 - b1 - b2
         return np.stack([b0, b1, b2])
 
@@ -661,8 +669,8 @@ class Lattice:
         for k, group in ((1, np.flatnonzero(one_cell)), (2, np.flatnonzero(~one_cell))):
             for block in np.array_split(group, max(1, group.size // 8192)):
                 p, c = points[block], ij[block]
-                cands = self.cells[c[:, 0, :k, None]
-                                   + n * c[:, 1, None, :k]].reshape(-1, 2 * k * k)
+                cands = np.take(self.cells, c[:, 0, :k, None] + n * c[:, 1, None, :k],
+                                axis=0).reshape(-1, 2 * k * k)
                 bary = self._barycentric(p, cands)
                 ok = bary.min(axis=0) >= -_BARY_TOL
                 # lowest triangle index wins among admissible candidates

@@ -111,10 +111,43 @@ def test_vtk_matches_the_per_element_writer_byte_for_byte(tmp_path):
     y = fem.solve_state(m, 1000.0, 1.0)
     signed = fem.NodalField(mesh=m, values=np.sin(40.0 * m.vertices[:, 0]) * 1e-3
                             - m.vertices[:, 1] * 1e5)
-    fields = {"state": y, "signed": signed}
+    # Signed zeros, where %g switches to an exponent (1e-5 against 1e-4, and
+    # from 9999999.5, which rounds up to 1e+07), the smallest subnormal and a
+    # huge value.
+    edges = np.array([0.0, -0.0, 1e-5, 1e-4, -1e-5, -1e-4, 9999999.5, 1e7, -9999999.5,
+                      5e-324, -5e-324, 1e300, -1e300])
+    edge_values = np.resize(edges, m.n_vertices)
+    fields = {"state": y, "signed": signed,
+              "edges": fem.NodalField(mesh=m, values=edge_values)}
     export.write_vtk(tmp_path / "fast.vtk", m, fields)
     write_vtk_per_element(tmp_path / "oracle.vtk", m, fields)
     assert (tmp_path / "fast.vtk").read_bytes() == (tmp_path / "oracle.vtk").read_bytes()
+
+
+@pytest.mark.parametrize("title, name", [
+    ("two\nlines", "y"),
+    ("carriage\rreturn", "y"),
+    ("x" * 257, "y"),
+    ("iteration 3", ""),
+    ("iteration 3", "two words"),
+    ("iteration 3", "tab\there"),
+])
+def test_vtk_refuses_what_vtk_cannot_read_before_writing(tmp_path, title, name):
+    m = build_template(4)
+    field = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
+    path = tmp_path / "bad.vtk"
+    with pytest.raises(ValueError, match="VTK title|VTK field name"):
+        export.write_vtk(path, m, {name: field}, title=title)
+    assert not path.exists()
+
+
+def test_vtk_takes_the_longest_title_and_the_cli_names(tmp_path):
+    m = build_template(4)
+    field = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
+    export.write_vtk(tmp_path / "ok.vtk", m, {"y": field, "p": field}, title="x" * 256)
+    assert (tmp_path / "ok.vtk").read_text().split("\n")[1] == "x" * 256
+    _, _, _, fields = parse_vtk((tmp_path / "ok.vtk").read_text())
+    assert set(fields) == {"y", "p"}
 
 
 def test_vtk_rejects_foreign_field(tmp_path):

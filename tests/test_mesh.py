@@ -922,3 +922,65 @@ def test_locate_outside_raises(x):
     m = mm.build_template(4)
     with pytest.raises(PointLocationError):
         mm.locate_points(mm.Lattice(m), np.array([x]))
+
+
+def p1_gradients_row_gather(m: mm.TriMesh):
+    """p1_gradients by numpy's fancy row gather vertices[triangles]."""
+    p = m.vertices[m.triangles]
+    x, y = p[..., 0], p[..., 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    return b, c, area
+
+
+def signed_areas_row_gather(m: mm.TriMesh):
+    p = m.vertices[m.triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def barycentric_row_gather(self, points, tris):
+    """Lattice._barycentric by fancy row gathers."""
+    verts = self.mesh.vertices
+    tv = self.mesh.triangles[tris]
+    p0 = verts[tv[..., 0]]
+    d1 = verts[tv[..., 1]] - p0
+    d2 = verts[tv[..., 2]] - p0
+    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    r = points[:, None, :] - p0
+    b1 = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / det
+    b2 = (d1[..., 0] * r[..., 1] - d1[..., 1] * r[..., 0]) / det
+    return np.stack([1.0 - b1 - b2, b1, b2])
+
+
+def test_corner_gathers_equal_the_row_gathers_bit_for_bit(monkeypatch):
+    straight = driver.mesh_at_level(driver.ExperimentConfig(), 2)
+    moved = driver.initial_mesh(straight)
+    vertices = moved.vertices.copy()
+    a, b, c = moved.triangles[100]
+    vertices[c] = vertices[a] + vertices[b] - vertices[c]  # c mirrored through ab
+    inverted = mm.TriMesh(vertices, moved.triangles, moved.subdomain,
+                          moved.outer_boundary_nodes, moved.interface_nodes)
+    assert mm.signed_areas(inverted)[100] < 0.0
+    for m in (moved, inverted):
+        x, y = mm.triangle_corners(m.vertices, m.triangles)
+        assert np.array_equal(np.stack([x, y], axis=-1), m.vertices[m.triangles])
+        for got, want in zip(mm.p1_gradients(m), p1_gradients_row_gather(m)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(mm.signed_areas(m), signed_areas_row_gather(m))
+
+    lattice = mm.Lattice(straight)
+    pts = np.vstack([moved.vertices, edge_midpoints(straight), edge_midpoints(moved),
+                     np.random.default_rng(5).uniform(size=(2000, 2))])
+    field = fem.NodalField(straight, np.sin(7.0 * straight.vertices[:, 0])
+                           * np.cos(3.0 * straight.vertices[:, 1]))
+    tri, bary = lattice.locate(pts)
+    values = fem.evaluate_field(lattice, field, pts)
+    monkeypatch.setattr(mm.Lattice, "_barycentric", barycentric_row_gather)
+    want_tri, want_bary = lattice.locate(pts)
+    assert np.array_equal(tri, want_tri)
+    assert np.array_equal(bary, want_bary)
+    assert np.array_equal(values, np.einsum("pk,pk->p", want_bary,
+                                            field.values[straight.triangles[want_tri]]))
