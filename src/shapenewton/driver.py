@@ -98,7 +98,8 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class SqpTrace:
-    """Iteration history of one solver run together with the final mesh."""
+    """Iteration history of one solver run together with the final mesh;
+    rows[-1] is the final iterate's row."""
 
     level: int
     rows: tuple[TraceRow, ...]
@@ -107,14 +108,6 @@ class SqpTrace:
     @property
     def dists(self) -> np.ndarray:
         return np.array([r.dist for r in self.rows])
-
-    @property
-    def objectives(self) -> np.ndarray:
-        return np.array([r.objective for r in self.rows])
-
-    @property
-    def final(self) -> TraceRow:
-        return self.rows[-1]
 
 
 @dataclass(frozen=True)

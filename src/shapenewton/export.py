@@ -1,10 +1,11 @@
 """Artifact writers: legacy ASCII VTK meshes, interface CSV, and trace CSV.
 
-All floating-point values are written with 7 significant digits.
+All floating-point values are written with 7 significant digits ("%.7g"),
+formatted by % over tuples of Python scalars; CSV lines end in \r\n.
 """
 from __future__ import annotations
 
-import csv
+from dataclasses import astuple
 from pathlib import Path
 from typing import Iterable
 
@@ -14,10 +15,6 @@ from .driver import TraceRow
 from .fem import NodalField
 from .mesh import TriMesh
 from .shape import InterfaceGeometry
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.7g}"
 
 
 def write_vtk(path, mesh: TriMesh, fields: dict[str, NodalField] | None = None,
@@ -39,7 +36,7 @@ def write_vtk(path, mesh: TriMesh, fields: dict[str, NodalField] | None = None,
             raise ValueError(f"field {name!r} belongs to a different mesh")
     nv, nt = mesh.n_vertices, mesh.n_triangles
     # One % over a tuple of Python scalars formats a whole block in C; "%.7g"
-    # gives the same text as _fmt.
+    # gives the same text as f"{x:.7g}".
     blocks = [
         "# vtk DataFile Version 3.0\n", title, "\nASCII\nDATASET UNSTRUCTURED_GRID\n",
         f"POINTS {nv} double\n",
@@ -64,33 +61,17 @@ def write_interface_csv(path, geometry: InterfaceGeometry,
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (geometry.n_nodes,):
         raise ValueError("value count does not match the interface")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["y", "x", "nx", "ny", "kappa", "value"])
-        for i in range(geometry.n_nodes):
-            writer.writerow([
-                _fmt(geometry.points[i, 1]),
-                _fmt(geometry.points[i, 0]),
-                _fmt(geometry.normals[i, 0]),
-                _fmt(geometry.normals[i, 1]),
-                _fmt(geometry.curvature[i]),
-                _fmt(values[i]),
-            ])
+    columns = np.column_stack([geometry.points[:, ::-1], geometry.normals,
+                               geometry.curvature, values])
+    Path(path).write_text(
+        "y,x,nx,ny,kappa,value\r\n"
+        + ("%.7g,%.7g,%.7g,%.7g,%.7g,%.7g\r\n" * geometry.n_nodes)
+        % tuple(columns.ravel().tolist()), newline="")
 
 
 def write_trace_csv(path, rows: Iterable[TraceRow]) -> None:
-    """Write iteration trace rows, one line per iteration."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["level", "iter", "dist", "J", "grad_norm",
-                         "cg_iters", "alpha"])
-        for row in rows:
-            writer.writerow([
-                row.level,
-                row.iteration,
-                _fmt(row.dist),
-                _fmt(row.objective),
-                _fmt(row.grad_norm),
-                row.cg_iterations,
-                _fmt(row.step_length),
-            ])
+    """Write iteration trace rows, one line per iteration; the columns are
+    TraceRow's fields in order."""
+    lines = ["level,iter,dist,J,grad_norm,cg_iters,alpha\r\n"]
+    lines += ["%d,%d,%.7g,%.7g,%.7g,%d,%.7g\r\n" % astuple(row) for row in rows]
+    Path(path).write_text("".join(lines), newline="")

@@ -4,9 +4,9 @@ Assembly of mass and load vectors (the stiffness matrix comes from
 mesh.assemble_stiffness, and the elastic extension reuses the matrix a state
 already holds); the element formulas are shared with qp.MeshState, which
 scatters them through a level's mesh.Lattice.  Also the homogeneous
-Dirichlet Poisson solve on a mesh.DirichletSystem, the state solve of the
-two-source Poisson problem, and a field's values at points located by a
-mesh.Lattice.
+Dirichlet Poisson system (DirichletSolver, a mesh.DirichletSystem), the
+state solve of the two-source Poisson problem, and a field's values at
+points located by a mesh.Lattice.
 """
 from __future__ import annotations
 
@@ -92,27 +92,20 @@ def assemble_load_function(mesh: TriMesh, f: Callable[[np.ndarray], np.ndarray])
                        minlength=mesh.n_vertices)
 
 
-class DirichletSolver:
-    """The P1 stiffness matrix of one mesh (assemble_stiffness) with
-    homogeneous Dirichlet data on the outer boundary, held as a
-    DirichletSystem, whose with block it forwards.
-
-    The factorization is computed once and reused across right-hand sides,
-    which keeps repeated solves on the same mesh cheap and deterministic.
+class DirichletSolver(DirichletSystem):
+    """The DirichletSystem of a mesh's P1 stiffness matrix
+    (assemble_stiffness) with homogeneous Dirichlet data on the outer
+    boundary.  __init__ and solve stay in this class's own body:
+    bench/run.py times the Poisson factors and solves by wrapping them
+    there.
     """
 
     def __init__(self, mesh: TriMesh, stiffness: sp.csr_matrix):
-        self.system = DirichletSystem(stiffness, mesh.outer_boundary_nodes)
-
-    def __enter__(self) -> DirichletSolver:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.system.__exit__(*exc_info)
+        super().__init__(stiffness, mesh.outer_boundary_nodes)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the given full-length rhs; constrained entries are zero."""
-        return self.system.solve(rhs)
+        return super().solve(rhs)
 
 
 def solve_state(mesh: TriMesh, f1: float, f2: float) -> NodalField:

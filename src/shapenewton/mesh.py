@@ -7,13 +7,13 @@ validate it in full; deformation keeps the connectivity and re-checks only
 the invariants that moving vertices can break.
 
 The module also holds the solver's linear-algebra building blocks: the
-element scatter, the one factored Dirichlet system (DirichletSystem), the
-one conjugate-gradient loop (pcg), which both halves of the elastic
-extension here and the Newton system in qp run, and a level's lattice
-(Lattice), which locates points in its own mesh by grid cell, holds the
-level's CSR pattern and preconditions solve_lattice_poisson, which runs pcg
-too and factors nothing: it solves the data oracle and every line-search
-trial's state.
+element scatter, the one factored Dirichlet system (DirichletSystem, whose
+Poisson case is fem.DirichletSolver), the one conjugate-gradient loop (pcg),
+which both halves of the elastic extension here and the Newton system in qp
+run, and a level's lattice (Lattice), which locates points in its own mesh by
+grid cell, holds the level's CSR pattern and preconditions
+solve_lattice_poisson, which runs pcg too and factors nothing: it solves the
+data oracle and every line-search trial's state.
 """
 from __future__ import annotations
 

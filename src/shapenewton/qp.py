@@ -74,10 +74,10 @@ class QpWorkspace:
     shape gradient, and the CG settings for one outer iteration.
 
     The workspace checks the state against the state equation, factors the
-    stiffness once (fem.DirichletSolver), and solves the adjoint
-    K p = -M (y - ybar) on that factor, as does every reduced-Hessian
-    application.  Leaving its with block releases the factor, as that of
-    a mesh.DirichletSystem does.
+    stiffness once (fem.DirichletSolver, a mesh.DirichletSystem), and solves
+    the adjoint K p = -M (y - ybar) on that factor, as does every
+    reduced-Hessian application.  Leaving its with block leaves the
+    solver's, which releases the factor.
     """
 
     def __init__(self, state: MeshState, cg_tol: float = 1e-8):

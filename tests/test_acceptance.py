@@ -22,6 +22,19 @@ REFERENCE_DISTS = {
 }
 ROW_TOLERANCE = 0.50
 
+# This implementation's own numbers at the 7 significant digits that
+# trace.csv prints: each level's dists and CG iterations of the default study,
+# and a 3-iteration level-2 descent's dists and step lengths.  A change that is
+# meant to leave the numbers alone must leave these exactly as they are.
+STUDY_DISTS_7G = [
+    "0.07052189 0.00360604 3.533964e-05",
+    "0.07058047 0.003595742 2.20117e-05",
+    "0.07059512 0.003597031 2.283626e-05",
+]
+STUDY_CG_ITERATIONS = [[10, 9], [10, 8], [10, 8]]
+DESCENT_DISTS_7G = "0.07058047 0.0164743 0.01624371 0.01618891"
+DESCENT_STEPS = [2.0 ** -4, 2.0 ** -10, 2.0 ** -12, 0.0]
+
 # Newton steps beyond a level-1 iterate that reach the level's discrete
 # stationary point; GRAD_TOL may end them sooner.
 FLOOR_EXTRA_ITERS = 3
@@ -48,6 +61,23 @@ def test_coarse_table_row_within_half(study_bundle, row):
         high = (1.0 + ROW_TOLERANCE) * target
     assert low <= value <= high, (
         f"iteration {row}: dist {value:.6g} outside [{low:.6g}, {high:.6g}]")
+
+
+def _at_7g(dists):
+    return " ".join(f"{d:.7g}" for d in dists)
+
+
+def test_study_dist_table_at_seven_digits(study_bundle):
+    assert [_at_7g(trace.dists) for trace in study_bundle.traces] == STUDY_DISTS_7G
+    assert [[row.cg_iterations for row in trace.rows[:-1]]
+            for trace in study_bundle.traces] == STUDY_CG_ITERATIONS
+
+
+def test_level2_descent_at_seven_digits(study_bundle):
+    config = driver.ExperimentConfig(max_sqp_iters=3)
+    trace = driver.steepest_descent_solve(config, study_bundle.data, 2)
+    assert _at_7g(trace.dists) == DESCENT_DISTS_7G
+    assert [row.step_length for row in trace.rows] == DESCENT_STEPS
 
 
 def test_coarse_floor_scales_as_h_squared():

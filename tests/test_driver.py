@@ -226,7 +226,7 @@ def test_stationary_start_stops_immediately(monkeypatch):
     # stop released it before it read a step.
     assert ends == ["CancelledError"]
     assert len(trace.rows) == 1
-    row = trace.final
+    row = trace.rows[-1]
     assert (row.iteration, row.cg_iterations, row.step_length) == (0, 0, 0.0)
     assert row.grad_norm <= driver.GRAD_TOL
     assert row.dist == 0.0
@@ -236,13 +236,15 @@ def test_zero_iterations_records_start_only():
     config = driver.ExperimentConfig(n=16, max_sqp_iters=0)
     trace = driver.sqp_solve(config, driver.generate_data(config))
     assert len(trace.rows) == 1
-    assert trace.final.cg_iterations == 0
-    assert trace.final.dist > 0.05
+    assert trace.rows[-1].cg_iterations == 0
+    assert trace.rows[-1].dist > 0.05
 
 
 def test_coarse_two_iteration_sequence(study_bundle):
     traces = study_bundle.traces
     trace = traces[0]
+    assert [t.level for t in traces] == [1, 2, 3]
+    assert trace.dists.shape == (len(trace.rows),) == (3,)
     np.testing.assert_allclose(
         trace.dists, [0.0705219, 0.00360604, 3.53396e-05], rtol=1e-5)
     assert [r.step_length for r in trace.rows] == [1.5, 1.0, 0.0]
@@ -254,7 +256,7 @@ def test_coarse_two_iteration_sequence(study_bundle):
 def test_objective_never_increases(study_bundle):
     traces = study_bundle.traces
     for trace in traces:
-        values = trace.objectives
+        values = [row.objective for row in trace.rows]
         assert np.all(np.diff(values) <= 0.0)
 
 
@@ -265,7 +267,7 @@ def test_fixed_step_is_slower_than_line_search(study_bundle):
     fixed = driver.ExperimentConfig(line_search=False, max_sqp_iters=1)
     trace = driver.sqp_solve(fixed, data)
     assert trace.rows[0].step_length == 1.0
-    assert trace.final.dist > traces[0].dists[1]
+    assert trace.rows[-1].dist > traces[0].dists[1]
 
 
 def test_runs_are_deterministic(study_bundle):
@@ -726,12 +728,3 @@ def test_cg_failure_names_level_and_iteration(monkeypatch, negative, residual, r
         returns_promptly(lambda: driver.sqp_solve(config, data))
     # The start's extension, then the step's, which the failure released.
     assert ends == ["done", "CancelledError"]
-
-
-def test_trace_accessors(study_bundle):
-    traces = study_bundle.traces
-    trace = traces[0]
-    assert trace.final is trace.rows[-1]
-    assert trace.dists.shape == (len(trace.rows),)
-    assert trace.objectives[0] == trace.rows[0].objective
-    assert trace.level == 1

@@ -1,5 +1,6 @@
 """Artifact writers: VTK layout, interface CSV, trace CSV."""
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -79,10 +80,22 @@ def test_vtk_point_data_fields(tmp_path):
     np.testing.assert_allclose(fields["adjoint"], p.values, rtol=1e-6)
 
 
+# Signed zeros, where %g switches to an exponent (1e-5 against 1e-4, and
+# from 9999999.5, which rounds up to 1e+07), the smallest subnormal and a
+# huge value.
+EDGES = [0.0, -0.0, 1e-5, 1e-4, -1e-5, -1e-4, 9999999.5, 1e7, -9999999.5,
+         5e-324, -5e-324, 1e300, -1e300]
+NONFINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def fmt(x):
+    """One value at 7 significant digits, as the reference writers format."""
+    return f"{x:.7g}"
+
+
 def write_vtk_per_element(path, m, fields, title="shapenewton mesh"):
     """The writer formatting one numpy scalar at a time: the reference the
     vectorized writer must match byte for byte."""
-    fmt = export._fmt
     lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
              f"POINTS {m.n_vertices} double"]
     for x, y in m.vertices:
@@ -111,12 +124,7 @@ def test_vtk_matches_the_per_element_writer_byte_for_byte(tmp_path):
     y = fem.solve_state(m, 1000.0, 1.0)
     signed = fem.NodalField(mesh=m, values=np.sin(40.0 * m.vertices[:, 0]) * 1e-3
                             - m.vertices[:, 1] * 1e5)
-    # Signed zeros, where %g switches to an exponent (1e-5 against 1e-4, and
-    # from 9999999.5, which rounds up to 1e+07), the smallest subnormal and a
-    # huge value.
-    edges = np.array([0.0, -0.0, 1e-5, 1e-4, -1e-5, -1e-4, 9999999.5, 1e7, -9999999.5,
-                      5e-324, -5e-324, 1e300, -1e300])
-    edge_values = np.resize(edges, m.n_vertices)
+    edge_values = np.resize(EDGES, m.n_vertices)
     fields = {"state": y, "signed": signed,
               "edges": fem.NodalField(mesh=m, values=edge_values)}
     export.write_vtk(tmp_path / "fast.vtk", m, fields)
@@ -196,3 +204,66 @@ def test_trace_csv_layout(tmp_path):
     assert parsed[1] == ["1", "0", "0.0705219", "14.12171", "104.9876",
                          "45", "1.5"]
     assert parsed[2][2] == "0.00360604"
+
+
+def write_interface_csv_by_row(path, geometry, values):
+    """The csv-module writer formatting one value at a time: the reference
+    write_interface_csv must match byte for byte."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["y", "x", "nx", "ny", "kappa", "value"])
+        for i in range(geometry.n_nodes):
+            writer.writerow([
+                fmt(geometry.points[i, 1]),
+                fmt(geometry.points[i, 0]),
+                fmt(geometry.normals[i, 0]),
+                fmt(geometry.normals[i, 1]),
+                fmt(geometry.curvature[i]),
+                fmt(values[i]),
+            ])
+
+
+def write_trace_csv_by_row(path, rows):
+    """The csv-module trace writer: the reference write_trace_csv must match
+    byte for byte."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["level", "iter", "dist", "J", "grad_norm",
+                         "cg_iters", "alpha"])
+        for row in rows:
+            writer.writerow([
+                row.level,
+                row.iteration,
+                fmt(row.dist),
+                fmt(row.objective),
+                fmt(row.grad_norm),
+                row.cg_iterations,
+                fmt(row.step_length),
+            ])
+
+
+def test_interface_csv_matches_the_csv_module_writer_byte_for_byte(tmp_path):
+    edges = np.array(EDGES + NONFINITE)
+    n = 3 * edges.size
+    geometry = shape.polyline_geometry(shape.bspline_initial_interface(n))
+    # every column meets every edge value
+    column = [np.roll(np.resize(edges, n), k) for k in range(6)]
+    edged = dataclasses.replace(
+        geometry, points=np.column_stack(column[:2]),
+        normals=np.column_stack(column[2:4]), curvature=column[4])
+    for g, values in [(geometry, np.linspace(-1.0, 1.0, n)), (edged, column[5])]:
+        export.write_interface_csv(tmp_path / "fast.csv", g, values)
+        write_interface_csv_by_row(tmp_path / "oracle.csv", g, values)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_trace_csv_matches_the_csv_module_writer_byte_for_byte(tmp_path):
+    edges = np.array(EDGES + NONFINITE)
+    # numpy and Python floats, as the driver's rows hold both
+    rows = [TraceRow(3, k, edges[k], float(edges[k - 1]), float(edges[k - 2]),
+                     123456789 * (k % 2), edges[k - 3].item())
+            for k in range(edges.size)]
+    for written in ([], rows):
+        export.write_trace_csv(tmp_path / "fast.csv", written)
+        write_trace_csv_by_row(tmp_path / "oracle.csv", written)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

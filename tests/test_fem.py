@@ -71,10 +71,10 @@ def test_stiffness_kernel_and_symmetry():
 
 def test_stiffness_positive_definite_after_elimination():
     m = mm.build_template(8)
-    system = fem.DirichletSolver(m, fem.assemble_stiffness(m)).system
-    kff = system.matrix[system.free][:, system.free]
+    solver = fem.DirichletSolver(m, fem.assemble_stiffness(m))
+    kff = solver.matrix[solver.free][:, solver.free]
     rng = np.random.default_rng(5)
-    rhs = rng.standard_normal(system.free.shape[0])
+    rhs = rng.standard_normal(solver.free.shape[0])
     x, info = spla.cg(kff, rhs, rtol=1e-10, maxiter=10 * rhs.shape[0])
     assert info == 0  # CG convergence certifies positive definiteness
 

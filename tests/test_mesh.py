@@ -519,6 +519,14 @@ def test_a_failing_half_or_a_cancelled_step_ends_the_extension_cleanly(monkeypat
     assert all(maker is freer for maker, freer in released_by_then)
 
 
+def test_the_poisson_solver_is_a_dirichlet_system_on_the_outer_boundary():
+    m = mm.build_template(4)
+    solver = fem.DirichletSolver(m, fem.assemble_stiffness(m))
+    assert isinstance(solver, mm.DirichletSystem)
+    free = np.setdiff1d(np.arange(m.n_vertices), m.outer_boundary_nodes)
+    np.testing.assert_array_equal(solver.free, free)
+
+
 def test_a_system_used_after_its_with_block_refuses_to_solve():
     m = mm.build_template(4)
     stiffness, load = fem.assemble_stiffness(m), np.ones(m.n_vertices)
