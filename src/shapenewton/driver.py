@@ -38,7 +38,7 @@ ACCEPT_FACTOR = 1.1
 # Halvings below the smallest candidate step before a step failure.
 _MAX_HALVINGS = 30
 
-# Worker threads that build line-search trials.
+# Worker threads of a level's pool: step extensions and line-search trials.
 _TRIAL_WORKERS = 2
 
 
@@ -217,7 +217,7 @@ def initial_mesh(straight: TriMesh) -> TriMesh:
 
 
 def _take_step(state: qp.MeshState, extension, alphas: list[float],
-               data: DataOracle) -> tuple[qp.MeshState, float]:
+               data: DataOracle, pool: ThreadPoolExecutor) -> tuple[qp.MeshState, float]:
     """Choose a step length along the step's extension (shape.extend); return
     it with the accepted trial's state, which the next iteration's workspace
     factors.
@@ -230,7 +230,7 @@ def _take_step(state: qp.MeshState, extension, alphas: list[float],
     the one extension: a step costs at most len(alphas) + _MAX_HALVINGS
     trial meshes.
 
-    A pool of _TRIAL_WORKERS threads builds each trial whole: it moves the
+    The level's pool (see _iterate) builds each trial whole: it moves the
     mesh, samples the data, assembles and solves the state on the level's
     lattice and computes the objective.  A trial factors nothing, so this
     thread only compares objectives.  Only a MeshInvariantError makes a
@@ -250,15 +250,14 @@ def _take_step(state: qp.MeshState, extension, alphas: list[float],
 
     shortest = min(alphas)
     batches = [alphas] + [[shortest * 0.5 ** k] for k in range(1, _MAX_HALVINGS + 1)]
-    with ThreadPoolExecutor(max_workers=_TRIAL_WORKERS) as pool:
-        for batch in batches:
-            best = None
-            for alpha, candidate in zip(batch, pool.map(trial, batch)):
-                if candidate is not None and (best is None
-                                              or candidate.objective < best[0].objective):
-                    best = (candidate, alpha)
-            if best is not None and best[0].objective <= limit:
-                return best
+    for batch in batches:
+        best = None
+        for alpha, candidate in zip(batch, pool.map(trial, batch)):
+            if candidate is not None and (best is None
+                                          or candidate.objective < best[0].objective):
+                best = (candidate, alpha)
+        if best is not None and best[0].objective <= limit:
+            return best
     raise StepFailureError(f"no acceptable step length in {len(alphas)} candidates "
                            f"and {_MAX_HALVINGS} halvings")
 
@@ -276,11 +275,14 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
     every state of the run; the first state, built on this thread before
     any trial worker starts, reads its CSR pattern.
 
-    Each iteration that may step hands a worker the step as a Future: the
-    worker's extension (shape.extend) factors its two Laplacians while this
-    thread factors the workspace and solves for the step; the workspace's
-    with block ends there, before the line search.  Stopping without a
-    step, or failing, cancels the Future, which releases the worker at once.
+    Each iteration that may step submits its extension (shape.extend) to
+    the level's one pool and hands it the step as a Future: the extension
+    factors its two Laplacians while this thread factors the workspace and
+    solves for the step; the workspace's with block ends there, before the
+    line search.  The extension has ended before _take_step builds the
+    trials on the same pool, so one worker never waits on itself.  Stopping
+    without a step, or failing, cancels the Future, which releases the
+    worker at once.
     """
     if data is None:
         data = generate_data(config)
@@ -296,12 +298,12 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
     state = qp.MeshState(first, data.sample(first), config.f1, config.f2, config.mu,
                          Lattice(straight))
     rows = []
-    with ThreadPoolExecutor(max_workers=1) as extender:
+    with ThreadPoolExecutor(max_workers=_TRIAL_WORKERS) as pool:
         for it in range(config.max_sqp_iters + 1):
             cur = state.mesh
             last = it == config.max_sqp_iters
             step = Future()
-            extension = None if last else extender.submit(
+            extension = None if last else pool.submit(
                 shape.extend, cur, step.result, state.geometry, state.stiffness)
             try:
                 with qp.QpWorkspace(state, cg_tol=config.cg_tol) as ws:
@@ -318,7 +320,7 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
                         step.set_result(w)
                 if not last:
                     state, alpha_used = _take_step(state, extension.result(), alphas,
-                                                   data)
+                                                   data, pool)
             except StepFailureError as exc:
                 raise StepFailureError(f"level {level} iteration {it}: {exc}") from exc
             finally:
@@ -347,17 +349,17 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     length by objective value; otherwise the configured length is used
     directly.  Every trial length scales the step's one elastic extension,
     solved by Laplacian-preconditioned CG on the state's own stiffness, one
-    subdomain on a worker thread and the other on its helper, beside this
-    thread's workspace factor and Newton CG (see _iterate); each factor is
-    a mesh.DirichletSystem, released by scope on the thread that made it.
-    When no candidate is acceptable, the step is halved from the smallest
-    one at most _MAX_HALVINGS times before the run fails with
+    subdomain on a worker of the level's pool and the other on its helper,
+    beside this thread's workspace factor and Newton CG (see _iterate);
+    each factor is a mesh.DirichletSystem, released by scope on the thread
+    that made it.  When no candidate is acceptable, the step is halved from
+    the smallest one at most _MAX_HALVINGS times before the run fails with
     StepFailureError.  The candidates and the halvings run through one
-    loop, and a pool of worker threads builds each trial whole, its
-    matrices scattered and its state solved on the level's lattice without
-    a factor (see _take_step).  The run starts from the reference curve
-    unless an explicit start mesh of the level is given.  CG that meets
-    negative curvature, or stops above cg_tol, raises StepFailureError.
+    loop, and the same pool builds each trial whole, its matrices scattered
+    and its state solved on the level's lattice without a factor (see
+    _take_step).  The run starts from the reference curve unless an
+    explicit start mesh of the level is given.  CG that meets negative
+    curvature, or stops above cg_tol, raises StepFailureError.
     """
     scales = (1.0, 1.25, 1.5) if config.line_search else (1.0,)
     alphas = [scale * config.step_length for scale in scales]
@@ -396,9 +398,8 @@ def steepest_descent_solve(config: ExperimentConfig, data: DataOracle | None = N
                     start)
 
 
-def convergence_study(config: ExperimentConfig, observer=None) -> list[SqpTrace]:
-    """Run the SQP iteration on every refinement level against one shared
-    data oracle and return the traces, coarsest first."""
+def convergence_study(config: ExperimentConfig) -> list[SqpTrace]:
+    """Run the SQP iteration, with no observer, on every refinement level
+    against one shared data oracle; return the traces, coarsest first."""
     data = generate_data(config)
-    return [sqp_solve(config, data, level, observer)
-            for level in range(1, config.levels + 1)]
+    return [sqp_solve(config, data, level) for level in range(1, config.levels + 1)]

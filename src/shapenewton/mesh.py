@@ -10,10 +10,10 @@ The module also holds the solver's linear-algebra building blocks: the
 element scatter, the one factored Dirichlet system (DirichletSystem, whose
 Poisson case is fem.DirichletSolver), the one conjugate-gradient loop (pcg),
 which both halves of the elastic extension here and the Newton system in qp
-run, and a level's lattice (Lattice), which locates points in its own mesh by
-grid cell, holds the level's CSR pattern and preconditions
-solve_lattice_poisson, which runs pcg too and factors nothing: it solves the
-data oracle and every line-search trial's state.
+run, and a level's lattice (Lattice), whose grid cells the one point locator
+locate_points searches, and which holds the level's CSR pattern and
+preconditions solve_lattice_poisson, which runs pcg too and factors nothing:
+it solves the data oracle and every line-search trial's state.
 """
 from __future__ import annotations
 
@@ -576,7 +576,8 @@ class Lattice:
     so the lattice read once from a level's straight mesh serves every mesh
     moved from it: it scatters their element matrices into its CSR pattern
     and preconditions their Poisson solves by the exact inverse of its
-    5-point Laplacian, while it locates points in its own mesh by grid cell.
+    5-point Laplacian, while locate_points finds points in its own mesh by
+    its grid cells.
     Holds the mesh, N, cells: the two triangles of cell i + N j in ascending
     order, (N^2, 2), and free: the vertices at the interior lattice points
     (i, j), j-major, so that an array on them reshapes to the (N-1) x (N-1)
@@ -648,48 +649,6 @@ class Lattice:
         b2 = (d1x * ry - d1y * rx) / det
         b0 = 1.0 - b1 - b2
         return np.stack([b0, b1, b2])
-
-    def locate(self, points: np.ndarray):
-        """locate_points in the lattice's mesh, for (k, 2) points."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        finite = np.isfinite(points).all(axis=1)
-        if not finite.all():
-            raise PointLocationError(f"point {points[np.argmin(finite)]} is not finite")
-        npts = points.shape[0]
-        n = self.n
-        # The at most four cells within _CELL_SLACK of each point hold every
-        # triangle admissible for it.  A point that far from every cell edge
-        # has one cell and two candidates; the rest get the eight triangles
-        # of their four cells, repeats included, which do no harm.
-        ij = np.clip(np.floor(points[:, :, None] * n + [-_CELL_SLACK, _CELL_SLACK]),
-                     0, n - 1).astype(np.int64)
-        one_cell = (ij[:, :, 0] == ij[:, :, 1]).all(axis=1)
-        tri_out = np.empty(npts, dtype=np.int64)
-        bary_out = np.empty((npts, 3))
-        for k, group in ((1, np.flatnonzero(one_cell)), (2, np.flatnonzero(~one_cell))):
-            for block in np.array_split(group, max(1, group.size // 8192)):
-                p, c = points[block], ij[block]
-                cands = np.take(self.cells, c[:, 0, :k, None] + n * c[:, 1, None, :k],
-                                axis=0).reshape(-1, 2 * k * k)
-                bary = self._barycentric(p, cands)
-                ok = bary.min(axis=0) >= -_BARY_TOL
-                # lowest triangle index wins among admissible candidates
-                pick = np.argmin(np.where(ok, cands, np.iinfo(np.int64).max), axis=1)
-                rows = np.arange(block.size)
-                missed = ~ok[rows, pick]
-                if missed.any():
-                    raise PointLocationError(
-                        f"point {p[np.argmax(missed)]} lies outside the mesh")
-                tri_out[block] = cands[rows, pick]
-                b = np.clip(bary[:, rows, pick].T, 0.0, None)
-                b /= b.sum(axis=1, keepdims=True)
-                snap = b.max(axis=1) >= 1.0 - 1e-12
-                if snap.any():
-                    hot = np.argmax(b[snap], axis=1)
-                    b[snap] = 0.0
-                    b[np.flatnonzero(snap), hot] = 1.0
-                bary_out[block] = b
-        return tri_out, bary_out
 
 
 def _lattice_laplacian_inverse(n: int):
@@ -779,9 +738,46 @@ def apply_deformation(mesh: TriMesh, deformation: DeformationField) -> TriMesh:
 
 
 def locate_points(lattice: Lattice, points: np.ndarray):
-    """Vectorized point location in the lattice's mesh; returns (triangle
-    indices, barycentrics).
+    """Vectorized point location in the lattice's mesh, by grid cell, for
+    (k, 2) points; returns (triangle indices, barycentrics).
 
     Points on shared edges resolve to the lowest incident triangle index.
     """
-    return lattice.locate(points)
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise PointLocationError(f"point {points[np.argmin(finite)]} is not finite")
+    npts = points.shape[0]
+    n = lattice.n
+    # The at most four cells within _CELL_SLACK of each point hold every
+    # triangle admissible for it.  A point that far from every cell edge
+    # has one cell and two candidates; the rest get the eight triangles
+    # of their four cells, repeats included, which do no harm.
+    ij = np.clip(np.floor(points[:, :, None] * n + [-_CELL_SLACK, _CELL_SLACK]),
+                 0, n - 1).astype(np.int64)
+    one_cell = (ij[:, :, 0] == ij[:, :, 1]).all(axis=1)
+    tri_out = np.empty(npts, dtype=np.int64)
+    bary_out = np.empty((npts, 3))
+    for k, group in ((1, np.flatnonzero(one_cell)), (2, np.flatnonzero(~one_cell))):
+        for block in np.array_split(group, max(1, group.size // 8192)):
+            p, c = points[block], ij[block]
+            cands = np.take(lattice.cells, c[:, 0, :k, None] + n * c[:, 1, None, :k],
+                            axis=0).reshape(-1, 2 * k * k)
+            bary = lattice._barycentric(p, cands)
+            ok = bary.min(axis=0) >= -_BARY_TOL
+            # lowest triangle index wins among admissible candidates
+            pick = np.argmin(np.where(ok, cands, np.iinfo(np.int64).max), axis=1)
+            rows = np.arange(block.size)
+            missed = ~ok[rows, pick]
+            if missed.any():
+                raise PointLocationError(f"point {p[np.argmax(missed)]} lies outside the mesh")
+            tri_out[block] = cands[rows, pick]
+            b = np.clip(bary[:, rows, pick].T, 0.0, None)
+            b /= b.sum(axis=1, keepdims=True)
+            snap = b.max(axis=1) >= 1.0 - 1e-12
+            if snap.any():
+                hot = np.argmax(b[snap], axis=1)
+                b[snap] = 0.0
+                b[np.flatnonzero(snap), hot] = 1.0
+            bary_out[block] = b
+    return tri_out, bary_out

@@ -1,12 +1,12 @@
 """Linear-quadratic subproblem of one interface-Newton step.
 
 A MeshState holds the data, the matrices and the state on one mesh, solved
-without a factorization; a workspace factors that state's stiffness once and
-solves the adjoint on the factor.  The Newton step solves the reduced design
-equation A w = -g, with g the shape gradient, matrix-free by the
-conjugate-gradient loop mesh.pcg in the lumped arc-length inner product; one
-operator application costs two triangular back-solves on the workspace's
-factor.
+without a factorization; a workspace is that state's stiffness factored once
+(a fem.DirichletSolver), and solves the adjoint on itself.  The Newton step
+solves the reduced design equation A w = -g, with g the shape gradient,
+matrix-free by the conjugate-gradient loop mesh.pcg in the lumped arc-length
+inner product; one operator application costs two triangular back-solves on
+the workspace.
 """
 from __future__ import annotations
 
@@ -69,15 +69,15 @@ def _free_max(mesh: TriMesh, values: np.ndarray) -> float:
     return float(np.abs(np.delete(values, mesh.outer_boundary_nodes)).max())
 
 
-class QpWorkspace:
+class QpWorkspace(fem.DirichletSolver):
     """The factored stiffness of a MeshState, its adjoint, the adjoint's
     shape gradient, and the CG settings for one outer iteration.
 
-    The workspace checks the state against the state equation, factors the
-    stiffness once (fem.DirichletSolver, a mesh.DirichletSystem), and solves
-    the adjoint K p = -M (y - ybar) on that factor, as does every
-    reduced-Hessian application.  Leaving its with block leaves the
-    solver's, which releases the factor.
+    The workspace first checks the state against the state equation, so a
+    state that fails makes no factor.  It is then the stiffness factored
+    once (a fem.DirichletSolver, so a mesh.DirichletSystem) and solves the
+    adjoint K p = -M (y - ybar) on itself, as does every reduced-Hessian
+    application.  Leaving its with block releases the factor.
     """
 
     def __init__(self, state: MeshState, cg_tol: float = 1e-8):
@@ -89,9 +89,9 @@ class QpWorkspace:
         if _free_max(state.mesh, resid) > _CONSISTENCY_TOL * scale:
             raise LinearSolverError("workspace state violates the discrete state equation")
 
-        self.solver = fem.DirichletSolver(state.mesh, state.stiffness)
+        super().__init__(state.mesh, state.stiffness)
         misfit = state.mass @ (state.y.values - state.ybar.values)
-        self.p = fem.NodalField(mesh=state.mesh, values=self.solver.solve(-misfit))
+        self.p = fem.NodalField(mesh=state.mesh, values=self.solve(-misfit))
         aresid = state.stiffness @ self.p.values + misfit
         ascale = 1.0 + np.abs(misfit).max()
         if _free_max(state.mesh, aresid) > _CONSISTENCY_TOL * ascale:
@@ -104,12 +104,6 @@ class QpWorkspace:
         state = self.state
         return shape.shape_gradient(state.mesh, state.geometry, self.p, state.f1,
                                     state.f2, state.mu)
-
-    def __enter__(self) -> QpWorkspace:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.solver.__exit__(*exc_info)
 
 
 def reduced_hessian_apply(ws: QpWorkspace, w: InterfaceField) -> InterfaceField:
@@ -127,8 +121,8 @@ def reduced_hessian_apply(ws: QpWorkspace, w: InterfaceField) -> InterfaceField:
     interface = state.mesh.interface_nodes
     rhs = np.zeros(state.mesh.n_vertices)
     rhs[interface] = jump * state.geometry.arc_weights * w.values
-    z = ws.solver.solve(rhs)
-    dq = ws.solver.solve(-(state.mass @ z))
+    z = ws.solve(rhs)
+    dq = ws.solve(-(state.mass @ z))
     p_u = ws.p.values[interface]
     kappa = state.geometry.curvature
     out = (state.mu * shape.tangential_laplacian_apply(state.geometry, w.values)

@@ -28,7 +28,6 @@ class InterfaceGeometry:
     """Discrete first-order geometry of the interface polyline."""
 
     points: np.ndarray       # (m, 2) node coordinates, bottom to top
-    tangents: np.ndarray     # (m, 2) unit tangents
     normals: np.ndarray      # (m, 2) unit normals, subdomain 1 -> 2
     curvature: np.ndarray    # (m,) turning-angle curvature, zero at endpoints
     arc_weights: np.ndarray  # (m,) lumped arc-length weights
@@ -96,9 +95,8 @@ def polyline_geometry(points: np.ndarray) -> InterfaceGeometry:
         turn = np.arctan2(cross, dot)
         curvature[1:-1] = 2.0 * np.sin(0.5 * turn) / arc[1:-1]
 
-    return InterfaceGeometry(points=pts, tangents=tangents, normals=normals,
-                             curvature=curvature, arc_weights=arc,
-                             edge_lengths=lengths)
+    return InterfaceGeometry(points=pts, normals=normals, curvature=curvature,
+                             arc_weights=arc, edge_lengths=lengths)
 
 
 def compute_geometry(mesh: TriMesh) -> InterfaceGeometry:

@@ -145,9 +145,9 @@ def test_fixed_point_check_catches_an_adjoint_without_mass(monkeypatch):
     def planted(self, state, cg_tol=1e-8):
         self.state = state
         self.cg_tol = cg_tol
-        self.solver = fem.DirichletSolver(state.mesh, state.stiffness)
+        fem.DirichletSolver.__init__(self, state.mesh, state.stiffness)
         misfit = state.y.values - state.ybar.values
-        self.p = fem.NodalField(mesh=state.mesh, values=self.solver.solve(-misfit))
+        self.p = fem.NodalField(mesh=state.mesh, values=self.solve(-misfit))
 
     monkeypatch.setattr(qp.QpWorkspace, "__init__", planted)
     result = verify.optimality_fixed_point()

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -349,6 +350,13 @@ def extension_of(state, w):
     return shape.extend(state.mesh, w, state.geometry, state.stiffness)
 
 
+def take_step(state, extension, alphas, data):
+    """driver._take_step on a pool of _TRIAL_WORKERS threads, as a level
+    runs it."""
+    with ThreadPoolExecutor(max_workers=driver._TRIAL_WORKERS) as pool:
+        return driver._take_step(state, extension, alphas, data, pool)
+
+
 def count_calls(monkeypatch, name):
     """Count the calls shape makes to one of the mesh functions it binds."""
     calls = []
@@ -369,7 +377,7 @@ def test_take_step_halves_an_inverting_step(monkeypatch):
     with pytest.raises(InvertedElementError):
         shape.retract(m, extension, 1.0)
     trials = count_calls(monkeypatch, "apply_deformation")
-    accepted, alpha = driver._take_step(state, extension, [1.0], data)
+    accepted, alpha = take_step(state, extension, [1.0], data)
     halvings = round(-np.log2(alpha))
     assert alpha == 0.5 ** halvings and halvings >= 1
     assert len(trials) == 1 + halvings  # each length is tried once
@@ -388,7 +396,7 @@ def test_take_step_fails_after_its_budget(monkeypatch):
     extension = extension_of(state, w)
     trials = count_calls(monkeypatch, "apply_deformation")
     with pytest.raises(StepFailureError, match="no acceptable step length"):
-        driver._take_step(state, extension, alphas, data)
+        take_step(state, extension, alphas, data)
     assert len(trials) == len(alphas) + driver._MAX_HALVINGS
 
 
@@ -446,7 +454,7 @@ def test_concurrent_candidates_match_a_serial_oracle(monkeypatch):
     record_threads(monkeypatch, mesh.Lattice, "scatter", assembled_on_main)
     record_threads(monkeypatch, qp, "solve_lattice_poisson", solved_on_main)
     record_threads(monkeypatch, spla, "splu", factors)
-    accepted, alpha = driver._take_step(state, extension, alphas, data)
+    accepted, alpha = take_step(state, extension, alphas, data)
     # Every candidate is moved, sampled, assembled (its mass and stiffness
     # scattered through the level's lattice) and solved on the pool, its
     # state on the lattice: the line search factors nothing.
@@ -472,7 +480,7 @@ def test_every_trial_is_built_on_the_trial_pool(monkeypatch):
 
     monkeypatch.setattr(driver.DataOracle, "sample", recorded)
     alphas = [1.0, 1.25, 1.5]
-    _, alpha = driver._take_step(state, extension_of(state, w), alphas, data)
+    _, alpha = take_step(state, extension_of(state, w), alphas, data)
     assert alpha < min(alphas)  # the step was halved
     assert len(threads) > len(alphas)
     assert 1 <= len(set(threads)) <= driver._TRIAL_WORKERS
@@ -492,8 +500,7 @@ def test_one_pool_size_one_answer(monkeypatch, study_bundle):
         monkeypatch.setattr(driver, "_TRIAL_WORKERS", workers)
         traces = [driver.sqp_solve(config, data, level) for level in (1, 2)]
         traces.append(driver.steepest_descent_solve(descent, data, 1))
-        accepted, alpha = driver._take_step(state, extension, [1.0, 1.25, 1.5],
-                                            step_data)
+        accepted, alpha = take_step(state, extension, [1.0, 1.25, 1.5], step_data)
         assert alpha < 1.0  # the step was halved
         return ([repr(row) for trace in traces for row in trace.rows],
                 repr((alpha, accepted.objective)), accepted.mesh.vertices)
@@ -501,6 +508,26 @@ def test_one_pool_size_one_answer(monkeypatch, study_bundle):
     one, two = answer(1), answer(2)
     assert one[:2] == two[:2]
     np.testing.assert_array_equal(one[2], two[2])
+
+
+def test_a_level_runs_one_pool(monkeypatch):
+    # One pool per level runs every step's extension and builds every
+    # trial; the only other executor is each extension's own helper.
+    made = {"driver": 0, "mesh": 0}
+    for name, module in (("driver", driver), ("mesh", mesh)):
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, name=name, **kwargs):
+                made[name] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(module, "ThreadPoolExecutor", Counted)
+    config = driver.ExperimentConfig(n=8)
+    data = driver.generate_data(config)
+    extensions = count_calls(monkeypatch, "solve_elastic_deformation")
+    trace = driver.sqp_solve(config, data, 1)
+    assert sum(row.step_length > 0.0 for row in trace.rows) == 2
+    assert len(extensions) == 3  # the start's and one per step
+    assert made == {"driver": 1, "mesh": len(extensions)}
 
 
 def test_a_step_assembles_one_stiffness_per_candidate(monkeypatch):
@@ -523,7 +550,7 @@ def test_a_step_assembles_one_stiffness_per_candidate(monkeypatch):
     monkeypatch.setattr(mesh, "assemble_stiffness", counted_assemble)
     extension = shape.extend(state.mesh, w, state.geometry, state.stiffness)
     assert assembled == []
-    accepted, _ = driver._take_step(state, extension, [1.0, 1.25, 1.5], data)
+    accepted, _ = take_step(state, extension, [1.0, 1.25, 1.5], data)
     meshes = [id(m) for m, _ in assembled]
     assert len(meshes) == 6 and all(meshes.count(m) == 2 for m in meshes)
     assert any(matrix is accepted.stiffness for _, matrix in assembled)
@@ -566,7 +593,7 @@ def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
     monkeypatch.setattr(qp, "solve_lattice_poisson", faulty_solve)
     with pytest.raises((PointLocationError, ValueError, LinearSolverError),
                        match="planted failure at step 1.25"):
-        driver._take_step(state, extension_of(state, w), [1.0, 1.25, 1.5], data)
+        take_step(state, extension_of(state, w), [1.0, 1.25, 1.5], data)
 
 
 def test_no_factor_crosses_threads(monkeypatch):
@@ -608,7 +635,7 @@ def test_no_factor_crosses_threads(monkeypatch):
     assert steps == 4
     # Per run: the start's extension, one per step, and a workspace per row.
     # An extension's right half runs on its helper thread, and a step's left
-    # half on the extension worker.
+    # half on a worker of the level's pool.
     assert len(extensions) == len(traces) + steps
     assert len(built) == 2 * len(extensions) + sum(len(trace.rows) for trace in traces)
     assert sum(maker is not threading.main_thread() for maker in built) \
@@ -623,7 +650,7 @@ def test_the_workspace_factor_is_released_before_the_line_search(monkeypatch):
     # factor made on the calling thread is alive while the trials are built.
     # A SuperLU factor takes no weak references: each is tracked through a
     # proxy that is its only holder.
-    alive, counts, splu, take_step = weakref.WeakSet(), [], spla.splu, driver._take_step
+    alive, counts, splu, original = weakref.WeakSet(), [], spla.splu, driver._take_step
 
     class Factor:
         def __init__(self, lu):
@@ -640,7 +667,7 @@ def test_the_workspace_factor_is_released_before_the_line_search(monkeypatch):
 
     def counted_step(*args):
         counts.append(len(alive))
-        return take_step(*args)
+        return original(*args)
 
     monkeypatch.setattr(spla, "splu", recorded_splu)
     monkeypatch.setattr(driver, "_take_step", counted_step)

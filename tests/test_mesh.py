@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from shapenewton import driver, fem, mesh as mm, qp
+from shapenewton import driver, fem, mesh as mm, qp, shape
 from shapenewton.errors import (
     InvertedElementError,
     LinearSolverError,
@@ -519,12 +519,21 @@ def test_a_failing_half_or_a_cancelled_step_ends_the_extension_cleanly(monkeypat
     assert all(maker is freer for maker, freer in released_by_then)
 
 
+def template_workspace(m: mm.TriMesh) -> qp.QpWorkspace:
+    """The workspace of the two-source state on a template mesh, observed
+    as zero."""
+    ybar = fem.NodalField(m, np.zeros(m.n_vertices))
+    return qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0, mm.Lattice(m)))
+
+
 def test_the_poisson_solver_is_a_dirichlet_system_on_the_outer_boundary():
+    # So is a workspace: it is the factored stiffness of its state.
     m = mm.build_template(4)
-    solver = fem.DirichletSolver(m, fem.assemble_stiffness(m))
-    assert isinstance(solver, mm.DirichletSystem)
     free = np.setdiff1d(np.arange(m.n_vertices), m.outer_boundary_nodes)
-    np.testing.assert_array_equal(solver.free, free)
+    for system in (fem.DirichletSolver(m, fem.assemble_stiffness(m)),
+                   template_workspace(m)):
+        assert isinstance(system, mm.DirichletSystem)
+        np.testing.assert_array_equal(system.free, free)
 
 
 def test_a_system_used_after_its_with_block_refuses_to_solve():
@@ -537,6 +546,13 @@ def test_a_system_used_after_its_with_block_refuses_to_solve():
     for released in (system, solver):
         with pytest.raises(ValueError, match="released when its with block ended"):
             released.solve(load)
+    values = np.sin(np.pi * m.interface_points[:, 1])
+    values[[0, -1]] = 0.0
+    w = shape.InterfaceField(m, values)
+    with template_workspace(m) as ws:
+        qp.reduced_hessian_apply(ws, w)
+    with pytest.raises(ValueError, match="released when its with block ended"):
+        qp.reduced_hessian_apply(ws, w)
 
 
 def mislabelled_template():
@@ -984,10 +1000,10 @@ def test_corner_gathers_equal_the_row_gathers_bit_for_bit(monkeypatch):
                      np.random.default_rng(5).uniform(size=(2000, 2))])
     field = fem.NodalField(straight, np.sin(7.0 * straight.vertices[:, 0])
                            * np.cos(3.0 * straight.vertices[:, 1]))
-    tri, bary = lattice.locate(pts)
+    tri, bary = mm.locate_points(lattice, pts)
     values = fem.evaluate_field(lattice, field, pts)
     monkeypatch.setattr(mm.Lattice, "_barycentric", barycentric_row_gather)
-    want_tri, want_bary = lattice.locate(pts)
+    want_tri, want_bary = mm.locate_points(lattice, pts)
     assert np.array_equal(tri, want_tri)
     assert np.array_equal(bary, want_bary)
     assert np.array_equal(values, np.einsum("pk,pk->p", want_bary,

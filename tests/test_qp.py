@@ -49,13 +49,13 @@ def linearized_state(ws: qp.QpWorkspace, w: InterfaceField) -> np.ndarray:
     st = ws.state
     rhs = np.zeros(st.mesh.n_vertices)
     rhs[st.mesh.interface_nodes] = (st.f1 - st.f2) * st.geometry.arc_weights * w.values
-    return ws.solver.solve(rhs)
+    return ws.solve(rhs)
 
 
 def dual_solve(ws: qp.QpWorkspace, z: np.ndarray) -> np.ndarray:
     """Subproblem dual variable: K q = -M (z + y - ybar)."""
     st = ws.state
-    return ws.solver.solve(-(st.mass @ (z + st.y.values - st.ybar.values)))
+    return ws.solve(-(st.mass @ (z + st.y.values - st.ybar.values)))
 
 
 def design_residual(ws: qp.QpWorkspace, w: InterfaceField) -> InterfaceField:
@@ -148,9 +148,9 @@ def test_only_the_workspace_factors_and_it_factors_once(bulged_ws, monkeypatch):
     state = mesh_state(bulged_ws.state.mesh, bulged_ws.state.ybar)
     assert factored == [] and solved_on == []
     ws = qp.QpWorkspace(state)
-    assert factored == [ws.solver] and solved_on == [ws.solver]
+    assert factored == [ws] and solved_on == [ws]
     qp.reduced_hessian_apply(ws, sine_field(state.mesh))
-    assert factored == [ws.solver] and solved_on == [ws.solver] * 3
+    assert factored == [ws] and solved_on == [ws] * 3
 
 
 def test_mesh_state_objective_matches_separate_solves(bulged_ws):
@@ -170,7 +170,7 @@ def test_state_correction_vanishes_for_consistent_state(straight_ws):
     # The workspace adjoint omits the state correction K^-1 (F - K y): it is
     # round-off at a state the same factorization produced.
     st = straight_ws.state
-    correction = straight_ws.solver.solve(st.load - st.stiffness @ st.y.values)
+    correction = straight_ws.solve(st.load - st.stiffness @ st.y.values)
     assert np.abs(correction).max() < 1e-12 * np.abs(st.y.values).max()
     assert np.abs(straight_ws.p.values).max() < 1e-8
 
