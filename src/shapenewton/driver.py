@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,7 +283,10 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
     line search.  The extension has ended before _take_step builds the
     trials on the same pool, so one worker never waits on itself.  Stopping
     without a step, or failing, cancels the Future, which releases the
-    worker at once.
+    worker at once.  The final iteration (it == max_sqp_iters) factors
+    nothing: it solves a qp.Adjoint on the lattice.  A stop at GRAD_TOL, known
+    only from the gradient, still factors, as do descent's steps, on which
+    bench/run.py requires the fem.factor, splu and solve layers.
     """
     if data is None:
         data = generate_data(config)
@@ -306,7 +310,8 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
             extension = None if last else pool.submit(
                 shape.extend, cur, step.result, state.geometry, state.stiffness)
             try:
-                with qp.QpWorkspace(state, cg_tol=config.cg_tol) as ws:
+                with (nullcontext(qp.Adjoint(state)) if last
+                      else qp.QpWorkspace(state, cg_tol=config.cg_tol)) as ws:
                     grad_norm = shape.s_norm(state.geometry, ws.gradient.values)
                     value = state.objective
                     dist = shape.dist_to_solution(cur)
@@ -350,15 +355,15 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     directly.  Every trial length scales the step's one elastic extension,
     solved by Laplacian-preconditioned CG on the state's own stiffness, one
     subdomain on a worker of the level's pool and the other on its helper,
-    beside this thread's workspace factor and Newton CG (see _iterate);
-    each factor is a mesh.DirichletSystem, released by scope on the thread
-    that made it.  When no candidate is acceptable, the step is halved from
-    the smallest one at most _MAX_HALVINGS times before the run fails with
-    StepFailureError.  The candidates and the halvings run through one
-    loop, and the same pool builds each trial whole, its matrices scattered
-    and its state solved on the level's lattice without a factor (see
-    _take_step).  The run starts from the reference curve unless an
-    explicit start mesh of the level is given.  CG that meets negative
+    beside this thread's workspace factor and Newton CG (see _iterate: the
+    final iterate factors nothing); each factor is a mesh.DirichletSystem,
+    released by scope on the thread that made it.  When no candidate is
+    acceptable, the step is halved from the smallest one at most _MAX_HALVINGS
+    times before the run fails with StepFailureError.  The candidates and the
+    halvings run through one loop, and the same pool builds each trial whole,
+    its matrices scattered and its state solved on the level's lattice without
+    a factor (see _take_step).  The run starts from the reference curve unless
+    an explicit start mesh of the level is given.  CG that meets negative
     curvature, or stops above cg_tol, raises StepFailureError.
     """
     scales = (1.0, 1.25, 1.5) if config.line_search else (1.0,)

@@ -122,14 +122,6 @@ def evaluate_field(lattice: Lattice, field: NodalField, points: np.ndarray) -> n
                      field.values[np.take(lattice.mesh.triangles, tri, axis=0)])
 
 
-def objective_misfit(mesh: TriMesh, y: NodalField, ybar: NodalField,
-                     mass: sp.csr_matrix) -> float:
-    """Tracking term 0.5 * ||y - ybar||_L2^2 with the mesh's mass matrix."""
-    _check_same_mesh(mesh, y, ybar)
-    d = y.values - ybar.values
-    return float(0.5 * (d @ (mass @ d)))
-
-
 def quadrature_l2_difference(mesh: TriMesh, field: NodalField,
                              exact: Callable[[np.ndarray], np.ndarray]) -> float:
     """L2 distance between a P1 field and a smooth function, midpoint rule."""

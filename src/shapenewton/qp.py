@@ -1,17 +1,17 @@
 """Linear-quadratic subproblem of one interface-Newton step.
 
-A MeshState holds the data, the matrices and the state on one mesh, solved
-without a factorization; a workspace is that state's stiffness factored once
-(a fem.DirichletSolver), and solves the adjoint on itself.  The Newton step
-solves the reduced design equation A w = -g, with g the shape gradient,
-matrix-free by the conjugate-gradient loop mesh.pcg in the lumped arc-length
-inner product; one operator application costs two triangular back-solves on
-the workspace.
+A MeshState holds the data, the matrices and the state on one mesh, and an
+Adjoint its adjoint, each solved without a factorization; a workspace is the
+state's stiffness factored once (a fem.DirichletSolver) and an Adjoint
+solved on it.  The Newton step solves the reduced design equation A w = -g,
+with g the shape gradient, matrix-free by the conjugate-gradient loop
+mesh.pcg in the lumped arc-length inner product; one operator application
+costs two triangular back-solves on the workspace.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -32,7 +32,7 @@ _CONSISTENCY_TOL = 1e-8
 
 class MeshState:
     """Sampled data and everything assembled on one mesh (geometry, mass,
-    load and P1 stiffness), the state, and the objective.
+    load and P1 stiffness), the state, its misfit M (y - ybar), the objective.
 
     lattice is the Lattice of the straight mesh the mesh was moved from.
     The gradients are computed once, the mass and the stiffness scattered
@@ -60,50 +60,60 @@ class MeshState:
         self.stiffness = lattice.scatter(mesh, stiffness_elements(b, c, area))
         self.y = fem.NodalField(mesh=mesh, values=solve_lattice_poisson(
             lattice, self.stiffness, self.load))
-        self.objective = shape.objective(mesh, self.y, self.ybar, self.geometry,
-                                         self.mu, self.mass)
+        d = self.y.values - ybar.values
+        self.misfit = self.mass @ d
+        self.objective = float(0.5 * (d @ self.misfit)) + self.mu * self.geometry.length
 
 
-def _free_max(mesh: TriMesh, values: np.ndarray) -> float:
-    """Largest magnitude of values off the outer boundary."""
-    return float(np.abs(np.delete(values, mesh.outer_boundary_nodes)).max())
+def _check_equation(state: MeshState, x: np.ndarray, rhs: np.ndarray, name: str) -> None:
+    """Raise LinearSolverError unless K x = rhs holds off the outer boundary
+    to _CONSISTENCY_TOL (1 + max |rhs|), K the state's stiffness."""
+    resid = np.delete(state.stiffness @ x - rhs, state.mesh.outer_boundary_nodes)
+    if np.abs(resid).max() > _CONSISTENCY_TOL * (1.0 + np.abs(rhs).max()):
+        raise LinearSolverError(f"workspace {name} violates the discrete {name} equation")
 
 
-class QpWorkspace(fem.DirichletSolver):
-    """The factored stiffness of a MeshState, its adjoint, the adjoint's
-    shape gradient, and the CG settings for one outer iteration.
+class Adjoint:
+    """The adjoint K p = -M (y - ybar) of a MeshState, solved on its lattice
+    by mesh.solve_lattice_poisson, so nothing is factored, and its shape
+    gradient.  The state and p are checked against their equations."""
 
-    The workspace first checks the state against the state equation, so a
-    state that fails makes no factor.  It is then the stiffness factored
-    once (a fem.DirichletSolver, so a mesh.DirichletSystem) and solves the
-    adjoint K p = -M (y - ybar) on itself, as does every reduced-Hessian
-    application.  Leaving its with block releases the factor.
-    """
+    def __init__(self, state: MeshState):
+        _check_equation(state, state.y.values, state.load, "state")
+        self._solve_adjoint(state, partial(solve_lattice_poisson, state.lattice,
+                                           state.stiffness))
 
-    def __init__(self, state: MeshState, cg_tol: float = 1e-8):
+    def _solve_adjoint(self, state: MeshState, solve) -> None:
         self.state = state
-        self.cg_tol = float(cg_tol)
-
-        resid = state.load - state.stiffness @ state.y.values
-        scale = 1.0 + np.abs(state.load).max()
-        if _free_max(state.mesh, resid) > _CONSISTENCY_TOL * scale:
-            raise LinearSolverError("workspace state violates the discrete state equation")
-
-        super().__init__(state.mesh, state.stiffness)
-        misfit = state.mass @ (state.y.values - state.ybar.values)
-        self.p = fem.NodalField(mesh=state.mesh, values=self.solve(-misfit))
-        aresid = state.stiffness @ self.p.values + misfit
-        ascale = 1.0 + np.abs(misfit).max()
-        if _free_max(state.mesh, aresid) > _CONSISTENCY_TOL * ascale:
-            raise LinearSolverError("workspace adjoint violates the discrete adjoint equation")
+        p = solve(-state.misfit)
+        _check_equation(state, p, -state.misfit, "adjoint")
+        self.p = fem.NodalField(mesh=state.mesh, values=p)
 
     @cached_property
     def gradient(self) -> InterfaceField:
         """The shape gradient (shape.shape_gradient) of the adjoint p,
-        computed once per workspace."""
+        computed once."""
         state = self.state
         return shape.shape_gradient(state.mesh, state.geometry, self.p, state.f1,
                                     state.f2, state.mu)
+
+
+class QpWorkspace(fem.DirichletSolver, Adjoint):
+    """The factored stiffness of a MeshState, its Adjoint solved on that
+    factor, and the CG settings for one outer iteration that steps.
+
+    The workspace first checks the state against the state equation, so a
+    state that fails makes no factor.  It is then the stiffness factored
+    once (a fem.DirichletSolver, so a mesh.DirichletSystem) and solves the
+    adjoint on itself, as does every reduced-Hessian application.  Leaving
+    its with block releases the factor.
+    """
+
+    def __init__(self, state: MeshState, cg_tol: float = 1e-8):
+        self.cg_tol = float(cg_tol)
+        _check_equation(state, state.y.values, state.load, "state")
+        super().__init__(state.mesh, state.stiffness)
+        self._solve_adjoint(state, self.solve)
 
 
 def reduced_hessian_apply(ws: QpWorkspace, w: InterfaceField) -> InterfaceField:

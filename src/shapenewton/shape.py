@@ -127,13 +127,6 @@ def shape_gradient(mesh: TriMesh, geometry: InterfaceGeometry, p: fem.NodalField
     return InterfaceField(mesh=mesh, values=g)
 
 
-def objective(mesh: TriMesh, y: fem.NodalField, ybar: fem.NodalField,
-              geometry: InterfaceGeometry, mu: float, mass) -> float:
-    """J = 0.5 ||y - ybar||^2 + mu * interface length; mass is the mesh's
-    mass matrix."""
-    return fem.objective_misfit(mesh, y, ybar, mass) + mu * geometry.length
-
-
 def tangential_laplacian_apply(geometry: InterfaceGeometry, w: np.ndarray) -> np.ndarray:
     """Nodewise -d^2 w / d tau^2 with pinned (zero) endpoint rows."""
     m = geometry.n_nodes

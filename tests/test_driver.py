@@ -633,11 +633,12 @@ def test_no_factor_crosses_threads(monkeypatch):
     gc.collect()
     steps = sum(row.step_length > 0.0 for trace in traces for row in trace.rows)
     assert steps == 4
-    # Per run: the start's extension, one per step, and a workspace per row.
-    # An extension's right half runs on its helper thread, and a step's left
+    # Per run: the start's extension, one per step, and a workspace per row
+    # that steps; the final row's adjoint is solved on the lattice.  An
+    # extension's right half runs on its helper thread, and a step's left
     # half on a worker of the level's pool.
     assert len(extensions) == len(traces) + steps
-    assert len(built) == 2 * len(extensions) + sum(len(trace.rows) for trace in traces)
+    assert len(built) == 2 * len(extensions) + steps
     assert sum(maker is not threading.main_thread() for maker in built) \
         == len(extensions) + steps
     assert sorted(map(id, built)) == sorted(id(maker) for maker, _ in released)
@@ -674,6 +675,60 @@ def test_the_workspace_factor_is_released_before_the_line_search(monkeypatch):
     config = driver.ExperimentConfig(n=8)
     driver.sqp_solve(config, driver.generate_data(config))
     assert counts == [0] * config.max_sqp_iters
+
+
+@pytest.mark.parametrize("iterations, factors", [(2, 2), (0, 0)])
+def test_a_step_not_taken_factors_nothing(monkeypatch, iterations, factors):
+    # Only an iteration that steps factors its workspace; the final iterate
+    # solves its adjoint on the level's lattice.
+    built, init = [], fem.DirichletSolver.__init__
+
+    def counted(self, *args):
+        built.append(type(self))
+        init(self, *args)
+
+    config = driver.ExperimentConfig(n=8, levels=1, max_sqp_iters=iterations)
+    data = driver.generate_data(config)
+    monkeypatch.setattr(fem.DirichletSolver, "__init__", counted)
+    trace = driver.sqp_solve(config, data, 1)
+    assert len(trace.rows) == iterations + 1
+    assert built == [qp.QpWorkspace] * factors
+
+
+def final_state(config, data, trace):
+    """The MeshState of a trace's final mesh, built as the run built it."""
+    straight = driver.mesh_at_level(config, trace.level)
+    return qp.MeshState(trace.mesh, data.sample(trace.mesh), config.f1, config.f2,
+                        config.mu, Lattice(straight))
+
+
+def test_the_final_gradient_norm_matches_a_factored_workspace(study_bundle):
+    # The lattice adjoint stops at a relative residual of 1e-12; on the
+    # default study's meshes its gradient norm is the factored one's to a
+    # few ulp (on an n = 8 mesh the two differ by about 2e-13).
+    for trace in study_bundle.traces:
+        state = final_state(study_bundle.config, study_bundle.data, trace)
+        with qp.QpWorkspace(state) as ws:
+            want = shape.s_norm(state.geometry, ws.gradient.values)
+        assert trace.rows[-1].grad_norm == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_a_perturbed_lattice_adjoint_fails_loudly(monkeypatch):
+    config = driver.ExperimentConfig(n=8, levels=1, max_sqp_iters=0)
+    data = driver.generate_data(config)
+    state = final_state(config, data, driver.sqp_solve(config, data, 1))
+    qp.Adjoint(state)  # the unperturbed adjoint passes its check
+    solve, free = qp.solve_lattice_poisson, state.lattice.free
+
+    def perturbed(*args):
+        x = solve(*args)
+        x[free[free.size // 2]] += 1e-6
+        return x
+
+    monkeypatch.setattr(qp, "solve_lattice_poisson", perturbed)
+    with pytest.raises(LinearSolverError,
+                       match="workspace adjoint violates the discrete adjoint equation"):
+        qp.Adjoint(state)
 
 
 def test_the_data_oracle_builds_no_pattern(monkeypatch):

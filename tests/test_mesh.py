@@ -459,14 +459,16 @@ def test_newton_and_extension_share_one_cg_loop(monkeypatch):
     monkeypatch.setattr(qp, "reduced_hessian_apply", hessian)
     monkeypatch.setattr(mm.DirichletSystem, "solve_free", preconditioner)
     trace = driver.sqp_solve(config, driver.generate_data(config), 1, start=start)
-    # The lattice solves of the data oracle and of five states (the start and
+    # The lattice solves of the data oracle and of four states (the start and
     # the step's three trials), then one Newton iteration: one CG solve of
     # the reduced system and one of each half of the step's extension, and
     # every reduced-Hessian application and every elastic preconditioner
-    # solve happens inside mesh.pcg on its own thread.  The lattice solves
-    # and the extension run it through the same residual checks.
+    # solve happens inside mesh.pcg on its own thread.  The last lattice
+    # solve is the final iterate's adjoint.  The lattice solves and the
+    # extension run it through the same residual checks.
     assert trace.rows[0].cg_iterations > 0
-    lattice_solves = ["solve_lattice_poisson"] * 5
+    assert callers[-1] == "solve_lattice_poisson"
+    lattice_solves = ["solve_lattice_poisson"] * 6
     halves = ["_extend_half"] * 2
     assert sorted(callers) == [*halves, *lattice_solves, "solve_qp_cg"]
     assert sorted(checked) == [*halves, *lattice_solves]

@@ -426,9 +426,8 @@ def test_the_package_loads_neither_scipy_interpolate_nor_optimize():
 
 def test_objective_adds_misfit_and_length_penalty():
     m = straight(8)
-    y = fem.solve_state(m, 1000.0, 1.0)
     ybar = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
-    geo = shape.compute_geometry(m)
-    mass = fem.assemble_mass(m)
-    J = shape.objective(m, y, ybar, geo, mu=10.0, mass=mass)
-    assert J == pytest.approx(fem.objective_misfit(m, y, ybar, mass) + 10.0, rel=1e-14)
+    state = qp.MeshState(m, ybar, 1000.0, 1.0, 10.0, mesh.Lattice(m))
+    y = state.y.values
+    misfit = 0.5 * (y @ (fem.assemble_mass(m) @ y))
+    assert state.objective == pytest.approx(misfit + 10.0, rel=1e-14)
