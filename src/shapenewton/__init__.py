@@ -12,7 +12,7 @@ from .driver import (  # noqa: E402
     sqp_solve,
     steepest_descent_solve,
 )
-from .fem import NodalField, solve_state  # noqa: E402
+from .fem import NodalField  # noqa: E402
 from .mesh import TriMesh, build_template, refine_uniform  # noqa: E402
 from .qp import CgResult, QpWorkspace, solve_qp_cg  # noqa: E402
 from .shape import (  # noqa: E402
@@ -49,7 +49,6 @@ __all__ = [
     "retract",
     "shape_gradient",
     "solve_qp_cg",
-    "solve_state",
     "sqp_solve",
     "steepest_descent_solve",
 ]

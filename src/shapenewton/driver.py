@@ -53,7 +53,7 @@ class ExperimentConfig:
     n: int = 54
     levels: int = 3
     max_sqp_iters: int = 2
-    cg_tol: float = 1e-10
+    cg_tol: float = qp.CG_TOL
     step_length: float = 1.0
     line_search: bool = True
     baseline_scaling: float = 1e4
@@ -208,11 +208,10 @@ def initial_mesh(straight: TriMesh) -> TriMesh:
     # The template interface is the straight line sampled at the same uniform
     # heights, so the curve offsets are plain x-displacements.
     offsets = pts[:, 0] - straight.interface_points[:, 0]
-    geometry = shape.compute_geometry(straight)
     field = shape.InterfaceField(mesh=straight, values=offsets)
     try:
-        return shape.retract(straight, shape.extend(
-            straight, field, geometry, fem.assemble_stiffness(straight)), 1.0)
+        return shape.retract(shape.extend(straight, field,
+                                          fem.assemble_stiffness(straight)), 1.0)
     except MeshInvariantError as exc:
         raise StepFailureError(f"starting interface: {exc}") from exc
 
@@ -237,16 +236,15 @@ def _take_step(state: qp.MeshState, extension, alphas: list[float],
     thread only compares objectives.  Only a MeshInvariantError makes a
     trial invalid; any other error propagates.
     """
-    mesh = state.mesh
     limit = ACCEPT_FACTOR * state.objective
 
     def trial(alpha):
         """The state on the mesh moved by alpha, or None if that is invalid."""
         try:
-            moved = shape.retract(mesh, extension, alpha)
+            moved = shape.retract(extension, alpha)
         except MeshInvariantError:
             return None
-        return qp.MeshState(moved, data.sample(moved), state.f1, state.f2, state.mu,
+        return qp.MeshState(data.sample(moved), state.f1, state.f2, state.mu,
                             state.lattice)
 
     shortest = min(alphas)
@@ -299,7 +297,7 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
                                   f"n = {config.n}: its {name} differ")
         validate(start)
     first = initial_mesh(straight) if start is None else start
-    state = qp.MeshState(first, data.sample(first), config.f1, config.f2, config.mu,
+    state = qp.MeshState(data.sample(first), config.f1, config.f2, config.mu,
                          Lattice(straight))
     rows = []
     with ThreadPoolExecutor(max_workers=_TRIAL_WORKERS) as pool:
@@ -308,7 +306,7 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
             last = it == config.max_sqp_iters
             step = Future()
             extension = None if last else pool.submit(
-                shape.extend, cur, step.result, state.geometry, state.stiffness)
+                shape.extend, cur, step.result, state.stiffness)
             try:
                 with (nullcontext(qp.Adjoint(state)) if last
                       else qp.QpWorkspace(state, cg_tol=config.cg_tol)) as ws:

@@ -3,10 +3,10 @@
 Assembly of mass and load vectors (the stiffness matrix comes from
 mesh.assemble_stiffness, and the elastic extension reuses the matrix a state
 already holds); the element formulas are shared with qp.MeshState, which
-scatters them through a level's mesh.Lattice.  Also the homogeneous
-Dirichlet Poisson system (DirichletSolver, a mesh.DirichletSystem), the
-state solve of the two-source Poisson problem, and a field's values at
-points located by a mesh.Lattice.
+scatters them through a level's mesh.Lattice and solves the state there.
+Also the homogeneous Dirichlet Poisson system (DirichletSolver, a
+mesh.DirichletSystem, which a qp.QpWorkspace factors) and a field's values
+at points located by a mesh.Lattice.
 """
 from __future__ import annotations
 
@@ -106,12 +106,6 @@ class DirichletSolver(DirichletSystem):
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the given full-length rhs; constrained entries are zero."""
         return super().solve(rhs)
-
-
-def solve_state(mesh: TriMesh, f1: float, f2: float) -> NodalField:
-    """State solve: -lap y = f with f = f1 left of the interface, f2 right."""
-    load = assemble_load_piecewise(mesh, f1, f2)
-    return NodalField(mesh, DirichletSolver(mesh, assemble_stiffness(mesh)).solve(load))
 
 
 def evaluate_field(lattice: Lattice, field: NodalField, points: np.ndarray) -> np.ndarray:

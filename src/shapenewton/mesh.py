@@ -720,8 +720,9 @@ def pcg(operator, b: np.ndarray, precondition, inner, tol: float, max_iters: int
     return x, norms, False, False
 
 
-def apply_deformation(mesh: TriMesh, deformation: DeformationField) -> TriMesh:
-    """Move vertices by the displacement field and check the moved mesh.
+def apply_deformation(deformation: DeformationField) -> TriMesh:
+    """Move the vertices of the deformation's mesh by its displacement and
+    check the moved mesh.
 
     The moved mesh shares the source's read-only connectivity arrays, which
     validate() has checked, so only the geometric invariants are checked
@@ -729,8 +730,7 @@ def apply_deformation(mesh: TriMesh, deformation: DeformationField) -> TriMesh:
     every triangle positively oriented they are read from the connectivity
     alone.
     """
-    if deformation.mesh is not mesh:
-        raise ValueError("deformation was computed on a different mesh")
+    mesh = deformation.mesh
     moved = TriMesh(mesh.vertices + deformation.displacement, mesh.triangles,
                     mesh.subdomain, mesh.outer_boundary_nodes, mesh.interface_nodes)
     _check_geometry(moved)

@@ -10,7 +10,7 @@ costs two triangular back-solves on the workspace.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -20,7 +20,6 @@ from . import fem, mesh, shape
 from .errors import LinearSolverError
 from .mesh import (
     Lattice,
-    TriMesh,
     p1_gradients,
     solve_lattice_poisson,
     stiffness_elements,
@@ -29,25 +28,25 @@ from .shape import InterfaceField, InterfaceGeometry
 
 _CONSISTENCY_TOL = 1e-8
 
+CG_TOL = 1e-10  # default Newton CG tolerance; README says why 1e-8 is too loose
+
 
 class MeshState:
     """Sampled data and everything assembled on one mesh (geometry, mass,
     load and P1 stiffness), the state, its misfit M (y - ybar), the objective.
 
-    lattice is the Lattice of the straight mesh the mesh was moved from.
-    The gradients are computed once, the mass and the stiffness scattered
-    through the lattice, and the state solved by mesh.solve_lattice_poisson,
-    preconditioned on the lattice, so building a state factors nothing and
-    may run on any thread.
+    The mesh is ybar's, and lattice the Lattice of the straight mesh it was
+    moved from.  The gradients are computed once, the mass and the stiffness
+    scattered through the lattice, and the state solved by
+    mesh.solve_lattice_poisson, preconditioned on the lattice, so building a
+    state factors nothing and may run on any thread.
     """
 
-    def __init__(self, mesh: TriMesh, ybar: fem.NodalField, f1: float, f2: float,
-                 mu: float, lattice: Lattice):
-        if ybar.mesh is not mesh:
-            raise ValueError("ybar belongs to a different mesh")
+    def __init__(self, ybar: fem.NodalField, f1: float, f2: float, mu: float,
+                 lattice: Lattice):
         if f1 == f2 and mu <= 0.0:
             raise ValueError("degenerate problem: no source jump and no regularization")
-        self.mesh = mesh
+        self.mesh = mesh = ybar.mesh
         self.ybar = ybar
         self.f1 = float(f1)
         self.f2 = float(f2)
@@ -94,8 +93,7 @@ class Adjoint:
         """The shape gradient (shape.shape_gradient) of the adjoint p,
         computed once."""
         state = self.state
-        return shape.shape_gradient(state.mesh, state.geometry, self.p, state.f1,
-                                    state.f2, state.mu)
+        return shape.shape_gradient(self.p, state.f1, state.f2, state.mu)
 
 
 class QpWorkspace(fem.DirichletSolver, Adjoint):
@@ -109,7 +107,7 @@ class QpWorkspace(fem.DirichletSolver, Adjoint):
     its with block releases the factor.
     """
 
-    def __init__(self, state: MeshState, cg_tol: float = 1e-8):
+    def __init__(self, state: MeshState, cg_tol: float = CG_TOL):
         self.cg_tol = float(cg_tol)
         _check_equation(state, state.y.values, state.load, "state")
         super().__init__(state.mesh, state.stiffness)
@@ -173,40 +171,32 @@ class CgResult:
     w: InterfaceField
     iterations: int
     residual_norm: float
-    negative_curvature: bool = False
-    converged: bool = False
-    residual_history: list[float] = field(default_factory=list)
+    negative_curvature: bool
+    converged: bool
+    residual_history: list[float]
 
 
-def solve_qp_cg(ws: QpWorkspace, preconditioner: str = "laplacian") -> CgResult:
+def solve_qp_cg(ws: QpWorkspace) -> CgResult:
     """Solve A w = -g by conjugate gradients (mesh.pcg) in the lumped
     arc-length inner product, with g the workspace's gradient, capped at
     2 (m - 2) iterations on m interface nodes.
 
-    preconditioner="laplacian" (the default) applies the inverse of the
-    tridiagonal regularization block mu L, which dominates the reduced
-    Hessian, so the iteration count hardly grows with the mesh;
-    preconditioner="none" runs plain CG.  A non-positive curvature direction
-    stops the iteration at the current iterate with a flag.  converged is set
-    only when the residual falls to cg_tol times its initial norm.
+    The preconditioner is the inverse of the tridiagonal regularization
+    block mu L, which dominates the reduced Hessian, so the iteration count
+    hardly grows with the mesh.  A non-positive curvature direction stops
+    the iteration at the current iterate with a flag.  converged is set only
+    when the residual falls to cg_tol times its initial norm.
     """
-    if preconditioner not in ("none", "laplacian"):
-        raise ValueError(f"unknown preconditioner {preconditioner!r}")
-
     state = ws.state
     geo = state.geometry
-
-    def apply_precond(r):
-        if preconditioner == "laplacian":
-            return solve_tridiagonal_regularization(geo, state.mu, r)
-        return r
 
     def operator(d):
         return reduced_hessian_apply(ws, InterfaceField(mesh=state.mesh, values=d)).values
 
     w, history, negative, converged = mesh.pcg(
-        operator, -ws.gradient.values, apply_precond,
-        lambda u, v: shape.s_inner(geo, u, v), ws.cg_tol, 2 * (geo.n_nodes - 2))
+        operator, -ws.gradient.values,
+        partial(solve_tridiagonal_regularization, geo, state.mu),
+        partial(shape.s_inner, geo), ws.cg_tol, 2 * (geo.n_nodes - 2))
     w[0] = 0.0
     w[-1] = 0.0
     return CgResult(w=InterfaceField(mesh=state.mesh, values=w),

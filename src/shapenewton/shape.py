@@ -113,15 +113,14 @@ def s_norm(geometry: InterfaceGeometry, a: np.ndarray) -> float:
     return float(np.sqrt(max(s_inner(geometry, a, a), 0.0)))
 
 
-def shape_gradient(mesh: TriMesh, geometry: InterfaceGeometry, p: fem.NodalField,
-                   f1: float, f2: float, mu: float) -> InterfaceField:
-    """Interface form of the shape gradient: g = -(f1 - f2) p + mu kappa.
+def shape_gradient(p: fem.NodalField, f1: float, f2: float, mu: float) -> InterfaceField:
+    """Interface form of the shape gradient: g = -(f1 - f2) p + mu kappa,
+    on the mesh of the adjoint p, with kappa its interface curvature.
 
     Pairing sum_i g_i w_i s_i approximates dJ[w n]; endpoints are pinned.
     """
-    if p.mesh is not mesh:
-        raise ValueError("adjoint field belongs to a different mesh")
-    g = -(f1 - f2) * p.values[mesh.interface_nodes] + mu * geometry.curvature
+    mesh = p.mesh
+    g = -(f1 - f2) * p.values[mesh.interface_nodes] + mu * compute_geometry(mesh).curvature
     g[0] = 0.0
     g[-1] = 0.0
     return InterfaceField(mesh=mesh, values=g)
@@ -140,39 +139,38 @@ def tangential_laplacian_apply(geometry: InterfaceGeometry, w: np.ndarray) -> np
     return out
 
 
-def extend(mesh: TriMesh, w, geometry: InterfaceGeometry,
-           stiffness) -> DeformationField:
-    """Elastic extension of the unit step w * n to the volume.
+def extend(mesh: TriMesh, w, stiffness) -> DeformationField:
+    """Elastic extension of the unit step w * n to the volume, n the normals
+    of the mesh's interface (compute_geometry).
 
     stiffness is the mesh's P1 stiffness matrix, which a state on the mesh
     already holds; the extension assembles no matrix of its own.  w is an
     InterfaceField, or a function returning one, which each subdomain half
     of solve_elastic_deformation calls once its Laplacian factor, a
-    mesh.DirichletSystem released by scope on its thread, exists.  The
-    extension is linear in the step, so retract() scales this one field to
-    every trial length along w.
+    mesh.DirichletSystem released by scope on its thread, exists; so the
+    mesh is given, not read off w.  The extension is linear in the step, so
+    retract() scales this one field to every trial length along w.
     """
-    if geometry.n_nodes != mesh.interface_nodes.shape[0]:
-        raise ValueError("geometry does not match the mesh interface")
+    normals = compute_geometry(mesh).normals
 
     def displacement():
         field = w() if callable(w) else w
         if field.mesh is not mesh:
             raise ValueError("design field belongs to a different mesh")
         # w vanishes at the pinned endpoints, so the displacement does as well.
-        return field.values[:, None] * geometry.normals
+        return field.values[:, None] * normals
 
     return solve_elastic_deformation(mesh, displacement, stiffness)
 
 
-def retract(mesh: TriMesh, extension: DeformationField, step: float) -> TriMesh:
-    """Move the mesh by step times an extension from extend().
+def retract(extension: DeformationField, step: float) -> TriMesh:
+    """Move the extension's mesh by step times an extension from extend().
 
     Takes exactly the given step; choosing and halving it is the driver's
     job.  Raises MeshInvariantError (InvertedElementError when a triangle
     inverts) if the moved mesh fails a geometric check of apply_deformation.
     """
-    return apply_deformation(mesh, DeformationField(
+    return apply_deformation(DeformationField(
         mesh=extension.mesh, displacement=float(step) * extension.displacement))
 
 

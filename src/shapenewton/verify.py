@@ -7,10 +7,11 @@ exact geometric value), and reports a CheckResult.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import driver, fem, qp, shape
+from . import driver, fem, mesh, qp, shape
 from .mesh import Lattice, build_template, refine_uniform
 
 
@@ -62,13 +63,11 @@ def gradient_fd_check() -> CheckResult:
     heights = np.arange(nodes) / (nodes - 1)
     bump = shape.InterfaceField(
         mesh=base, values=_pinned(0.02 * np.sin(np.pi * heights)))
-    m = shape.retract(base, shape.extend(base, bump, shape.compute_geometry(base),
-                                         fem.assemble_stiffness(base)), 1.0)
+    m = shape.retract(shape.extend(base, bump, fem.assemble_stiffness(base)), 1.0)
     lattice = Lattice(base)
 
-    def state_of(mesh):
-        return qp.MeshState(mesh, data.sample(mesh), config.f1, config.f2, config.mu,
-                            lattice)
+    def state_of(moved):
+        return qp.MeshState(data.sample(moved), config.f1, config.f2, config.mu, lattice)
 
     state = state_of(m)
     geometry = state.geometry
@@ -81,11 +80,11 @@ def gradient_fd_check() -> CheckResult:
         c1, c2 = rng.uniform(-1.0, 1.0, 2)
         w = _pinned(c1 * np.sin(np.pi * heights)
                     + c2 * np.sin(2.0 * np.pi * heights))
-        extension = shape.extend(m, shape.InterfaceField(mesh=m, values=w), geometry,
+        extension = shape.extend(m, shape.InterfaceField(mesh=m, values=w),
                                  state.stiffness)
         pairing = shape.s_inner(geometry, g.values, w)
-        plus = shape.retract(m, extension, eps)
-        minus = shape.retract(m, extension, -eps)
+        plus = shape.retract(extension, eps)
+        minus = shape.retract(extension, -eps)
         fd = (state_of(plus).objective - state_of(minus).objective) / (2.0 * eps)
         worst = max(worst, abs(fd - pairing) / abs(fd))
     passed = worst <= 1e-2
@@ -97,8 +96,8 @@ def hessian_symmetry() -> CheckResult:
     """Reduced Hessian pairings at the straight solution configuration must
     be symmetric in the arc-length inner product."""
     m = build_template(54)
-    ybar = fem.solve_state(m, 1000.0, 1.0)
-    ws = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0, Lattice(m)))
+    ybar = driver.DataOracle.on_lattice(m, 1000.0, 1.0).field
+    ws = qp.QpWorkspace(qp.MeshState(ybar, 1000.0, 1.0, 10.0, Lattice(m)))
     rng = np.random.default_rng(1)
     nodes = m.interface_nodes.shape[0]
     worst = 0.0
@@ -130,19 +129,21 @@ def curvature_circle_oracle() -> CheckResult:
 
 def pure_regularization_tridiag() -> CheckResult:
     """With equal sources the reduced operator is the regularization alone;
-    CG must match a direct tridiagonal solve.  CG runs unpreconditioned: the
-    default preconditioner is that tridiagonal solve, which would make the
+    CG must match a direct tridiagonal solve.  CG is mesh.pcg on the Newton
+    system of qp.solve_qp_cg, unpreconditioned: the Newton solve's
+    preconditioner is that tridiagonal solve, which would make the
     comparison a check of the solve against itself."""
     base = build_template(16)
     curved = driver.initial_mesh(base)
     ybar = fem.NodalField(mesh=curved, values=np.zeros(curved.n_vertices))
-    ws = qp.QpWorkspace(qp.MeshState(curved, ybar, 7.0, 7.0, 10.0, Lattice(base)),
-                        cg_tol=1e-12)
-    direct = qp.solve_tridiagonal_regularization(ws.state.geometry, 10.0,
-                                                 -ws.gradient.values)
-    result = qp.solve_qp_cg(ws, preconditioner="none")
-    worst = float(np.abs(result.w.values - direct).max() / np.abs(direct).max())
-    passed = (not result.negative_curvature) and worst <= 1e-8
+    ws = qp.QpWorkspace(qp.MeshState(ybar, 7.0, 7.0, 10.0, Lattice(base)), cg_tol=1e-12)
+    geo, b = ws.state.geometry, -ws.gradient.values
+    direct = qp.solve_tridiagonal_regularization(geo, 10.0, b)
+    w, _, negative, _ = mesh.pcg(
+        lambda d: qp.reduced_hessian_apply(ws, shape.InterfaceField(curved, d)).values,
+        b, lambda r: r, partial(shape.s_inner, geo), ws.cg_tol, 2 * (geo.n_nodes - 2))
+    worst = float(np.abs(w - direct).max() / np.abs(direct).max())
+    passed = (not negative) and worst <= 1e-8
     return CheckResult("pure_regularization_tridiag", passed,
                        f"max relative deviation {worst:.3e} (bound 1e-08)")
 
@@ -155,8 +156,7 @@ def optimality_fixed_point() -> CheckResult:
     def residuals(n):
         m = build_template(n)
         data = driver.DataOracle.on_lattice(refine_uniform(m), 1000.0, 1.0)
-        ws = qp.QpWorkspace(qp.MeshState(m, data.sample(m), 1000.0, 1.0, 10.0,
-                                         Lattice(m)))
+        ws = qp.QpWorkspace(qp.MeshState(data.sample(m), 1000.0, 1.0, 10.0, Lattice(m)))
         return (float(np.abs(ws.gradient.values).max()),
                 float(np.abs(qp.solve_qp_cg(ws).w.values).max()))
 

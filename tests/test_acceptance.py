@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from shapenewton import driver, fem, qp, verify
+from shapenewton import driver, fem, mesh, qp, shape, verify
 
 # Reference dist table for the two-iteration experiment: rows are iterations
 # 0..2, columns are refinement levels coarse to fine.  Coarse row 2 is the
@@ -142,7 +142,7 @@ def test_straight_interface_is_a_fixed_point():
 def test_fixed_point_check_catches_an_adjoint_without_mass(monkeypatch):
     # Planted error: K p = -(y - ybar).  The gradient then no longer falls as
     # O(h^2), so the check must fail.
-    def planted(self, state, cg_tol=1e-8):
+    def planted(self, state, cg_tol=qp.CG_TOL):
         self.state = state
         self.cg_tol = cg_tol
         fem.DirichletSolver.__init__(self, state.mesh, state.stiffness)
@@ -165,20 +165,36 @@ def test_pure_regularization_matches_direct_solve():
 
 
 def test_pure_regularization_check_runs_unpreconditioned_cg(monkeypatch):
-    # The default preconditioner is the direct tridiagonal solve the check
-    # compares against; with it CG would finish in one step.
+    # The Newton solve's preconditioner is the direct tridiagonal solve the
+    # check compares against; with it CG would finish in one step.  The
+    # Newton system is the one solve whose inner product is not np.dot:
+    # the elastic extension of the curved start solves in the Euclidean one.
     iterations = []
-    solve = qp.solve_qp_cg
+    pcg = mesh.pcg
 
-    def spy(ws, *args, **kwargs):
-        result = solve(ws, *args, **kwargs)
-        iterations.append(result.iterations)
+    def spy(operator, b, precondition, inner, tol, cap):
+        result = pcg(operator, b, precondition, inner, tol, cap)
+        if inner is not np.dot:
+            iterations.append(len(result[1]) - 1)
         return result
 
-    monkeypatch.setattr(qp, "solve_qp_cg", spy)
+    monkeypatch.setattr(mesh, "pcg", spy)
     result = verify.pure_regularization_tridiag()
     assert result.passed, result.detail
     assert len(iterations) == 1 and iterations[0] > 1
+
+
+def test_pure_regularization_check_catches_a_scaled_hessian(monkeypatch):
+    # Planted error: the reduced Hessian 1 % too large.  CG then solves a
+    # system the direct tridiagonal solve does not, so the check must fail.
+    apply = qp.reduced_hessian_apply
+
+    def planted(ws, w):
+        return shape.InterfaceField(mesh=w.mesh, values=1.01 * apply(ws, w).values)
+
+    monkeypatch.setattr(qp, "reduced_hessian_apply", planted)
+    result = verify.pure_regularization_tridiag()
+    assert not result.passed, result.detail
 
 
 def test_newton_cg_counts_are_mesh_independent(study_bundle):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from oracles import solve_state
 from shapenewton import driver, fem, mesh, qp, shape
 from shapenewton.errors import (
     ConfigError,
@@ -170,7 +171,7 @@ def test_generate_data_factors_nothing(monkeypatch):
     config = driver.ExperimentConfig(n=8)
     data = driver.generate_data(config)
     assert factors == []
-    want = fem.solve_state(data.field.mesh, config.f1, config.f2).values
+    want = solve_state(data.field.mesh, config.f1, config.f2).values
     assert len(factors) == 1  # the counter sees the factored path
     np.testing.assert_allclose(data.field.values, want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
@@ -219,7 +220,7 @@ def test_stationary_start_stops_immediately(monkeypatch):
     # a discrete fixed point, so the gradient test ends the run at once
     config = driver.ExperimentConfig()
     m = build_template(config.n)
-    data = driver.DataOracle(field=fem.solve_state(m, config.f1, config.f2),
+    data = driver.DataOracle(field=solve_state(m, config.f1, config.f2),
                              lattice=Lattice(m))
     ends = watch_extensions(monkeypatch)
     trace = returns_promptly(lambda: driver.sqp_solve(config, data, start=m))
@@ -337,7 +338,7 @@ def step_setup(amplitude):
     config = driver.ExperimentConfig(n=8)
     data = driver.generate_data(config)
     m = build_template(config.n)
-    state = qp.MeshState(m, data.sample(m), config.f1, config.f2, config.mu,
+    state = qp.MeshState(data.sample(m), config.f1, config.f2, config.mu,
                          mesh.Lattice(m))
     heights = m.interface_points[:, 1]
     values = amplitude * np.sin(np.pi * heights)
@@ -347,7 +348,7 @@ def step_setup(amplitude):
 
 
 def extension_of(state, w):
-    return shape.extend(state.mesh, w, state.geometry, state.stiffness)
+    return shape.extend(state.mesh, w, state.stiffness)
 
 
 def take_step(state, extension, alphas, data):
@@ -375,7 +376,7 @@ def test_take_step_halves_an_inverting_step(monkeypatch):
     m = state.mesh
     extension = extension_of(state, w)
     with pytest.raises(InvertedElementError):
-        shape.retract(m, extension, 1.0)
+        shape.retract(extension, 1.0)
     trials = count_calls(monkeypatch, "apply_deformation")
     accepted, alpha = take_step(state, extension, [1.0], data)
     halvings = round(-np.log2(alpha))
@@ -385,7 +386,7 @@ def test_take_step_halves_an_inverting_step(monkeypatch):
     # Oracle: the elastic extension solved afresh at the accepted length.
     # Scaling by a power of two is exact, so the meshes agree to the bit.
     disp = alpha * w.values[:, None] * state.geometry.normals
-    expected = apply_deformation(m, solve_elastic_deformation(m, disp, state.stiffness))
+    expected = apply_deformation(solve_elastic_deformation(m, disp, state.stiffness))
     np.testing.assert_array_equal(accepted.mesh.vertices, expected.vertices)
 
 
@@ -406,7 +407,7 @@ def newton_step_setup():
     data = driver.generate_data(config)
     straight = driver.mesh_at_level(config, 1)
     m = driver.initial_mesh(straight)
-    state = qp.MeshState(m, data.sample(m), config.f1, config.f2, config.mu,
+    state = qp.MeshState(data.sample(m), config.f1, config.f2, config.mu,
                          mesh.Lattice(straight))
     w = qp.solve_qp_cg(qp.QpWorkspace(state, cg_tol=config.cg_tol)).w
     return state, w, data, config
@@ -428,10 +429,10 @@ def serial_oracle(state, extension, alphas, data):
     best = None
     for a in alphas:
         try:
-            moved = shape.retract(state.mesh, extension, a)
+            moved = shape.retract(extension, a)
         except MeshInvariantError:
             continue
-        candidate = qp.MeshState(moved, data.sample(moved), state.f1, state.f2,
+        candidate = qp.MeshState(data.sample(moved), state.f1, state.f2,
                                  state.mu, state.lattice)
         if best is None or candidate.objective < best[0].objective:
             best = (candidate, a)
@@ -548,7 +549,7 @@ def test_a_step_assembles_one_stiffness_per_candidate(monkeypatch):
     monkeypatch.setattr(mesh.Lattice, "scatter", counted_scatter)
     monkeypatch.setattr(fem, "assemble_stiffness", counted_assemble)
     monkeypatch.setattr(mesh, "assemble_stiffness", counted_assemble)
-    extension = shape.extend(state.mesh, w, state.geometry, state.stiffness)
+    extension = shape.extend(state.mesh, w, state.stiffness)
     assert assembled == []
     accepted, _ = take_step(state, extension, [1.0, 1.25, 1.5], data)
     meshes = [id(m) for m, _ in assembled]
@@ -566,8 +567,8 @@ def test_an_error_in_one_candidate_propagates(monkeypatch, stage):
     scatter, solve = mesh.Lattice.scatter, qp.solve_lattice_poisson
     moved_by_step, assembled = {}, []
 
-    def recorded_retract(m, extension, step):
-        moved_by_step[step] = retract(m, extension, step)
+    def recorded_retract(extension, step):
+        moved_by_step[step] = retract(extension, step)
         return moved_by_step[step]
 
     def faulty_sample(oracle, target):
@@ -698,7 +699,7 @@ def test_a_step_not_taken_factors_nothing(monkeypatch, iterations, factors):
 def final_state(config, data, trace):
     """The MeshState of a trace's final mesh, built as the run built it."""
     straight = driver.mesh_at_level(config, trace.level)
-    return qp.MeshState(trace.mesh, data.sample(trace.mesh), config.f1, config.f2,
+    return qp.MeshState(data.sample(trace.mesh), config.f1, config.f2,
                         config.mu, Lattice(straight))
 
 
@@ -799,7 +800,7 @@ def test_cg_failure_names_level_and_iteration(monkeypatch, negative, residual, r
         zero = shape.InterfaceField(mesh=ws.state.mesh,
                                     values=np.zeros(ws.state.geometry.n_nodes))
         return qp.CgResult(w=zero, iterations=2, residual_norm=residual,
-                           negative_curvature=negative,
+                           negative_curvature=negative, converged=False,
                            residual_history=[1.0, 0.5, residual])
 
     monkeypatch.setattr(driver.qp, "solve_qp_cg", failed_cg)

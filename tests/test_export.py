@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import solve_state
 from shapenewton import driver, export, fem, shape
 from shapenewton.driver import TraceRow
 from shapenewton.mesh import build_template
@@ -70,7 +71,7 @@ def test_vtk_mesh_blocks_round_trip(tmp_path):
 
 def test_vtk_point_data_fields(tmp_path):
     m = build_template(4)
-    y = fem.solve_state(m, 1000.0, 1.0)
+    y = solve_state(m, 1000.0, 1.0)
     p = fem.NodalField(mesh=m, values=np.arange(m.n_vertices, dtype=np.float64))
     path = tmp_path / "fields.vtk"
     export.write_vtk(path, m, {"state": y, "adjoint": p})
@@ -121,7 +122,7 @@ def write_vtk_per_element(path, m, fields, title="shapenewton mesh"):
 
 def test_vtk_matches_the_per_element_writer_byte_for_byte(tmp_path):
     m = driver.initial_mesh(driver.mesh_at_level(driver.ExperimentConfig(), 1))
-    y = fem.solve_state(m, 1000.0, 1.0)
+    y = solve_state(m, 1000.0, 1.0)
     signed = fem.NodalField(mesh=m, values=np.sin(40.0 * m.vertices[:, 0]) * 1e-3
                             - m.vertices[:, 1] * 1e5)
     edge_values = np.resize(EDGES, m.n_vertices)

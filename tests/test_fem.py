@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from oracles import solve_state
 from shapenewton import fem, mesh as mm, qp
 
 
@@ -151,7 +152,7 @@ def test_manufactured_solution_second_order():
 
 def test_state_solve_consistency_with_load():
     m = mm.build_template(12)
-    y = fem.solve_state(m, 1000.0, 1.0)
+    y = solve_state(m, 1000.0, 1.0)
     K = fem.assemble_stiffness(m)
     load = fem.assemble_load_piecewise(m, 1000.0, 1.0)
     rng = np.random.default_rng(7)
@@ -165,7 +166,7 @@ def test_state_solve_consistency_with_load():
 
 def test_state_solve_positive_and_peaked_left():
     m = mm.build_template(16)
-    y = fem.solve_state(m, 1000.0, 1.0)
+    y = solve_state(m, 1000.0, 1.0)
     assert y.values.min() >= 0.0
     peak = m.vertices[np.argmax(y.values)]
     assert peak[0] < 0.5
@@ -177,15 +178,15 @@ def test_adjoint_zero_for_matching_data():
     lattice = mm.Lattice(m)
     y = fem.NodalField(m, mm.solve_lattice_poisson(
         lattice, fem.assemble_stiffness(m), fem.assemble_load_piecewise(m, 1000.0, 1.0)))
-    p = qp.QpWorkspace(qp.MeshState(m, y, 1000.0, 1.0, 10.0, lattice)).p
+    p = qp.QpWorkspace(qp.MeshState(y, 1000.0, 1.0, 10.0, lattice)).p
     assert np.abs(p.values).max() == 0.0
 
 
 def test_adjoint_weak_form_consistency():
     m = mm.build_template(10)
-    y = fem.solve_state(m, 1000.0, 1.0)
+    y = solve_state(m, 1000.0, 1.0)
     ybar = fem.NodalField(m, np.zeros(m.n_vertices))
-    p = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0, mm.Lattice(m))).p
+    p = qp.QpWorkspace(qp.MeshState(ybar, 1000.0, 1.0, 10.0, mm.Lattice(m))).p
     K = fem.assemble_stiffness(m)
     M = fem.assemble_mass(m)
     rng = np.random.default_rng(2)
@@ -219,6 +220,6 @@ def test_evaluate_field_at_vertices_is_exact():
 def test_field_mesh_tag_enforced():
     m1 = mm.build_template(4)
     m2 = mm.build_template(4)
-    y = fem.solve_state(m1, 1.0, 1.0)
+    y = solve_state(m1, 1.0, 1.0)
     with pytest.raises(ValueError):
         fem.evaluate_field(mm.Lattice(m2), y, np.array([[0.5, 0.5]]))

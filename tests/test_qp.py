@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import solve_state
 from shapenewton import fem, mesh, qp, shape
 from shapenewton.errors import LinearSolverError
 from shapenewton.shape import InterfaceField
@@ -30,12 +31,12 @@ def template_of(m: mesh.TriMesh) -> mesh.TriMesh:
     return template
 
 
-def mesh_state(m, ybar, f1=F1, f2=F2, mu=MU):
-    return qp.MeshState(m, ybar, f1, f2, mu, mesh.Lattice(template_of(m)))
+def mesh_state(ybar, f1=F1, f2=F2, mu=MU):
+    return qp.MeshState(ybar, f1, f2, mu, mesh.Lattice(template_of(ybar.mesh)))
 
 
-def workspace(m, ybar, f1=F1, f2=F2, mu=MU, **settings):
-    return qp.QpWorkspace(mesh_state(m, ybar, f1, f2, mu), **settings)
+def workspace(ybar, f1=F1, f2=F2, mu=MU, **settings):
+    return qp.QpWorkspace(mesh_state(ybar, f1, f2, mu), **settings)
 
 
 def zero_design(ws: qp.QpWorkspace) -> InterfaceField:
@@ -86,46 +87,41 @@ def straight_ws():
     m = mesh.build_template(16)
     ybar = fem.NodalField(m, mesh.solve_lattice_poisson(
         mesh.Lattice(m), fem.assemble_stiffness(m), fem.assemble_load_piecewise(m, F1, F2)))
-    return workspace(m, ybar)
+    return workspace(ybar)
 
 
 @pytest.fixture(scope="module")
 def bulged_ws():
     """Workspace away from the solution: bulged interface, straight data."""
     base = mesh.build_template(16)
-    geo = shape.compute_geometry(base)
     w = sine_field(base, amp=0.08)
-    bulged = shape.retract(base, shape.extend(base, w, geo, fem.assemble_stiffness(base)), 1.0)
+    bulged = shape.retract(shape.extend(base, w, fem.assemble_stiffness(base)), 1.0)
     data_mesh = mesh.refine_uniform(mesh.refine_uniform(mesh.build_template(16)))
-    ydata = fem.solve_state(data_mesh, F1, F2)
+    ydata = solve_state(data_mesh, F1, F2)
     ybar = fem.NodalField(mesh=bulged, values=fem.evaluate_field(
         mesh.Lattice(data_mesh), ydata, bulged.vertices))
-    return workspace(bulged, ybar)
+    return workspace(ybar)
 
 
 # ------------------------------------------------------------ workspace
 
-def test_workspace_rejects_mismatched_data_and_degenerate_setup():
+def test_workspace_rejects_a_degenerate_setup():
     m = mesh.build_template(4)
-    other = mesh.build_template(4)
-    ybar = fem.NodalField(mesh=other, values=np.zeros(other.n_vertices))
+    ybar = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
     with pytest.raises(ValueError):
-        mesh_state(m, ybar)
-    ok = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
-    with pytest.raises(ValueError):
-        mesh_state(m, ok, 7.0, 7.0, 0.0)
+        mesh_state(ybar, 7.0, 7.0, 0.0)
 
 
 def test_workspace_state_matches_standalone_solve(straight_ws, bulged_ws):
     # The state is solved on the lattice, without a factor; the standalone
     # solve is SuperLU's.
     for ws in (straight_ws, bulged_ws):
-        y_ref = fem.solve_state(ws.state.mesh, F1, F2).values
+        y_ref = solve_state(ws.state.mesh, F1, F2).values
         assert np.linalg.norm(ws.state.y.values - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
 
 
 def test_workspace_reuses_a_handed_state(bulged_ws):
-    state = mesh_state(bulged_ws.state.mesh, bulged_ws.state.ybar)
+    state = mesh_state(bulged_ws.state.ybar)
     ws = qp.QpWorkspace(state)
     assert ws.state is state
     np.testing.assert_array_equal(ws.p.values, bulged_ws.p.values)
@@ -145,7 +141,7 @@ def test_only_the_workspace_factors_and_it_factors_once(bulged_ws, monkeypatch):
 
     monkeypatch.setattr(fem.DirichletSolver, "__init__", counted_init)
     monkeypatch.setattr(fem.DirichletSolver, "solve", counted_solve)
-    state = mesh_state(bulged_ws.state.mesh, bulged_ws.state.ybar)
+    state = mesh_state(bulged_ws.state.ybar)
     assert factored == [] and solved_on == []
     ws = qp.QpWorkspace(state)
     assert factored == [ws] and solved_on == [ws]
@@ -157,8 +153,8 @@ def test_mesh_state_objective_matches_separate_solves(bulged_ws):
     # The line search ranks trials by this value; the lattice solve of the
     # state moves it from a SuperLU state's only at round-off.
     m, ybar = bulged_ws.state.mesh, bulged_ws.state.ybar
-    state = mesh_state(m, ybar)
-    d = fem.solve_state(m, F1, F2).values - ybar.values
+    state = mesh_state(ybar)
+    d = solve_state(m, F1, F2).values - ybar.values
     expected = (0.5 * (d @ (fem.assemble_mass(m) @ d))
                 + MU * shape.compute_geometry(m).length)
     assert state.objective == pytest.approx(expected, rel=1e-13, abs=0)
@@ -209,11 +205,11 @@ def test_state_solve_matches_finite_difference_of_state(bulged_ws):
     z_field = fem.NodalField(mesh=m, values=linearized_state(ws, w))
 
     eps = 1e-4
-    extension = shape.extend(m, w, ws.state.geometry, ws.state.stiffness)
-    plus = shape.retract(m, extension, eps)
-    minus = shape.retract(m, extension, -eps)
-    y_plus = fem.solve_state(plus, F1, F2)
-    y_minus = fem.solve_state(minus, F1, F2)
+    extension = shape.extend(m, w, ws.state.stiffness)
+    plus = shape.retract(extension, eps)
+    minus = shape.retract(extension, -eps)
+    y_plus = solve_state(plus, F1, F2)
+    y_minus = solve_state(minus, F1, F2)
 
     pts = m.vertices[m.triangles].mean(axis=1)
     fd = (evaluate_in_moved_mesh(y_plus, pts)
@@ -241,7 +237,7 @@ def test_dual_solve_identities(straight_ws, bulged_ws):
 def test_residual_at_zero_is_negative_gradient_bitwise(bulged_ws):
     ws = bulged_ws
     r0 = design_residual(ws, zero_design(ws))
-    g = shape.shape_gradient(ws.state.mesh, ws.state.geometry, ws.p, F1, F2, MU)
+    g = shape.shape_gradient(ws.p, F1, F2, MU)
     np.testing.assert_array_equal(r0.values + g.values, np.zeros(g.values.shape))
 
 
@@ -296,13 +292,11 @@ def test_hessian_apply_matches_residual_differencing(bulged_ws):
 
 def test_hessian_reduces_to_regularization_without_jump():
     base = mesh.build_template(16)
-    geo0 = shape.compute_geometry(base)
     offsets = shape.bspline_initial_interface(17)[:, 0] - 0.5
-    curved = shape.retract(
-        base, shape.extend(base, InterfaceField(mesh=base, values=pinned(offsets)), geo0,
-                           fem.assemble_stiffness(base)), 1.0)
+    field = InterfaceField(mesh=base, values=pinned(offsets))
+    curved = shape.retract(shape.extend(base, field, fem.assemble_stiffness(base)), 1.0)
     ybar = fem.NodalField(mesh=curved, values=np.zeros(curved.n_vertices))
-    ws = workspace(curved, ybar, 7.0, 7.0)
+    ws = workspace(ybar, 7.0, 7.0)
     w = sine_field(ws.state.mesh, amp=0.4)
     out = qp.reduced_hessian_apply(ws, w).values
     expected = MU * shape.tangential_laplacian_apply(ws.state.geometry, w.values)
@@ -314,7 +308,7 @@ def test_hessian_sine_eigenvalue_straight_uniform():
     n = 32
     m = mesh.build_template(n)
     ybar = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
-    ws = workspace(m, ybar, 3.0, 3.0)
+    ws = workspace(ybar, 3.0, 3.0)
     w = sine_field(m)
     out = qp.reduced_hessian_apply(ws, w).values
     mid = n // 2  # node at y = 0.5 where sin attains 1
@@ -342,19 +336,17 @@ def curved_regularization_ws(cg_tol=1e-12):
     """No source jump: the reduced operator is exactly mu L, but the curved
     interface still produces a nonzero curvature residual."""
     base = mesh.build_template(16)
-    geo0 = shape.compute_geometry(base)
     offsets = shape.bspline_initial_interface(17)[:, 0] - 0.5
-    curved = shape.retract(
-        base, shape.extend(base, InterfaceField(mesh=base, values=pinned(offsets)), geo0,
-                           fem.assemble_stiffness(base)), 1.0)
+    field = InterfaceField(mesh=base, values=pinned(offsets))
+    curved = shape.retract(shape.extend(base, field, fem.assemble_stiffness(base)), 1.0)
     ybar = fem.NodalField(mesh=curved, values=np.zeros(curved.n_vertices))
-    return workspace(curved, ybar, 7.0, 7.0, cg_tol=cg_tol)
+    return workspace(ybar, 7.0, 7.0, cg_tol=cg_tol)
 
 
 def test_cg_returns_zero_in_zero_iterations_for_zero_residual():
     m = mesh.build_template(8)
     ybar = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
-    ws = workspace(m, ybar, 7.0, 7.0)  # straight and no jump: r(0) = 0
+    ws = workspace(ybar, 7.0, 7.0)  # straight and no jump: r(0) = 0
     result = qp.solve_qp_cg(ws)
     assert result.iterations == 0
     assert result.residual_norm == 0.0
@@ -362,30 +354,8 @@ def test_cg_returns_zero_in_zero_iterations_for_zero_residual():
     np.testing.assert_array_equal(result.w.values, 0.0)
 
 
-def test_cg_matches_tridiagonal_direct_solve():
-    ws = curved_regularization_ws()
-    r0 = design_residual(ws, zero_design(ws)).values
-    direct = qp.solve_tridiagonal_regularization(ws.state.geometry, MU, r0)
-    # Plain CG: preconditioned by this direct solve it would compare it with itself.
-    result = qp.solve_qp_cg(ws, preconditioner="none")
-    assert not result.negative_curvature
-    assert result.residual_norm <= 1e-12 * shape.s_norm(ws.state.geometry, r0)
-    np.testing.assert_allclose(result.w.values, direct,
-                               atol=1e-8 * np.abs(direct).max())
-
-
-def test_cg_laplacian_preconditioner_is_exact_for_pure_regularization():
-    ws = curved_regularization_ws(cg_tol=1e-10)
-    direct = qp.solve_tridiagonal_regularization(
-        ws.state.geometry, MU, design_residual(ws, zero_design(ws)).values)
-    result = qp.solve_qp_cg(ws, preconditioner="laplacian")
-    assert result.iterations <= 2
-    np.testing.assert_allclose(result.w.values, direct,
-                               atol=1e-8 * np.abs(direct).max())
-
-
-def newton_system(monkeypatch, ws, preconditioner):
-    """The arguments solve_qp_cg hands to mesh.pcg, and its result."""
+def newton_system(monkeypatch, ws):
+    """The arguments solve_qp_cg hands to mesh.pcg."""
     captured = []
     pcg = mesh.pcg
 
@@ -394,20 +364,49 @@ def newton_system(monkeypatch, ws, preconditioner):
         return pcg(*args)
 
     monkeypatch.setattr(mesh, "pcg", capture)
-    result = qp.solve_qp_cg(ws, preconditioner=preconditioner)
-    return captured, result
+    qp.solve_qp_cg(ws)
+    monkeypatch.setattr(mesh, "pcg", pcg)
+    return captured
+
+
+def plain_cg(monkeypatch, ws):
+    """mesh.pcg on the Newton system of ws with the identity preconditioner,
+    as a function of the iteration cap (default: solve_qp_cg's).  With the
+    direct tridiagonal solve as preconditioner, a pure-regularization system
+    is solved in one step, and compared with that solve itself."""
+    operator, b, _, inner, tol, cap = newton_system(monkeypatch, ws)
+    return lambda k=cap: mesh.pcg(operator, b, lambda r: r, inner, tol, k)
+
+
+def test_cg_matches_tridiagonal_direct_solve(monkeypatch):
+    ws = curved_regularization_ws()
+    r0 = design_residual(ws, zero_design(ws)).values
+    direct = qp.solve_tridiagonal_regularization(ws.state.geometry, MU, r0)
+    w, history, negative, converged = plain_cg(monkeypatch, ws)()
+    assert not negative and converged and len(history) > 2
+    assert history[-1] <= 1e-12 * shape.s_norm(ws.state.geometry, r0)
+    np.testing.assert_allclose(w, direct, atol=1e-8 * np.abs(direct).max())
+
+
+def test_cg_laplacian_preconditioner_is_exact_for_pure_regularization():
+    ws = curved_regularization_ws(cg_tol=1e-10)
+    direct = qp.solve_tridiagonal_regularization(
+        ws.state.geometry, MU, design_residual(ws, zero_design(ws)).values)
+    result = qp.solve_qp_cg(ws)
+    assert result.iterations <= 2
+    np.testing.assert_allclose(result.w.values, direct,
+                               atol=1e-8 * np.abs(direct).max())
 
 
 def test_cg_error_decreases_monotonically_in_operator_norm(monkeypatch):
     ws = curved_regularization_ws()
     r0 = design_residual(ws, zero_design(ws)).values
     exact = qp.solve_tridiagonal_regularization(ws.state.geometry, MU, r0)
-    (operator, b, precondition, inner, tol, _), result = newton_system(
-        monkeypatch, ws, "none")
+    run = plain_cg(monkeypatch, ws)
     energies = []
-    for k in range(result.iterations + 1):
+    for k in range(len(run()[1])):
         # CG is deterministic: a run capped at k iterations ends on iterate k
-        err = mesh.pcg(operator, b, precondition, inner, tol, k)[0] - exact
+        err = run(k)[0] - exact
         Aerr = MU * shape.tangential_laplacian_apply(ws.state.geometry, err)
         energies.append(shape.s_inner(ws.state.geometry, Aerr, err))
     energies = np.array(energies)
@@ -455,13 +454,8 @@ def test_cg_fails_loudly_on_a_non_finite_hessian(monkeypatch, bulged_ws):
 def test_cg_flags_negative_curvature():
     m = mesh.build_template(8)
     ybar = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
-    ws = workspace(m, ybar, 7.0, 6.999, mu=-5.0)  # concave regularization
+    ws = workspace(ybar, 7.0, 6.999, mu=-5.0)  # concave regularization
     result = qp.solve_qp_cg(ws)
     assert result.negative_curvature
     assert not result.converged
     np.testing.assert_array_equal(result.w.values, 0.0)
-
-
-def test_cg_rejects_unknown_preconditioner(bulged_ws):
-    with pytest.raises(ValueError):
-        qp.solve_qp_cg(bulged_ws, preconditioner="ilu")

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import solve_state
 from shapenewton import fem, mesh, qp, shape
 from shapenewton.errors import InvertedElementError, ShapeNewtonError
 
@@ -135,10 +136,9 @@ def test_interface_field_requires_pinned_endpoints():
 
 def test_shape_gradient_combines_adjoint_jump_and_curvature():
     m = straight(8)
-    geo = shape.compute_geometry(m)
     pvals = m.vertices[:, 0] * (1.0 + m.vertices[:, 1])
     p = fem.NodalField(mesh=m, values=pvals)
-    g = shape.shape_gradient(m, geo, p, f1=1000.0, f2=1.0, mu=10.0)
+    g = shape.shape_gradient(p, f1=1000.0, f2=1.0, mu=10.0)
     expected = -999.0 * pvals[m.interface_nodes]
     expected[0] = 0.0
     expected[-1] = 0.0
@@ -155,18 +155,16 @@ def test_gradient_pushes_a_rightward_bulge_back():
     geo0 = shape.compute_geometry(base)
     w = shape.InterfaceField(
         mesh=base, values=pinned(0.08 * np.sin(np.pi * geo0.points[:, 1])))
-    bulged = shape.retract(
-        base, shape.extend(base, w, geo0, fem.assemble_stiffness(base)), 1.0)
+    bulged = shape.retract(shape.extend(base, w, fem.assemble_stiffness(base)), 1.0)
 
     data_mesh = mesh.refine_uniform(mesh.refine_uniform(straight(n)))
-    ybar_data = fem.solve_state(data_mesh, 1000.0, 1.0)
+    ybar_data = solve_state(data_mesh, 1000.0, 1.0)
     ybar = fem.NodalField(mesh=bulged, values=fem.evaluate_field(
         mesh.Lattice(data_mesh), ybar_data, bulged.vertices))
 
-    p = qp.QpWorkspace(qp.MeshState(bulged, ybar, 1000.0, 1.0, 10.0,
-                                    mesh.Lattice(base))).p
+    p = qp.QpWorkspace(qp.MeshState(ybar, 1000.0, 1.0, 10.0, mesh.Lattice(base))).p
     geo = shape.compute_geometry(bulged)
-    g = shape.shape_gradient(bulged, geo, p, 1000.0, 1.0, 10.0)
+    g = shape.shape_gradient(p, 1000.0, 1.0, 10.0)
     assert np.all(g.values[1:-1] > 0.0)
     assert np.all(geo.curvature[1:-1][5:-5] > 0.0)  # apex region is convex
 
@@ -216,9 +214,9 @@ def test_domain_and_interface_gradient_forms_agree():
     # form; compare both pairings without the perimeter part.
     n = 32
     m = straight(n)
-    y = fem.solve_state(m, 1000.0, 1.0)
+    y = solve_state(m, 1000.0, 1.0)
     ybar = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
-    p = qp.QpWorkspace(qp.MeshState(m, ybar, 1000.0, 1.0, 10.0, mesh.Lattice(m))).p
+    p = qp.QpWorkspace(qp.MeshState(ybar, 1000.0, 1.0, 10.0, mesh.Lattice(m))).p
     geo = shape.compute_geometry(m)
 
     w = shape.InterfaceField(
@@ -227,7 +225,7 @@ def test_domain_and_interface_gradient_forms_agree():
         m, w.values[:, None] * geo.normals, fem.assemble_stiffness(m)).displacement
 
     volumetric = shape_gradient_domain(m, y, p, ybar, 1000.0, 1.0, V)
-    g = shape.shape_gradient(m, geo, p, 1000.0, 1.0, mu=0.0)
+    g = shape.shape_gradient(p, 1000.0, 1.0, mu=0.0)
     paired = shape.s_inner(geo, g.values, w.values)
     assert volumetric == pytest.approx(paired, rel=5e-2)
     assert volumetric != 0.0
@@ -237,9 +235,8 @@ def test_domain_and_interface_gradient_forms_agree():
 
 def test_retract_zero_field_returns_identical_vertices():
     m = straight(8)
-    geo = shape.compute_geometry(m)
     w = shape.InterfaceField(mesh=m, values=np.zeros(9))
-    moved = shape.retract(m, shape.extend(m, w, geo, fem.assemble_stiffness(m)), 1.0)
+    moved = shape.retract(shape.extend(m, w, fem.assemble_stiffness(m)), 1.0)
     np.testing.assert_array_equal(moved.vertices, m.vertices)
     np.testing.assert_array_equal(moved.triangles, m.triangles)
 
@@ -250,7 +247,7 @@ def test_retract_places_interface_nodes_exactly():
     geo = shape.compute_geometry(m)
     vals = pinned(0.1 * np.sin(np.pi * np.arange(n + 1) / n))
     w = shape.InterfaceField(mesh=m, values=vals)
-    moved = shape.retract(m, shape.extend(m, w, geo, fem.assemble_stiffness(m)), 0.5)
+    moved = shape.retract(shape.extend(m, w, fem.assemble_stiffness(m)), 0.5)
     target = geo.points + 0.5 * vals[:, None] * geo.normals
     np.testing.assert_allclose(moved.interface_points, target, atol=1e-14)
 
@@ -258,14 +255,11 @@ def test_retract_places_interface_nodes_exactly():
 def test_retract_round_trip_recovers_interface():
     n = 16
     m = straight(n)
-    geo = shape.compute_geometry(m)
     vals = pinned(0.02 * np.sin(np.pi * np.arange(n + 1) / n))
-    forward = shape.retract(
-        m, shape.extend(m, shape.InterfaceField(mesh=m, values=vals), geo,
-                        fem.assemble_stiffness(m)), 1.0)
-    geo_fwd = shape.compute_geometry(forward)
-    back = shape.retract(forward, shape.extend(
-        forward, shape.InterfaceField(mesh=forward, values=vals), geo_fwd,
+    forward = shape.retract(shape.extend(m, shape.InterfaceField(mesh=m, values=vals),
+                                         fem.assemble_stiffness(m)), 1.0)
+    back = shape.retract(shape.extend(
+        forward, shape.InterfaceField(mesh=forward, values=vals),
         fem.assemble_stiffness(forward)), -1.0)
     # the reverse step rides slightly different normals, hence the loose bound
     err = np.abs(back.interface_points - m.interface_points).max()
@@ -281,10 +275,10 @@ def test_retract_scales_one_extension(alpha):
     geo = shape.compute_geometry(m)
     vals = pinned(0.05 * np.sin(np.pi * np.arange(n + 1) / n))
     stiffness = fem.assemble_stiffness(m)
-    got = shape.retract(m, shape.extend(m, shape.InterfaceField(mesh=m, values=vals),
-                                        geo, stiffness), alpha)
+    got = shape.retract(shape.extend(m, shape.InterfaceField(mesh=m, values=vals),
+                                     stiffness), alpha)
     disp = alpha * vals[:, None] * geo.normals
-    expected = mesh.apply_deformation(m, mesh.solve_elastic_deformation(m, disp, stiffness))
+    expected = mesh.apply_deformation(mesh.solve_elastic_deformation(m, disp, stiffness))
     if np.log2(alpha).is_integer():
         np.testing.assert_array_equal(got.vertices, expected.vertices)
     else:
@@ -301,10 +295,10 @@ def inverting_step(n=8):
 
 def test_retract_takes_one_step_and_raises_on_inversion():
     m, w, geo = inverting_step()
-    extension = shape.extend(m, w, geo, fem.assemble_stiffness(m))
+    extension = shape.extend(m, w, fem.assemble_stiffness(m))
     with pytest.raises(InvertedElementError):
-        shape.retract(m, extension, 1.0)
-    moved = shape.retract(m, extension, 0.25)
+        shape.retract(extension, 1.0)
+    moved = shape.retract(extension, 0.25)
     target = geo.points + 0.25 * w.values[:, None] * geo.normals
     np.testing.assert_allclose(moved.interface_points, target, atol=1e-14)
 
@@ -313,12 +307,12 @@ def test_failed_retraction_frees_the_source_mesh_without_gc():
     # A failed trial must not leave its source mesh, or the extension that
     # refers to it, in a reference cycle that only the collector can free.
     m, w, geo = inverting_step()
-    extension = shape.extend(m, w, geo, fem.assemble_stiffness(m))
+    extension = shape.extend(m, w, fem.assemble_stiffness(m))
     source = weakref.ref(m)
     gc.disable()
     try:
         try:
-            shape.retract(m, extension, 1e6)
+            shape.retract(extension, 1e6)
         except ShapeNewtonError:
             pass
         del m, w, geo, extension
@@ -354,8 +348,7 @@ def test_distance_matches_parabolic_offset_oracle():
     yi = np.arange(n + 1) / n
     vals = pinned(0.1 * yi * (1.0 - yi))
     w = shape.InterfaceField(mesh=m, values=vals)
-    moved = shape.retract(m, shape.extend(m, w, shape.compute_geometry(m),
-                                          fem.assemble_stiffness(m)), 1.0)
+    moved = shape.retract(shape.extend(m, w, fem.assemble_stiffness(m)), 1.0)
     assert shape.dist_to_solution(moved) == pytest.approx(1.0 / 60.0, abs=1e-3)
 
 
@@ -427,7 +420,7 @@ def test_the_package_loads_neither_scipy_interpolate_nor_optimize():
 def test_objective_adds_misfit_and_length_penalty():
     m = straight(8)
     ybar = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
-    state = qp.MeshState(m, ybar, 1000.0, 1.0, 10.0, mesh.Lattice(m))
+    state = qp.MeshState(ybar, 1000.0, 1.0, 10.0, mesh.Lattice(m))
     y = state.y.values
     misfit = 0.5 * (y @ (fem.assemble_mass(m) @ y))
     assert state.objective == pytest.approx(misfit + 10.0, rel=1e-14)
