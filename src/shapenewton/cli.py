@@ -1,9 +1,9 @@
 """Command-line interface: solve, study, baseline, and verify subcommands.
 
 The CLI is a thin shell over the driver module.  Configuration comes from a
-flat key=value file whose keys match ExperimentConfig exactly; command-line
-flags override file values.  Exit codes: 0 success, 1 configuration error,
-2 solver or verification failure.
+flat key=value file whose keys match ExperimentConfig exactly; baseline's
+--scaling overrides the file's baseline_scaling.  Exit codes: 0 success,
+1 configuration or usage error, 2 solver or verification failure.
 """
 from __future__ import annotations
 
@@ -24,20 +24,12 @@ from .errors import ConfigError, ShapeNewtonError
 # the logger as __main__, outside the package hierarchy and the run log.
 log = logging.getLogger("shapenewton.cli")
 
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-_TYPE_PARSERS = {float: float, int: int, bool: _parse_bool}
+# A key's value parses by its field's type: every field is a float or an int
+# (a bool field would need its own parser, as bool("false") is True).
 _CONFIG_TYPES = typing.get_type_hints(driver.ExperimentConfig)
-_CONFIG_PARSERS = {field.name: _TYPE_PARSERS[_CONFIG_TYPES[field.name]]
-                   for field in dataclasses.fields(driver.ExperimentConfig)}
+
+# What a run writes into its directory; --force deletes these first.
+_RUN_FILES = ("manifest.json", "run.log", "trace.csv", "iter_*.vtk", "interface_*.csv")
 
 
 def load_config_file(path) -> dict:
@@ -58,37 +50,31 @@ def load_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in lines:
             raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats "
                               f"line {lines[key]}")
         lines[key] = lineno
         try:
-            values[key] = _CONFIG_PARSERS[key](text.strip())
+            values[key] = _CONFIG_TYPES[key](text.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
 
-# Command-line flag -> the ExperimentConfig field it overrides.
-_FLAG_KEYS = {"alpha": "step_length", "scaling": "baseline_scaling", "cg_tol": "cg_tol"}
-
-
 def resolve_config(args) -> driver.ExperimentConfig:
-    """Defaults, then config file, then command-line flag overrides."""
-    values = {}
-    if args.config is not None:
-        values.update(load_config_file(args.config))
-    for flag, key in _FLAG_KEYS.items():
-        if getattr(args, flag, None) is not None:
-            values[key] = getattr(args, flag)
+    """Defaults, then config file, then baseline's --scaling."""
+    values = {} if args.config is None else load_config_file(args.config)
+    if getattr(args, "scaling", None) is not None:
+        values["baseline_scaling"] = args.scaling
     return driver.ExperimentConfig(**values)
 
 
 def prepare_output_dir(out, force: bool, config: driver.ExperimentConfig) -> Path:
     """Create the output directory and write the run manifest before any
-    solver work starts."""
+    solver work starts.  A directory reused by force first loses the files
+    of the run before it (_RUN_FILES); any other file stays."""
     out = Path(out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -97,6 +83,9 @@ def prepare_output_dir(out, force: bool, config: driver.ExperimentConfig) -> Pat
     if any(out.iterdir()) and not force:
         raise ConfigError(
             f"output directory {out} already has contents; pass --force to reuse")
+    for pattern in _RUN_FILES:
+        for path in out.glob(pattern):
+            path.unlink()
     manifest = {
         "config": dataclasses.asdict(config),
         "output_dir": str(out.resolve()),
@@ -225,10 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--force", action="store_true",
-                       help="reuse a non-empty output directory")
-        p.add_argument("--cg-tol", dest="cg_tol", type=float,
-                       help="relative CG tolerance")
-        p.add_argument("--alpha", type=float, help="step length")
+                       help="reuse an output directory, replacing its run's files")
 
     p_solve = sub.add_parser("solve", help="run the SQP iteration on one level")
     add_common(p_solve)
@@ -254,8 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -53,13 +53,10 @@ class ExperimentConfig:
     n: int = 54
     levels: int = 3
     max_sqp_iters: int = 2
-    cg_tol: float = qp.CG_TOL
-    step_length: float = 1.0
-    line_search: bool = True
     baseline_scaling: float = 1e4
 
     def __post_init__(self):
-        for name in ("f1", "f2", "mu", "cg_tol", "step_length", "baseline_scaling"):
+        for name in ("f1", "f2", "mu", "baseline_scaling"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         if self.f1 == self.f2:
@@ -72,10 +69,6 @@ class ExperimentConfig:
             raise ConfigError("levels must be >= 1")
         if self.max_sqp_iters < 0:
             raise ConfigError("max_sqp_iters must be >= 0")
-        if self.cg_tol <= 0.0:
-            raise ConfigError("cg_tol must be positive")
-        if self.step_length <= 0.0:
-            raise ConfigError("step_length must be positive")
         if self.baseline_scaling <= 0.0:
             raise ConfigError("baseline_scaling must be positive")
 
@@ -309,7 +302,7 @@ def _iterate(config: ExperimentConfig, data: DataOracle | None, level: int,
                 shape.extend, cur, step.result, state.stiffness)
             try:
                 with (nullcontext(qp.Adjoint(state)) if last
-                      else qp.QpWorkspace(state, cg_tol=config.cg_tol)) as ws:
+                      else qp.QpWorkspace(state)) as ws:
                     grad_norm = shape.s_norm(state.geometry, ws.gradient.values)
                     value = state.objective
                     dist = shape.dist_to_solution(cur)
@@ -347,25 +340,22 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
     """Run the SQP iteration on one refinement level.
 
     Each iteration solves the quadratic subproblem by conjugate gradients and
-    steps along the resulting normal displacement.  With line_search enabled
-    the step length is chosen among {1, 1.25, 1.5} times the configured
-    length by objective value; otherwise the configured length is used
-    directly.  Every trial length scales the step's one elastic extension,
-    solved by Laplacian-preconditioned CG on the state's own stiffness, one
-    subdomain on a worker of the level's pool and the other on its helper,
-    beside this thread's workspace factor and Newton CG (see _iterate: the
-    final iterate factors nothing); each factor is a mesh.DirichletSystem,
-    released by scope on the thread that made it.  When no candidate is
-    acceptable, the step is halved from the smallest one at most _MAX_HALVINGS
-    times before the run fails with StepFailureError.  The candidates and the
-    halvings run through one loop, and the same pool builds each trial whole,
+    steps along the resulting normal displacement, of a length chosen among
+    {1, 1.25, 1.5} by objective value; the unit step, which Newton's
+    quadratic rate needs, comes first.  Every trial length scales the step's
+    one elastic extension, solved by Laplacian-preconditioned CG on the
+    state's own stiffness, one subdomain on a worker of the level's pool and
+    the other on its helper, beside this thread's workspace factor and Newton
+    CG (see _iterate: the final iterate factors nothing); each factor is a
+    mesh.DirichletSystem, released by scope on the thread that made it.  When
+    no candidate is acceptable, the step is halved from 1 at most
+    _MAX_HALVINGS times before the run fails with StepFailureError.  The
+    candidates and the halvings run through one loop, and the same pool builds each trial whole,
     its matrices scattered and its state solved on the level's lattice without
     a factor (see _take_step).  The run starts from the reference curve unless
     an explicit start mesh of the level is given.  CG that meets negative
-    curvature, or stops above cg_tol, raises StepFailureError.
+    curvature, or stops above qp.CG_TOL, raises StepFailureError.
     """
-    scales = (1.0, 1.25, 1.5) if config.line_search else (1.0,)
-    alphas = [scale * config.step_length for scale in scales]
 
     def step_fn(ws):
         result = qp.solve_qp_cg(ws)
@@ -379,7 +369,7 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
                 f"above cg_tol {ws.cg_tol:.1e}")
         return result.w, result.iterations
 
-    return _iterate(config, data, level, step_fn, alphas, observer, start)
+    return _iterate(config, data, level, step_fn, [1.0, 1.25, 1.5], observer, start)
 
 
 def steepest_descent_solve(config: ExperimentConfig, data: DataOracle | None = None,
@@ -388,8 +378,8 @@ def steepest_descent_solve(config: ExperimentConfig, data: DataOracle | None = N
     """Run scaled steepest descent on one refinement level.
 
     The step is the negative shape gradient normalized by the squared source
-    jump and multiplied by baseline_scaling; acceptance and halving match the
-    SQP driver.
+    jump and multiplied by baseline_scaling, tried first at unit length;
+    acceptance and halving match the SQP driver.
     """
     jump_sq = (config.f1 - config.f2) ** 2
 
@@ -397,8 +387,7 @@ def steepest_descent_solve(config: ExperimentConfig, data: DataOracle | None = N
         values = config.baseline_scaling * (-ws.gradient.values) / jump_sq
         return shape.InterfaceField(mesh=ws.state.mesh, values=values), 0
 
-    return _iterate(config, data, level, step_fn, [config.step_length], observer,
-                    start)
+    return _iterate(config, data, level, step_fn, [1.0], observer, start)
 
 
 def convergence_study(config: ExperimentConfig) -> list[SqpTrace]:

@@ -28,7 +28,7 @@ from .shape import InterfaceField, InterfaceGeometry
 
 _CONSISTENCY_TOL = 1e-8
 
-CG_TOL = 1e-10  # default Newton CG tolerance; README says why 1e-8 is too loose
+CG_TOL = 1e-10  # Newton CG tolerance, relative; README says why 1e-8 is too loose
 
 
 class MeshState:
@@ -97,18 +97,19 @@ class Adjoint:
 
 
 class QpWorkspace(fem.DirichletSolver, Adjoint):
-    """The factored stiffness of a MeshState, its Adjoint solved on that
-    factor, and the CG settings for one outer iteration that steps.
+    """The factored stiffness of a MeshState and its Adjoint solved on that
+    factor, for one outer iteration that steps.
 
     The workspace first checks the state against the state equation, so a
     state that fails makes no factor.  It is then the stiffness factored
     once (a fem.DirichletSolver, so a mesh.DirichletSystem) and solves the
     adjoint on itself, as does every reduced-Hessian application.  Leaving
-    its with block releases the factor.
+    its with block releases the factor.  solve_qp_cg stops at cg_tol = CG_TOL.
     """
 
-    def __init__(self, state: MeshState, cg_tol: float = CG_TOL):
-        self.cg_tol = float(cg_tol)
+    cg_tol = CG_TOL
+
+    def __init__(self, state: MeshState):
         _check_equation(state, state.y.values, state.load, "state")
         super().__init__(state.mesh, state.stiffness)
         self._solve_adjoint(state, self.solve)

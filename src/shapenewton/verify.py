@@ -130,18 +130,18 @@ def curvature_circle_oracle() -> CheckResult:
 def pure_regularization_tridiag() -> CheckResult:
     """With equal sources the reduced operator is the regularization alone;
     CG must match a direct tridiagonal solve.  CG is mesh.pcg on the Newton
-    system of qp.solve_qp_cg, unpreconditioned: the Newton solve's
-    preconditioner is that tridiagonal solve, which would make the
-    comparison a check of the solve against itself."""
+    system of qp.solve_qp_cg, unpreconditioned and to 1e-12, tighter than
+    qp.CG_TOL: the Newton solve's preconditioner is that tridiagonal solve,
+    which would make the comparison a check of the solve against itself."""
     base = build_template(16)
     curved = driver.initial_mesh(base)
     ybar = fem.NodalField(mesh=curved, values=np.zeros(curved.n_vertices))
-    ws = qp.QpWorkspace(qp.MeshState(ybar, 7.0, 7.0, 10.0, Lattice(base)), cg_tol=1e-12)
+    ws = qp.QpWorkspace(qp.MeshState(ybar, 7.0, 7.0, 10.0, Lattice(base)))
     geo, b = ws.state.geometry, -ws.gradient.values
     direct = qp.solve_tridiagonal_regularization(geo, 10.0, b)
     w, _, negative, _ = mesh.pcg(
         lambda d: qp.reduced_hessian_apply(ws, shape.InterfaceField(curved, d)).values,
-        b, lambda r: r, partial(shape.s_inner, geo), ws.cg_tol, 2 * (geo.n_nodes - 2))
+        b, lambda r: r, partial(shape.s_inner, geo), 1e-12, 2 * (geo.n_nodes - 2))
     worst = float(np.abs(w - direct).max() / np.abs(direct).max())
     passed = (not negative) and worst <= 1e-8
     return CheckResult("pure_regularization_tridiag", passed,

@@ -142,9 +142,8 @@ def test_straight_interface_is_a_fixed_point():
 def test_fixed_point_check_catches_an_adjoint_without_mass(monkeypatch):
     # Planted error: K p = -(y - ybar).  The gradient then no longer falls as
     # O(h^2), so the check must fail.
-    def planted(self, state, cg_tol=qp.CG_TOL):
+    def planted(self, state):
         self.state = state
-        self.cg_tol = cg_tol
         fem.DirichletSolver.__init__(self, state.mesh, state.stiffness)
         misfit = state.y.values - state.ybar.values
         self.p = fem.NodalField(mesh=state.mesh, values=self.solve(-misfit))

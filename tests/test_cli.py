@@ -23,17 +23,21 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_one(tmp_path, capsys):
-    cfg = write_config(tmp_path, "n = 16\nwidget = 3\n")
-    code = cli.main(["solve", "--out", str(tmp_path / "out"), "--config", cfg])
-    assert code == 1
-    assert "widget" in capsys.readouterr().err
+    # An older config file may still set cg_tol, step_length or line_search;
+    # it must fail, not run with the value ignored.
+    for key in ("widget", "cg_tol", "step_length", "line_search"):
+        cfg = write_config(tmp_path, f"n = 16\n{key} = 1\n")
+        code = cli.main(["solve", "--out", str(tmp_path / "out"), "--config", cfg])
+        assert code == 1, key
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_value_exits_one(tmp_path, capsys):
-    cfg = write_config(tmp_path, "line_search = maybe\n")
+    cfg = write_config(tmp_path, "n = 2.5\n")
     code = cli.main(["solve", "--out", str(tmp_path / "out"), "--config", cfg])
     assert code == 1
-    assert "line_search" in capsys.readouterr().err
+    assert "bad value for 'n'" in capsys.readouterr().err
 
 
 def test_invalid_config_combination_exits_one(tmp_path, capsys):
@@ -43,10 +47,28 @@ def test_invalid_config_combination_exits_one(tmp_path, capsys):
     assert "f1" in capsys.readouterr().err
 
 
-def test_non_finite_cg_tol_exits_one(tmp_path, capsys):
-    code = cli.main(["solve", "--out", str(tmp_path / "out"), "--cg-tol", "nan"])
+def test_non_finite_scaling_exits_one(tmp_path, capsys):
+    code = cli.main(["baseline", "--out", str(tmp_path / "out"), "--scaling", "nan"])
     assert code == 1
-    assert "configuration error" in capsys.readouterr().err
+    assert "baseline_scaling must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--out", "{out}", "--level", "abc"],
+    ["solve"],
+    ["solve", "--out", "{out}", "--alpha", "0.5"],
+    ["solve", "--out", "{out}", "--cg-tol", "1e-6"],
+], ids=["bad-level", "no-out", "alpha", "cg-tol"])
+def test_usage_error_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main([arg.format(out=out) for arg in argv]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["solve", "--help"]) == 0
+    assert "--out" in capsys.readouterr().out
 
 
 def test_repeated_config_key_exits_one(tmp_path, capsys):
@@ -102,7 +124,7 @@ def test_each_command_writes_its_artifact_set(tmp_path, capsys):
 def test_config_file_round_trips_every_field(tmp_path):
     config = driver.ExperimentConfig(
         f1=500.0, f2=2.0, mu=3.5, n=16, levels=2, max_sqp_iters=4,
-        cg_tol=1e-9, step_length=0.5, line_search=False, baseline_scaling=2e3)
+        baseline_scaling=2e3)
     changed = dataclasses.asdict(config)
     assert all(value != getattr(driver.ExperimentConfig(), key)
                for key, value in changed.items())
@@ -162,16 +184,31 @@ def test_rerun_requires_force(tmp_path, capsys):
     assert cli.main(["solve", "--out", out, "--config", cfg, "--force"]) == 0
 
 
-def test_flags_override_config_file(tmp_path):
-    cfg = write_config(tmp_path, "n = 8\nmax_sqp_iters = 0\nstep_length = 0.5\n")
+def test_force_replaces_the_previous_run(tmp_path, capsys):
+    # A rerun with fewer iterations must not leave the first run's later
+    # snapshots beside it, nor its lines in run.log; other files stay.
+    (tmp_path / "fresh").mkdir()
+    longer = write_config(tmp_path, "n = 8\nmax_sqp_iters = 3\n")
+    shorter = write_config(tmp_path / "fresh", "n = 8\nmax_sqp_iters = 1\n")
+    out, fresh = tmp_path / "run", tmp_path / "fresh" / "run"
+    assert cli.main(["solve", "--out", str(out), "--config", longer]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    assert cli.main(["solve", "--out", str(out), "--config", shorter, "--force"]) == 0
+    assert cli.main(["solve", "--out", str(fresh), "--config", shorter]) == 0
+    names = {path.name for path in fresh.iterdir()}
+    assert {path.name for path in out.iterdir()} == names | {"notes.txt"}
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert (out / "run.log").read_text() == (fresh / "run.log").read_text()
+
+
+def test_flags_override_config_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, "n = 8\nmax_sqp_iters = 0\nbaseline_scaling = 500\n")
     out = tmp_path / "run"
-    code = cli.main(["solve", "--out", str(out), "--config", cfg,
-                     "--alpha", "0.25", "--cg-tol", "1e-6"])
+    code = cli.main(["baseline", "--out", str(out), "--config", cfg, "--scaling", "250"])
     assert code == 0
     saved = json.loads((out / "manifest.json").read_text())["config"]
     assert saved["n"] == 8
-    assert saved["step_length"] == 0.25
-    assert saved["cg_tol"] == 1e-6
+    assert saved["baseline_scaling"] == 250.0
 
 
 def test_invalid_level_exits_one(tmp_path, capsys):

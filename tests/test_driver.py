@@ -36,15 +36,11 @@ from shapenewton.mesh import (
     {"n": 0},
     {"levels": 0},
     {"max_sqp_iters": -1},
-    {"cg_tol": 0.0},
-    {"step_length": 0.0},
     {"baseline_scaling": -2.0},
     {"f1": float("nan")},
     {"f2": float("inf")},
     {"mu": float("nan")},
     {"mu": float("inf")},
-    {"cg_tol": float("nan")},
-    {"step_length": float("inf")},
     {"baseline_scaling": float("nan")},
 ])
 def test_config_rejects_invalid_values(kwargs):
@@ -56,8 +52,9 @@ def test_config_defaults():
     c = driver.ExperimentConfig()
     assert (c.f1, c.f2, c.mu) == (1000.0, 1.0, 10.0)
     assert (c.n, c.levels, c.max_sqp_iters) == (54, 3, 2)
-    assert (c.cg_tol, c.step_length, c.line_search) == (1e-10, 1.0, True)
     assert c.baseline_scaling == 1e4
+    assert [field.name for field in dataclasses.fields(c)] == [
+        "f1", "f2", "mu", "n", "levels", "max_sqp_iters", "baseline_scaling"]
 
 
 def test_data_oracle_straight_fine_and_nonnegative():
@@ -262,16 +259,6 @@ def test_objective_never_increases(study_bundle):
         assert np.all(np.diff(values) <= 0.0)
 
 
-def test_fixed_step_is_slower_than_line_search(study_bundle):
-    config = study_bundle.config
-    data = study_bundle.data
-    traces = study_bundle.traces
-    fixed = driver.ExperimentConfig(line_search=False, max_sqp_iters=1)
-    trace = driver.sqp_solve(fixed, data)
-    assert trace.rows[0].step_length == 1.0
-    assert trace.rows[-1].dist > traces[0].dists[1]
-
-
 def test_runs_are_deterministic(study_bundle):
     config = study_bundle.config
     traces = study_bundle.traces
@@ -409,7 +396,7 @@ def newton_step_setup():
     m = driver.initial_mesh(straight)
     state = qp.MeshState(data.sample(m), config.f1, config.f2, config.mu,
                          mesh.Lattice(straight))
-    w = qp.solve_qp_cg(qp.QpWorkspace(state, cg_tol=config.cg_tol)).w
+    w = qp.solve_qp_cg(qp.QpWorkspace(state)).w
     return state, w, data, config
 
 

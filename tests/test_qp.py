@@ -35,8 +35,8 @@ def mesh_state(ybar, f1=F1, f2=F2, mu=MU):
     return qp.MeshState(ybar, f1, f2, mu, mesh.Lattice(template_of(ybar.mesh)))
 
 
-def workspace(ybar, f1=F1, f2=F2, mu=MU, **settings):
-    return qp.QpWorkspace(mesh_state(ybar, f1, f2, mu), **settings)
+def workspace(ybar, f1=F1, f2=F2, mu=MU):
+    return qp.QpWorkspace(mesh_state(ybar, f1, f2, mu))
 
 
 def zero_design(ws: qp.QpWorkspace) -> InterfaceField:
@@ -340,7 +340,9 @@ def curved_regularization_ws(cg_tol=1e-12):
     field = InterfaceField(mesh=base, values=pinned(offsets))
     curved = shape.retract(shape.extend(base, field, fem.assemble_stiffness(base)), 1.0)
     ybar = fem.NodalField(mesh=curved, values=np.zeros(curved.n_vertices))
-    return workspace(ybar, 7.0, 7.0, cg_tol=cg_tol)
+    ws = workspace(ybar, 7.0, 7.0)
+    ws.cg_tol = cg_tol
+    return ws
 
 
 def test_cg_returns_zero_in_zero_iterations_for_zero_residual():
@@ -430,7 +432,8 @@ def test_cg_solves_full_problem_to_tolerance(bulged_ws):
 
 def test_cg_reports_stopping_above_tolerance(bulged_ws):
     # No residual reaches 1e-300 of the first: CG runs to its cap of 2 (m - 2).
-    ws = qp.QpWorkspace(bulged_ws.state, cg_tol=1e-300)
+    ws = qp.QpWorkspace(bulged_ws.state)
+    ws.cg_tol = 1e-300
     result = qp.solve_qp_cg(ws)
     assert result.iterations == 2 * (17 - 2)
     assert len(result.residual_history) == result.iterations + 1
