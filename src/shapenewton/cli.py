@@ -1,7 +1,7 @@
 """Command-line interface: solve, study, baseline, and verify subcommands.
 
 The CLI is a thin shell over the driver module.  Configuration comes from a
-flat key=value file whose keys match ExperimentConfig exactly; baseline's
+flat UTF-8 key=value file whose keys match ExperimentConfig exactly; baseline's
 --scaling overrides the file's baseline_scaling.  Exit codes: 0 success,
 1 configuration or usage error, 2 solver or verification failure.
 """
@@ -35,14 +35,18 @@ _RUN_FILES = ("manifest.json", "run.log", "trace.csv", "iter_*.vtk", "interface_
 def load_config_file(path) -> dict:
     """Parse a flat key=value configuration file.
 
-    Unknown or repeated keys and unparsable values are hard errors so that
-    typos cannot silently change an experiment.
+    Unknown or repeated keys, unparsable values and bytes that are not
+    UTF-8 are hard errors so that typos cannot silently change an experiment.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     values, lines = {}, {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -171,8 +175,10 @@ def cmd_baseline(args) -> int:
         driver.steepest_descent_solve(config, level=args.level, observer=observer)])
     print(f"level {trace.level} (steepest descent, scaling {config.baseline_scaling:.7g})")
     print(_trace_table(trace.rows))
-    dists = trace.dists
-    drops = (dists[:-1] - dists[1:]) / dists[:-1]
+    # A start on the solution (dist 0) makes no relative progress to judge.
+    before, after = trace.dists[:-1], trace.dists[1:]
+    judged = before > 0.0
+    drops = (before[judged] - after[judged]) / before[judged]
     if drops.size and drops.max() <= 0.01:
         print("warning: insufficient progress "
               f"(best per-iteration decrease {100 * drops.max():.7g}%)")

@@ -373,8 +373,7 @@ def sqp_solve(config: ExperimentConfig, data: DataOracle | None = None,
 
 
 def steepest_descent_solve(config: ExperimentConfig, data: DataOracle | None = None,
-                           level: int = 1, observer=None,
-                           start: TriMesh | None = None) -> SqpTrace:
+                           level: int = 1, observer=None) -> SqpTrace:
     """Run scaled steepest descent on one refinement level.
 
     The step is the negative shape gradient normalized by the squared source
@@ -387,7 +386,7 @@ def steepest_descent_solve(config: ExperimentConfig, data: DataOracle | None = N
         values = config.baseline_scaling * (-ws.gradient.values) / jump_sq
         return shape.InterfaceField(mesh=ws.state.mesh, values=values), 0
 
-    return _iterate(config, data, level, step_fn, [1.0], observer, start)
+    return _iterate(config, data, level, step_fn, [1.0], observer)
 
 
 def convergence_study(config: ExperimentConfig) -> list[SqpTrace]:

@@ -132,34 +132,23 @@ def _edge_key(pairs: np.ndarray, n_vertices: int) -> np.ndarray:
 def _unique_edges(mesh: TriMesh):
     """All undirected edges with incidence counts and incident triangles.
 
-    Returns (keys sorted ascending, counts, tri_of_first, tri_of_second,
-    inverse); an edge of two triangles has the lower index first, a boundary
-    edge has tri_of_second -1, and inverse maps each triangle edge, in the
-    order edges (0, 1), then (1, 2), then (2, 0) of every triangle, to its
-    key's index, as np.unique's return_inverse does.
+    Returns (keys, counts, tri_of_first, tri_of_second, inverse): np.unique's
+    sorted keys, counts and inverse over the triangle edges, taken in the
+    order edges (0, 1), then (1, 2), then (2, 0) of every triangle, and each
+    key's lowest and highest incident triangle; a boundary edge has
+    tri_of_second -1.
     """
     t = mesh.triangles
     nt = t.shape[0]
     pairs = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     keys = _edge_key(pairs, mesh.n_vertices)
+    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     tris = np.tile(np.arange(nt), 3)
-    # An unstable sort leaves an edge's triangles in no set order; the
-    # min/max below restores one, so validate names the lowest-index fault.
-    order = np.argsort(keys)
-    keys_sorted = keys[order]
-    tris_sorted = tris[order]
-    # The keys are sorted already: each run of equal keys is one edge.
-    start = np.flatnonzero(np.diff(keys_sorted, prepend=-1))
-    uniq = keys_sorted[start]
-    counts = np.diff(start, append=keys_sorted.shape[0])
-    first = tris_sorted[start]
+    first = np.full(uniq.shape[0], nt, dtype=np.int64)
     second = np.full(uniq.shape[0], -1, dtype=np.int64)
-    has_two = counts >= 2
-    pair = tris_sorted[start[has_two]], tris_sorted[start[has_two] + 1]
-    first[has_two] = np.minimum(*pair)
-    second[has_two] = np.maximum(*pair)
-    inverse = np.empty_like(order)
-    inverse[order] = np.repeat(np.arange(uniq.shape[0]), counts)
+    np.minimum.at(first, inverse, tris)
+    np.maximum.at(second, inverse, tris)
+    second[counts == 1] = -1
     return uniq, counts, first, second, inverse
 
 
@@ -430,11 +419,8 @@ class DirichletSystem:
         xf = self.solve_free(bf)
         if not np.all(np.isfinite(xf)):
             raise LinearSolverError("sparse solve produced non-finite values")
-        resid = np.linalg.norm(self.kff @ xf - bf)
-        scale = max(np.linalg.norm(bf), 1e-300)
-        if resid > _RESIDUAL_TOL * scale:
-            raise LinearSolverError(
-                f"relative residual {resid/scale:.3e} exceeds {_RESIDUAL_TOL:.1e}")
+        _check_residual(np.linalg.norm(self.kff @ xf - bf),
+                        max(np.linalg.norm(bf), 1e-300))
         out[self.free] = xf
         return out
 
@@ -524,9 +510,8 @@ def _extend_half(mesh: TriMesh, stiffness: sp.csr_matrix, div: sp.csr_matrix,
     subdomain's free vertices, (n_vertices, 2); zero on the other half's.
     div holds the subdomain's rows of D.  interface_displacement is called
     once the subdomain's Laplacian is factored."""
-    constrained = np.ones(stiffness.shape[0], dtype=bool)
-    constrained[free] = False
-    with DirichletSystem(stiffness, np.flatnonzero(constrained)) as laplacian:
+    constrained = np.setdiff1d(np.arange(stiffness.shape[0]), free)
+    with DirichletSystem(stiffness, constrained) as laplacian:
         dff = div[:, (2 * free[:, None] + np.arange(2)).ravel()]
         g = np.asarray(interface_displacement() if callable(interface_displacement)
                        else interface_displacement, dtype=np.float64)
@@ -561,11 +546,16 @@ def _checked_pcg(operator, rhs: np.ndarray, precondition) -> np.ndarray:
         raise LinearSolverError(
             f"conjugate gradients stopped after {len(norms) - 1} iterations at "
             f"relative residual {norms[-1] / norms[0]:.3e}, above {_PCG_TOL:.0e}")
-    resid = np.linalg.norm(operator(x) - rhs)
-    if not resid <= _RESIDUAL_TOL * norms[0]:  # NaN fails too
-        raise LinearSolverError(
-            f"relative residual {resid / norms[0]:.3e} exceeds {_RESIDUAL_TOL:.1e}")
+    _check_residual(np.linalg.norm(operator(x) - rhs), norms[0])
     return x
+
+
+def _check_residual(resid: float, scale: float) -> None:
+    """Raise LinearSolverError unless the residual norm resid is at most
+    _RESIDUAL_TOL times scale, the right-hand side's norm; NaN fails too."""
+    if not resid <= _RESIDUAL_TOL * scale:
+        raise LinearSolverError(
+            f"relative residual {resid / scale:.3e} exceeds {_RESIDUAL_TOL:.1e}")
 
 
 class Lattice:

@@ -40,6 +40,17 @@ def test_bad_config_value_exits_one(tmp_path, capsys):
     assert "bad value for 'n'" in capsys.readouterr().err
 
 
+def test_config_file_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "config.txt"
+    path.write_bytes(b"n = 8\xff\n")
+    code = cli.main(["solve", "--out", str(tmp_path / "out"), "--config", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"config file {path} is not UTF-8" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_config_combination_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, "f1 = 5\nf2 = 5\n")
     code = cli.main(["solve", "--out", str(tmp_path / "out"), "--config", cfg])
@@ -236,6 +247,16 @@ def test_baseline_large_scaling_does_not_warn(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "steepest descent" in out
     assert "insufficient progress" not in out
+
+
+def test_baseline_from_a_zero_start_dist_runs_quietly(tmp_path, capsys):
+    # With n = 2 the three-node interface starts straight, on the solution;
+    # no progress ratio divides by its zero dist.
+    cfg = write_config(tmp_path, "n = 2\nmax_sqp_iters = 1\n")
+    code = cli.main(["baseline", "--out", str(tmp_path / "run"), "--config", cfg])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.split("\n")[2].split()[:2] == ["0", "0"]
 
 
 def test_study_prints_level_matrix(tmp_path, capsys):

@@ -28,20 +28,21 @@ from shapenewton.mesh import (
 )
 
 
+# Fixed ids: removing a case renames no other.
 @pytest.mark.parametrize("kwargs", [
-    {"f1": 5.0, "f2": 5.0},
-    {"mu": 0.0},
-    {"mu": -1.0},
-    {"n": 7},
-    {"n": 0},
-    {"levels": 0},
-    {"max_sqp_iters": -1},
-    {"baseline_scaling": -2.0},
-    {"f1": float("nan")},
-    {"f2": float("inf")},
-    {"mu": float("nan")},
-    {"mu": float("inf")},
-    {"baseline_scaling": float("nan")},
+    pytest.param({"f1": 5.0, "f2": 5.0}, id="kwargs0"),
+    pytest.param({"mu": 0.0}, id="kwargs1"),
+    pytest.param({"mu": -1.0}, id="kwargs2"),
+    pytest.param({"n": 7}, id="kwargs3"),
+    pytest.param({"n": 0}, id="kwargs4"),
+    pytest.param({"levels": 0}, id="kwargs5"),
+    pytest.param({"max_sqp_iters": -1}, id="kwargs6"),
+    pytest.param({"baseline_scaling": -2.0}, id="kwargs7"),
+    pytest.param({"f1": float("nan")}, id="kwargs8"),
+    pytest.param({"f2": float("inf")}, id="kwargs9"),
+    pytest.param({"mu": float("nan")}, id="kwargs10"),
+    pytest.param({"mu": float("inf")}, id="kwargs11"),
+    pytest.param({"baseline_scaling": float("nan")}, id="kwargs12"),
 ])
 def test_config_rejects_invalid_values(kwargs):
     with pytest.raises(ConfigError):

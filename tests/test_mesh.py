@@ -79,21 +79,26 @@ def test_refine_straight_interface_stays_exact():
 
 
 def test_unique_edges_match_an_np_unique_oracle():
-    m = mm.refine_uniform(mm.build_template(6))
-    t = m.triangles
-    keys = mm._edge_key(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), m.n_vertices)
-    order = np.argsort(keys, kind="stable")
-    uniq, start, counts = np.unique(keys[order], return_index=True, return_counts=True)
-    tris = np.tile(np.arange(m.n_triangles), 3)[order]
-    other = tris[np.minimum(start + 1, keys.size - 1)]
-    first = np.where(counts == 2, np.minimum(tris[start], other), tris[start])
-    second = np.where(counts == 2, np.maximum(tris[start], other), -1)
-    inverse = np.unique(keys, return_inverse=True)[1]
-    got = mm._unique_edges(m)
-    assert len(got) == 5
-    for a, b in zip(got, (uniq, counts, first, second, inverse)):
-        np.testing.assert_array_equal(a, b)
-    assert set(np.unique(counts)) == {1, 2}
+    # The oracle takes each edge's triangles from runs after a stable
+    # argsort, independent of the ufunc.at reductions _unique_edges uses.
+    once = mm.refine_uniform(mm.build_template(6))
+    for m in (mm.build_template(2), once, mm.refine_uniform(once)):
+        t = m.triangles
+        keys = mm._edge_key(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
+                            m.n_vertices)
+        order = np.argsort(keys, kind="stable")
+        uniq, start, counts = np.unique(keys[order], return_index=True, return_counts=True)
+        tris = np.tile(np.arange(m.n_triangles), 3)[order]
+        other = tris[np.minimum(start + 1, keys.size - 1)]
+        first = np.where(counts == 2, np.minimum(tris[start], other), tris[start])
+        second = np.where(counts == 2, np.maximum(tris[start], other), -1)
+        inverse = np.unique(keys, return_inverse=True)[1]
+        got = mm._unique_edges(m)
+        assert len(got) == 5
+        for a, b in zip(got, (uniq, counts, first, second, inverse)):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype == np.int64
+        assert set(np.unique(counts)) == {1, 2}
 
 
 def test_mesh_arrays_immutable():
@@ -367,6 +372,34 @@ def test_dirichlet_solves_fail_loudly_on_a_bad_factor(monkeypatch, corrupt, pcg_
         monkeypatch.setattr(mm, "_PCG_MAX_ITERS", pcg_cap)
     with pytest.raises(LinearSolverError, match=reason):
         mm.solve_elastic_deformation(m, interface_bump(m), fem.assemble_stiffness(m))
+
+
+@pytest.mark.parametrize("solve, corrupt", [
+    pytest.param("factored", lambda x: x * (1.0 + 1e-6), id="factored-off-by-1e-6"),
+    pytest.param("pcg", lambda x: x * (1.0 + 1e-6), id="pcg-off-by-1e-6"),
+    pytest.param("pcg", lambda x: np.full_like(x, np.nan), id="pcg-nan"),
+])
+def test_factored_and_pcg_solves_share_one_residual_check(monkeypatch, solve, corrupt):
+    # A wrong answer that the solver itself reports as good, from a factor
+    # or from a pcg that claims convergence, fails the true residual.
+    m = mm.build_template(8)
+    stiffness, load = fem.assemble_stiffness(m), np.ones(m.n_vertices)
+    if solve == "factored":
+        plant_factor(monkeypatch, corrupt)
+        system = mm.DirichletSystem(stiffness, m.outer_boundary_nodes)
+        run = lambda: system.solve(load)
+    else:
+        pcg = mm.pcg
+
+        def planted(*args):
+            x, *rest = pcg(*args)
+            return (corrupt(x), *rest)
+
+        monkeypatch.setattr(mm, "pcg", planted)
+        run = lambda: mm.solve_lattice_poisson(mm.Lattice(m), stiffness, load)
+    with pytest.raises(LinearSolverError,
+                       match=f"relative residual .* exceeds {mm._RESIDUAL_TOL:.1e}"):
+        run()
 
 
 def test_pcg_stops_on_convergence_cap_or_negative_curvature():
