@@ -1,9 +1,10 @@
 """Command-line interface: solve, study, baseline, and verify subcommands.
 
 The CLI is a thin shell over the driver module.  Configuration comes from a
-flat UTF-8 key=value file whose keys match ExperimentConfig exactly; baseline's
---scaling overrides the file's baseline_scaling.  Exit codes: 0 success,
-1 configuration or usage error, 2 solver or verification failure.
+flat UTF-8 key=value file, a leading byte-order mark allowed, whose keys match
+ExperimentConfig exactly; baseline's --scaling overrides the file's
+baseline_scaling.  Exit codes: 0 success, 1 configuration or usage error,
+2 solver or verification failure.
 """
 from __future__ import annotations
 
@@ -35,16 +36,19 @@ _RUN_FILES = ("manifest.json", "run.log", "trace.csv", "iter_*.vtk", "interface_
 def load_config_file(path) -> dict:
     """Parse a flat key=value configuration file.
 
-    Unknown or repeated keys, unparsable values and bytes that are not
-    UTF-8 are hard errors so that typos cannot silently change an experiment.
+    A leading UTF-8 byte-order mark is skipped.  Unknown or repeated keys,
+    unparsable values, bytes that are not UTF-8 and a file that cannot be
+    read are hard errors so that typos cannot silently change an experiment.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -439,10 +439,9 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement,
     Dirichlet data: the given displacement on interface nodes, zero on the
     outer boundary.  Lame parameters lambda = 0, mu = 1.  Dof 2 v + c is
     component c of vertex v; stiffness is the mesh's P1 stiffness matrix
-    (assemble_stiffness).  interface_displacement is an (m, 2) array, or a
-    function returning one, which each half calls once, after it has
-    factored its Laplacian: a worker can factor while its caller still
-    computes the step.
+    (assemble_stiffness).  interface_displacement is a function returning
+    an (m, 2) array, which each half calls once, after it has factored its
+    Laplacian: a worker can factor while its caller still computes the step.
 
     No elasticity matrix is assembled.  For test functions that vanish on
     the outer boundary and the interface, integration by parts on each
@@ -480,7 +479,7 @@ def solve_elastic_deformation(mesh: TriMesh, interface_displacement,
                                    div[mesh.subdomain == 2], right, interface_displacement)
         u = _extend_half(mesh, stiffness, div[mesh.subdomain == 1], left,
                          interface_displacement)
-        u[right] = right_half.result()[right]
+        u[right] = np.take(right_half.result(), right, axis=0)
     return DeformationField(mesh=mesh, displacement=u)
 
 
@@ -508,13 +507,13 @@ def _extend_half(mesh: TriMesh, stiffness: sp.csr_matrix, div: sp.csr_matrix,
                  free: np.ndarray, interface_displacement) -> np.ndarray:
     """The interface displacement lifted to the vertices and extended to one
     subdomain's free vertices, (n_vertices, 2); zero on the other half's.
-    div holds the subdomain's rows of D.  interface_displacement is called
-    once the subdomain's Laplacian is factored."""
+    div holds the subdomain's rows of D.  interface_displacement, a function
+    returning the (m, 2) displacement, is called once the subdomain's
+    Laplacian is factored."""
     constrained = np.setdiff1d(np.arange(stiffness.shape[0]), free)
     with DirichletSystem(stiffness, constrained) as laplacian:
         dff = div[:, (2 * free[:, None] + np.arange(2)).ravel()]
-        g = np.asarray(interface_displacement() if callable(interface_displacement)
-                       else interface_displacement, dtype=np.float64)
+        g = np.asarray(interface_displacement(), dtype=np.float64)
         if g.shape != (mesh.interface_nodes.shape[0], 2):
             raise ValueError(f"interface displacement has shape {g.shape}, "
                              f"expected {(mesh.interface_nodes.shape[0], 2)}")
@@ -524,7 +523,7 @@ def _extend_half(mesh: TriMesh, stiffness: sp.csr_matrix, div: sp.csr_matrix,
         u[mesh.interface_nodes] = g
         # The right-hand side -(K (x) I + D^T D) u of the lift, on the free
         # dofs; only this subdomain's triangles touch them.
-        rhs = -((stiffness @ u)[free].ravel() + dff.T @ (div @ u.ravel()))
+        rhs = -(np.take(stiffness @ u, free, axis=0).ravel() + dff.T @ (div @ u.ravel()))
 
         def operator(x):
             """Free rows of the elasticity matrix, on free dofs in node-major

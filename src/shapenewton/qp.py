@@ -136,8 +136,6 @@ def reduced_hessian_apply(ws: QpWorkspace, w: InterfaceField) -> InterfaceField:
     kappa = state.geometry.curvature
     out = (state.mu * shape.tangential_laplacian_apply(state.geometry, w.values)
            - jump * (dq[interface] + kappa * p_u * w.values))
-    out[0] = 0.0
-    out[-1] = 0.0
     return InterfaceField(mesh=state.mesh, values=out)
 
 
@@ -198,8 +196,6 @@ def solve_qp_cg(ws: QpWorkspace) -> CgResult:
         operator, -ws.gradient.values,
         partial(solve_tridiagonal_regularization, geo, state.mu),
         partial(shape.s_inner, geo), ws.cg_tol, 2 * (geo.n_nodes - 2))
-    w[0] = 0.0
-    w[-1] = 0.0
     return CgResult(w=InterfaceField(mesh=state.mesh, values=w),
                     iterations=len(history) - 1, residual_norm=history[-1],
                     negative_curvature=negative, converged=converged,

@@ -110,19 +110,19 @@ def s_inner(geometry: InterfaceGeometry, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def s_norm(geometry: InterfaceGeometry, a: np.ndarray) -> float:
-    return float(np.sqrt(max(s_inner(geometry, a, a), 0.0)))
+    return float(np.sqrt(s_inner(geometry, a, a)))
 
 
 def shape_gradient(p: fem.NodalField, f1: float, f2: float, mu: float) -> InterfaceField:
     """Interface form of the shape gradient: g = -(f1 - f2) p + mu kappa,
     on the mesh of the adjoint p, with kappa its interface curvature.
 
-    Pairing sum_i g_i w_i s_i approximates dJ[w n]; endpoints are pinned.
+    Pairing sum_i g_i w_i s_i approximates dJ[w n].  g vanishes at the pinned
+    endpoints, outer-boundary nodes where an adjoint p is zero and kappa is
+    zero; InterfaceField refuses a p that is not.
     """
     mesh = p.mesh
     g = -(f1 - f2) * p.values[mesh.interface_nodes] + mu * compute_geometry(mesh).curvature
-    g[0] = 0.0
-    g[-1] = 0.0
     return InterfaceField(mesh=mesh, values=g)
 
 
@@ -145,8 +145,9 @@ def extend(mesh: TriMesh, w, stiffness) -> DeformationField:
 
     stiffness is the mesh's P1 stiffness matrix, which a state on the mesh
     already holds; the extension assembles no matrix of its own.  w is an
-    InterfaceField, or a function returning one, which each subdomain half
-    of solve_elastic_deformation calls once its Laplacian factor, a
+    InterfaceField, or a function returning one.  Either way
+    solve_elastic_deformation gets a function of the displacement, which each
+    subdomain half calls, and which calls w, once its Laplacian factor, a
     mesh.DirichletSystem released by scope on its thread, exists; so the
     mesh is given, not read off w.  The extension is linear in the step, so
     retract() scales this one field to every trial length along w.
@@ -233,6 +234,4 @@ def bspline_initial_interface(m: int) -> np.ndarray:
     x = 0.5 + ((second[i] * right ** 3 + second[i + 1] * left ** 3) / (6.0 * hi)
                + (offsets[i] / hi - second[i] * hi / 6.0) * right
                + (offsets[i + 1] / hi - second[i + 1] * hi / 6.0) * left)
-    x[0] = 0.5
-    x[-1] = 0.5
     return np.column_stack([x, y])

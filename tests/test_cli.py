@@ -51,6 +51,28 @@ def test_config_file_not_utf8_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_file_with_byte_order_mark_runs(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_bytes(b"\xef\xbb\xbfn = 8\n")
+    assert cli.main(["solve", "--out", str(tmp_path / "out"), "--config", str(path)]) == 0
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["n"] == 8
+
+
+def test_unreadable_config_file_exits_one(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, "n = 8\n")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(cli.Path, "read_text", refuse)
+    code = cli.main(["solve", "--out", str(tmp_path / "out"), "--config", cfg])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"cannot read config file {cfg}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_config_combination_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, "f1 = 5\nf2 = 5\n")
     code = cli.main(["solve", "--out", str(tmp_path / "out"), "--config", cfg])

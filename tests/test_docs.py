@@ -1,9 +1,10 @@
-"""README's Command line section names what the code declares."""
+"""README's Command line section and Module map name what the code declares."""
 import argparse
 import dataclasses
 import re
 from pathlib import Path
 
+import shapenewton
 from shapenewton import cli, driver
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -30,3 +31,10 @@ def test_readme_names_exactly_the_declared_flags():
                 for action in command._actions for option in action.option_strings
                 if option.startswith("--")} - {"--help"}
     assert set(re.findall(r"--[a-z][a-z-]*", command_line_section())) == declared
+
+
+def test_module_map_names_every_module():
+    section = README.read_text().split("\n## Module map\n", 1)[1].split("\n## ", 1)[0]
+    mapped = set(re.findall(r"^\| `(\w+)` ", section, flags=re.MULTILINE))
+    package = Path(shapenewton.__file__).resolve().parent
+    assert mapped == {path.stem for path in package.glob("*.py")} - {"__init__"}

@@ -4,6 +4,7 @@ import sys
 import threading
 import weakref
 from concurrent.futures import CancelledError, Future
+from functools import partial
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ def test_validate_reads_interface_sides_from_the_connectivity():
 def test_elastic_extension_zero_data():
     m = mm.build_template(4)
     g = np.zeros((m.interface_nodes.shape[0], 2))
-    d = mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m))
+    d = mm.solve_elastic_deformation(m, lambda: g, fem.assemble_stiffness(m))
     assert np.all(d.displacement == 0.0)
 
 
@@ -191,8 +192,8 @@ def test_elastic_extension_linearity_and_bcs():
     rng = np.random.default_rng(3)
     g = np.zeros((m.interface_nodes.shape[0], 2))
     g[1:-1] = 0.02 * rng.standard_normal((m.interface_nodes.shape[0] - 2, 2))
-    d1 = mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m))
-    d2 = mm.solve_elastic_deformation(m, 2.0 * g, fem.assemble_stiffness(m))
+    d1 = mm.solve_elastic_deformation(m, lambda: g, fem.assemble_stiffness(m))
+    d2 = mm.solve_elastic_deformation(m, lambda: 2.0 * g, fem.assemble_stiffness(m))
     np.testing.assert_allclose(d2.displacement, 2.0 * d1.displacement, atol=1e-12)
     np.testing.assert_allclose(d1.displacement[m.interface_nodes], g, atol=1e-14)
     assert np.all(d1.displacement[m.outer_boundary_nodes] == 0.0)
@@ -203,7 +204,7 @@ def test_elastic_extension_rejects_moving_pinned_ends():
     g = np.zeros((m.interface_nodes.shape[0], 2))
     g[0] = [0.1, 0.0]
     with pytest.raises(ValueError):
-        mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m))
+        mm.solve_elastic_deformation(m, lambda: g, fem.assemble_stiffness(m))
 
 
 def interface_bump(m: mm.TriMesh) -> np.ndarray:
@@ -249,7 +250,7 @@ def extension_systems(monkeypatch, m, g):
         return pcg(operator, rhs, *args)
 
     monkeypatch.setattr(mm, "pcg", capture)
-    mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m))
+    mm.solve_elastic_deformation(m, lambda: g, fem.assemble_stiffness(m))
     return captured
 
 
@@ -326,12 +327,12 @@ def test_elastic_extension_matches_the_coupled_direct_solve(monkeypatch):
     g = interface_bump(m)
     g[1:-1, 1] = 0.01 * rng.standard_normal(g.shape[0] - 2)
     expected = coupled_direct_solve(m, g)
-    got = mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m)).displacement
+    got = mm.solve_elastic_deformation(m, lambda: g, fem.assemble_stiffness(m)).displacement
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
     # The Laplacian factor only preconditions the conjugate gradients, so a
     # factor off by 1e-6 still yields the same displacement.
     plant_factor(monkeypatch, lambda x: x * (1.0 + 1e-6))
-    got = mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m)).displacement
+    got = mm.solve_elastic_deformation(m, lambda: g, fem.assemble_stiffness(m)).displacement
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -346,7 +347,7 @@ def test_elastic_extension_iterations_do_not_grow_with_the_mesh(monkeypatch, lev
         return solve_free(self, bf)
 
     monkeypatch.setattr(mm.DirichletSystem, "solve_free", counted)
-    mm.solve_elastic_deformation(m, interface_bump(m), fem.assemble_stiffness(m))
+    mm.solve_elastic_deformation(m, partial(interface_bump, m), fem.assemble_stiffness(m))
     # Two halves, each one preconditioner application per iteration, on both
     # components at once.
     assert len(applications) == 2
@@ -371,7 +372,7 @@ def test_dirichlet_solves_fail_loudly_on_a_bad_factor(monkeypatch, corrupt, pcg_
     if pcg_cap is not None:
         monkeypatch.setattr(mm, "_PCG_MAX_ITERS", pcg_cap)
     with pytest.raises(LinearSolverError, match=reason):
-        mm.solve_elastic_deformation(m, interface_bump(m), fem.assemble_stiffness(m))
+        mm.solve_elastic_deformation(m, partial(interface_bump, m), fem.assemble_stiffness(m))
 
 
 @pytest.mark.parametrize("solve, corrupt", [
@@ -450,7 +451,7 @@ def test_poisson_and_elastic_solves_share_one_dirichlet_path(monkeypatch):
     fem.DirichletSolver(m, fem.assemble_stiffness(m))
     assert (len(systems), len(factors)) == (1, 1)
     # One system per subdomain half of the extension.
-    mm.solve_elastic_deformation(m, interface_bump(m), fem.assemble_stiffness(m))
+    mm.solve_elastic_deformation(m, partial(interface_bump, m), fem.assemble_stiffness(m))
     assert (len(systems), len(factors)) == (3, 3)
 
 
@@ -538,7 +539,7 @@ def test_a_failing_half_or_a_cancelled_step_ends_the_extension_cleanly(monkeypat
         return factor
 
     monkeypatch.setattr(mm.spla, "splu", recorded_splu)
-    displacement, expected = interface_bump(m), LinearSolverError
+    displacement, expected = partial(interface_bump, m), LinearSolverError
     if fault == "cancelled":
         step = Future()
         step.cancel()
@@ -632,7 +633,7 @@ def test_a_bad_split_fails_before_anything_factors(monkeypatch, build, reason):
     monkeypatch.setattr(mm.spla, "splu", lambda *args, **kwargs: factors.append(1))
     g = np.zeros((m.interface_nodes.shape[0], 2))
     with pytest.raises(MeshInvariantError, match=reason):
-        mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m))
+        mm.solve_elastic_deformation(m, lambda: g, fem.assemble_stiffness(m))
     assert factors == []
 
 
@@ -689,7 +690,7 @@ def test_apply_deformation_round_trip():
     m = mm.build_template(6)
     g = np.zeros((m.interface_nodes.shape[0], 2))
     g[1:-1, 0] = 0.05 * np.sin(np.pi * np.arange(1, 6) / 6.0)
-    d = mm.solve_elastic_deformation(m, g, fem.assemble_stiffness(m))
+    d = mm.solve_elastic_deformation(m, lambda: g, fem.assemble_stiffness(m))
     moved = mm.apply_deformation(d)
     assert moved is not m
     back = mm.apply_deformation(mm.DeformationField(mesh=moved,

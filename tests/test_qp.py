@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import solve_state
-from shapenewton import fem, mesh, qp, shape
+from shapenewton import driver, fem, mesh, qp, shape
 from shapenewton.errors import LinearSolverError
 from shapenewton.shape import InterfaceField
 
@@ -462,3 +462,32 @@ def test_cg_flags_negative_curvature():
     assert result.negative_curvature
     assert not result.converged
     np.testing.assert_array_equal(result.w.values, 0.0)
+
+
+def assert_positive_zero_ends(values):
+    ends = np.asarray(values)[[0, -1]]
+    np.testing.assert_array_equal(ends, 0.0)
+    assert not np.signbit(ends).any()
+
+
+def test_pinned_ends_are_exact_positive_zeros_without_being_set():
+    # The Dirichlet solves leave the interface ends, outer-boundary nodes,
+    # at +0.0, and the geometry and the preconditioner leave zero end rows,
+    # so no step of the Newton system has to set them again.
+    config = driver.ExperimentConfig(n=8)
+    data = driver.generate_data(config)
+    straight = driver.mesh_at_level(config, 1)
+    start = driver.initial_mesh(straight)
+    state = qp.MeshState(data.sample(start), config.f1, config.f2, config.mu,
+                         mesh.Lattice(straight))
+    interface = start.interface_nodes
+    assert_positive_zero_ends(qp.Adjoint(state).p.values[interface])
+    with qp.QpWorkspace(state) as ws:
+        assert_positive_zero_ends(ws.p.values[interface])
+        assert_positive_zero_ends(ws.gradient.values)
+        rng = np.random.default_rng(7)
+        w = InterfaceField(mesh=start, values=pinned(rng.standard_normal(interface.shape[0])))
+        assert_positive_zero_ends(qp.reduced_hessian_apply(ws, w).values)
+        result = qp.solve_qp_cg(ws)
+    assert result.converged and result.iterations > 0
+    assert_positive_zero_ends(result.w.values)

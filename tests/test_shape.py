@@ -136,13 +136,16 @@ def test_interface_field_requires_pinned_endpoints():
 
 def test_shape_gradient_combines_adjoint_jump_and_curvature():
     m = straight(8)
-    pvals = m.vertices[:, 0] * (1.0 + m.vertices[:, 1])
+    x, y = m.vertices[:, 0], m.vertices[:, 1]
+    # An adjoint vanishes on the outer boundary, so at the pinned ends.
+    pvals = x * y * (1.0 - y)
     p = fem.NodalField(mesh=m, values=pvals)
     g = shape.shape_gradient(p, f1=1000.0, f2=1.0, mu=10.0)
-    expected = -999.0 * pvals[m.interface_nodes]
-    expected[0] = 0.0
-    expected[-1] = 0.0
-    np.testing.assert_allclose(g.values, expected, rtol=1e-14)
+    np.testing.assert_allclose(g.values, -999.0 * pvals[m.interface_nodes], rtol=1e-14)
+    # One that does not is refused, not silently pinned.
+    with pytest.raises(ValueError, match="vanish at the pinned endpoints"):
+        shape.shape_gradient(fem.NodalField(mesh=m, values=x * (1.0 + y)),
+                             f1=1000.0, f2=1.0, mu=10.0)
 
 
 def test_gradient_pushes_a_rightward_bulge_back():
@@ -222,7 +225,7 @@ def test_domain_and_interface_gradient_forms_agree():
     w = shape.InterfaceField(
         mesh=m, values=pinned(np.sin(np.pi * geo.points[:, 1])))
     V = mesh.solve_elastic_deformation(
-        m, w.values[:, None] * geo.normals, fem.assemble_stiffness(m)).displacement
+        m, lambda: w.values[:, None] * geo.normals, fem.assemble_stiffness(m)).displacement
 
     volumetric = shape_gradient_domain(m, y, p, ybar, 1000.0, 1.0, V)
     g = shape.shape_gradient(p, 1000.0, 1.0, mu=0.0)
@@ -278,7 +281,7 @@ def test_retract_scales_one_extension(alpha):
     got = shape.retract(shape.extend(m, shape.InterfaceField(mesh=m, values=vals),
                                      stiffness), alpha)
     disp = alpha * vals[:, None] * geo.normals
-    expected = mesh.apply_deformation(mesh.solve_elastic_deformation(m, disp, stiffness))
+    expected = mesh.apply_deformation(mesh.solve_elastic_deformation(m, lambda: disp, stiffness))
     if np.log2(alpha).is_integer():
         np.testing.assert_array_equal(got.vertices, expected.vertices)
     else:
@@ -371,6 +374,14 @@ def test_start_curve_endpoints_and_sampling():
     assert np.all(pts[1:27, 0] < 0.5)
     assert np.all(pts[28:-1, 0] > 0.5)
     np.testing.assert_allclose(pts[:, 0] + pts[::-1, 0], 1.0, atol=1e-12)
+
+
+def test_start_curve_ends_are_exact_without_being_set():
+    # The natural spline's closed form meets its end knots exactly, so the
+    # pinned ends of every sampling sit on x = 0.5 to the bit.
+    for m in range(3, 1001):
+        x = shape.bspline_initial_interface(m)[:, 0]
+        assert x[0] == 0.5 and x[-1] == 0.5, m
 
 
 def test_start_curve_offset_integral_is_calibrated():
