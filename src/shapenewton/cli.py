@@ -42,7 +42,8 @@ def load_config_file(path) -> dict:
     """
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"config path {path} is not a file" if path.exists()
+                          else f"config file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:

@@ -156,15 +156,18 @@ def check_level(config: ExperimentConfig, level: int,
                 oracle_triangles: int | None = None) -> None:
     """Raise ConfigError unless level >= 1 and the level's mesh has at most
     oracle_triangles triangles (default: those of generate_data's mesh).
-    Arithmetic on the config alone, so a caller can check before any work."""
+    Arithmetic on the config alone, so a caller can check before any work;
+    data coarser than the config's own is named as the shortfall."""
     if level < 1:
         raise ConfigError("level must be >= 1")
-    if oracle_triangles is None:
-        oracle_triangles = _triangles(config, _data_level(config))
+    own = _triangles(config, _data_level(config))
+    oracle = own if oracle_triangles is None else oracle_triangles
     working = _triangles(config, level)
-    if working > oracle_triangles:
+    if working > oracle:
+        advice = (f"raise levels to at least {level}" if oracle == own else
+                  f"the data is too coarse: pass data on at least {working} triangles")
         raise ConfigError(f"level {level} has {working} triangles, more than the data "
-                          f"oracle's {oracle_triangles}; raise levels to at least {level}")
+                          f"oracle's {oracle}; {advice}")
 
 
 def generate_data(config: ExperimentConfig) -> DataOracle:

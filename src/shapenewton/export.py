@@ -12,7 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from .driver import TraceRow
-from .fem import NodalField
+from .fem import NodalField, check_same_mesh
 from .mesh import TriMesh
 from .shape import InterfaceGeometry
 
@@ -29,11 +29,10 @@ def write_vtk(path, mesh: TriMesh, fields: dict[str, NodalField] | None = None,
     fields = fields or {}
     if "\n" in title or "\r" in title or len(title) > 256:
         raise ValueError("VTK title must be one line of at most 256 characters")
-    for name, field in fields.items():
+    for name in fields:
         if name.split() != [name]:  # empty, or holds whitespace
             raise ValueError(f"VTK field name {name!r} is empty or holds whitespace")
-        if field.mesh is not mesh:
-            raise ValueError(f"field {name!r} belongs to a different mesh")
+    check_same_mesh(mesh, *fields.values())
     nv, nt = mesh.n_vertices, mesh.n_triangles
     # One % over a tuple of Python scalars formats a whole block in C; "%.7g"
     # gives the same text as f"{x:.7g}".

@@ -43,7 +43,8 @@ class NodalField:
         self.values.flags.writeable = False
 
 
-def _check_same_mesh(mesh: TriMesh, *fields: NodalField) -> None:
+def check_same_mesh(mesh: TriMesh, *fields) -> None:
+    """Raise ValueError unless each field, nodal or interface, is on mesh."""
     for f in fields:
         if f.mesh is not mesh:
             raise ValueError("field belongs to a different mesh")
@@ -110,7 +111,7 @@ class DirichletSolver(DirichletSystem):
 
 def evaluate_field(lattice: Lattice, field: NodalField, points: np.ndarray) -> np.ndarray:
     """Evaluate a nodal field on the lattice's mesh at (k, 2) points inside it."""
-    _check_same_mesh(lattice.mesh, field)
+    check_same_mesh(lattice.mesh, field)
     tri, bary = locate_points(lattice, points)
     return np.einsum("pk,pk->p", bary,
                      field.values[np.take(lattice.mesh.triangles, tri, axis=0)])
@@ -119,7 +120,7 @@ def evaluate_field(lattice: Lattice, field: NodalField, points: np.ndarray) -> n
 def quadrature_l2_difference(mesh: TriMesh, field: NodalField,
                              exact: Callable[[np.ndarray], np.ndarray]) -> float:
     """L2 distance between a P1 field and a smooth function, midpoint rule."""
-    _check_same_mesh(mesh, field)
+    check_same_mesh(mesh, field)
     v = field.values[mesh.triangles]
     _, _, area = p1_gradients(mesh)
     vm = 0.5 * (v + np.roll(v, -1, axis=1))

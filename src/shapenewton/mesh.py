@@ -419,8 +419,8 @@ class DirichletSystem:
         xf = self.solve_free(bf)
         if not np.all(np.isfinite(xf)):
             raise LinearSolverError("sparse solve produced non-finite values")
-        _check_residual(np.linalg.norm(self.kff @ xf - bf),
-                        max(np.linalg.norm(bf), 1e-300))
+        check_residual(np.linalg.norm(self.kff @ xf - bf), np.linalg.norm(bf),
+                       "factored solve")
         out[self.free] = xf
         return out
 
@@ -545,16 +545,18 @@ def _checked_pcg(operator, rhs: np.ndarray, precondition) -> np.ndarray:
         raise LinearSolverError(
             f"conjugate gradients stopped after {len(norms) - 1} iterations at "
             f"relative residual {norms[-1] / norms[0]:.3e}, above {_PCG_TOL:.0e}")
-    _check_residual(np.linalg.norm(operator(x) - rhs), norms[0])
+    check_residual(np.linalg.norm(operator(x) - rhs), norms[0], "conjugate gradients")
     return x
 
 
-def _check_residual(resid: float, scale: float) -> None:
-    """Raise LinearSolverError unless the residual norm resid is at most
+def check_residual(resid: float, scale: float, what: str) -> None:
+    """The residual bound of every linear solve: raise LinearSolverError,
+    naming what was solved, unless the residual norm resid is at most
     _RESIDUAL_TOL times scale, the right-hand side's norm; NaN fails too."""
+    scale = max(scale, 1e-300)
     if not resid <= _RESIDUAL_TOL * scale:
         raise LinearSolverError(
-            f"relative residual {resid / scale:.3e} exceeds {_RESIDUAL_TOL:.1e}")
+            f"{what}: relative residual {resid / scale:.3e} exceeds {_RESIDUAL_TOL:.1e}")
 
 
 class Lattice:

@@ -17,7 +17,6 @@ import numpy as np
 import scipy.linalg
 
 from . import fem, mesh, shape
-from .errors import LinearSolverError
 from .mesh import (
     Lattice,
     p1_gradients,
@@ -25,8 +24,6 @@ from .mesh import (
     stiffness_elements,
 )
 from .shape import InterfaceField, InterfaceGeometry
-
-_CONSISTENCY_TOL = 1e-8
 
 CG_TOL = 1e-10  # Newton CG tolerance, relative; README says why 1e-8 is too loose
 
@@ -38,8 +35,9 @@ class MeshState:
     The mesh is ybar's, and lattice the Lattice of the straight mesh it was
     moved from.  The gradients are computed once, the mass and the stiffness
     scattered through the lattice, and the state solved by
-    mesh.solve_lattice_poisson, preconditioned on the lattice, so building a
-    state factors nothing and may run on any thread.
+    mesh.solve_lattice_poisson, preconditioned on the lattice, and checked
+    (_check_equation), so building a state factors nothing and may run on
+    any thread.
     """
 
     def __init__(self, ybar: fem.NodalField, f1: float, f2: float, mu: float,
@@ -57,28 +55,29 @@ class MeshState:
         self.mass = lattice.scatter(mesh, fem.mass_elements(area))
         self.load = fem.load_piecewise(mesh, area, f1, f2)
         self.stiffness = lattice.scatter(mesh, stiffness_elements(b, c, area))
-        self.y = fem.NodalField(mesh=mesh, values=solve_lattice_poisson(
-            lattice, self.stiffness, self.load))
+        y = solve_lattice_poisson(lattice, self.stiffness, self.load)
+        _check_equation(self, y, self.load, "state")
+        self.y = fem.NodalField(mesh=mesh, values=y)
         d = self.y.values - ybar.values
         self.misfit = self.mass @ d
         self.objective = float(0.5 * (d @ self.misfit)) + self.mu * self.geometry.length
 
 
 def _check_equation(state: MeshState, x: np.ndarray, rhs: np.ndarray, name: str) -> None:
-    """Raise LinearSolverError unless K x = rhs holds off the outer boundary
-    to _CONSISTENCY_TOL (1 + max |rhs|), K the state's stiffness."""
-    resid = np.delete(state.stiffness @ x - rhs, state.mesh.outer_boundary_nodes)
-    if np.abs(resid).max() > _CONSISTENCY_TOL * (1.0 + np.abs(rhs).max()):
-        raise LinearSolverError(f"workspace {name} violates the discrete {name} equation")
+    """Raise LinearSolverError unless K x = rhs holds on the rows off the
+    outer boundary to mesh.check_residual's bound, K the state's full
+    stiffness: a residual of its own, independent of the solver's."""
+    boundary = state.mesh.outer_boundary_nodes
+    mesh.check_residual(np.linalg.norm(np.delete(state.stiffness @ x - rhs, boundary)),
+                        np.linalg.norm(np.delete(rhs, boundary)), f"{name} equation")
 
 
 class Adjoint:
     """The adjoint K p = -M (y - ybar) of a MeshState, solved on its lattice
     by mesh.solve_lattice_poisson, so nothing is factored, and its shape
-    gradient.  The state and p are checked against their equations."""
+    gradient.  p is checked, as the MeshState checked y (_check_equation)."""
 
     def __init__(self, state: MeshState):
-        _check_equation(state, state.y.values, state.load, "state")
         self._solve_adjoint(state, partial(solve_lattice_poisson, state.lattice,
                                            state.stiffness))
 
@@ -100,17 +99,15 @@ class QpWorkspace(fem.DirichletSolver, Adjoint):
     """The factored stiffness of a MeshState and its Adjoint solved on that
     factor, for one outer iteration that steps.
 
-    The workspace first checks the state against the state equation, so a
-    state that fails makes no factor.  It is then the stiffness factored
-    once (a fem.DirichletSolver, so a mesh.DirichletSystem) and solves the
-    adjoint on itself, as does every reduced-Hessian application.  Leaving
-    its with block releases the factor.  solve_qp_cg stops at cg_tol = CG_TOL.
+    It is the stiffness factored once (a fem.DirichletSolver, so a
+    mesh.DirichletSystem) and solves the adjoint, checked as in an Adjoint,
+    on itself, as does every reduced-Hessian application.  Leaving its with
+    block releases the factor.  solve_qp_cg stops at cg_tol = CG_TOL.
     """
 
     cg_tol = CG_TOL
 
     def __init__(self, state: MeshState):
-        _check_equation(state, state.y.values, state.load, "state")
         super().__init__(state.mesh, state.stiffness)
         self._solve_adjoint(state, self.solve)
 
@@ -124,8 +121,7 @@ def reduced_hessian_apply(ws: QpWorkspace, w: InterfaceField) -> InterfaceField:
     diagonal curvature coupling.
     """
     state = ws.state
-    if w.mesh is not state.mesh:
-        raise ValueError("design field belongs to a different mesh")
+    fem.check_same_mesh(state.mesh, w)
     jump = state.f1 - state.f2
     interface = state.mesh.interface_nodes
     rhs = np.zeros(state.mesh.n_vertices)

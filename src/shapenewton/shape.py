@@ -17,9 +17,6 @@ from .mesh import DeformationField, TriMesh, apply_deformation, solve_elastic_de
 
 log = logging.getLogger(__name__)
 
-# Offset integral of the reference starting curve; the spline knot offset
-# below is calibrated so the exact curve attains it.
-START_OFFSET_INTEGRAL = 0.0706
 _KNOT_OFFSET = 0.10931613
 
 
@@ -156,8 +153,7 @@ def extend(mesh: TriMesh, w, stiffness) -> DeformationField:
 
     def displacement():
         field = w() if callable(w) else w
-        if field.mesh is not mesh:
-            raise ValueError("design field belongs to a different mesh")
+        fem.check_same_mesh(mesh, field)
         # w vanishes at the pinned endpoints, so the displacement does as well.
         return field.values[:, None] * normals
 
@@ -208,14 +204,13 @@ def bspline_initial_interface(m: int) -> np.ndarray:
 
     The curve is the natural cubic spline x(y) through (0.5, 0),
     (0.5 - b, 0.3), (0.5 + b, 0.7), (0.5, 1); the knot offset b is calibrated
-    so the exact curve has offset integral START_OFFSET_INTEGRAL.  It is
+    so the exact curve has offset integral 0.0706.  It is
     built in closed form: the natural end conditions fix the second
     derivative to zero at y = 0 and 1, the two interior second derivatives
     solve a 2x2 system, and each of the three segments is then a cubic.
     This needs NumPy only.  Of SciPy the package loads scipy.sparse,
     scipy.sparse.linalg and scipy.linalg; scipy.interpolate would add about
-    0.3 s to the 0.5 s that importing the package takes on a 2-core machine
-    (the default generate_data then takes about 0.6 s).
+    0.2 s to the 0.3 s that importing the package takes on a 2-core machine.
     """
     if m < 3:
         raise ValueError("need at least three samples")

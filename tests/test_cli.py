@@ -22,6 +22,17 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_config_path_that_is_a_directory_exits_one(tmp_path, capsys):
+    folder = tmp_path / "configs"
+    folder.mkdir()
+    code = cli.main(["solve", "--out", str(tmp_path / "out"), "--config", str(folder)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"config path {folder} is not a file" in err
+    assert "not found" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_key_exits_one(tmp_path, capsys):
     # An older config file may still set cg_tol, step_length or line_search;
     # it must fail, not run with the value ignored.

@@ -454,6 +454,31 @@ def test_cg_fails_loudly_on_a_non_finite_hessian(monkeypatch, bulged_ws):
         qp.solve_qp_cg(bulged_ws)
 
 
+def test_reduced_hessian_refuses_a_field_of_another_mesh(bulged_ws):
+    twin = template_of(bulged_ws.state.mesh)
+    with pytest.raises(ValueError, match="different mesh"):
+        qp.reduced_hessian_apply(bulged_ws, InterfaceField(
+            mesh=twin, values=np.zeros(twin.interface_nodes.shape[0])))
+
+
+def test_a_state_whose_lattice_solve_is_perturbed_is_refused(monkeypatch):
+    # MeshState checks K y = load as soon as it has solved it, so no state
+    # with a wrong y reaches an Adjoint, a workspace or a line search.
+    m = mesh.build_template(8)
+    ybar = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))
+    mesh_state(ybar)  # the unperturbed state passes its check
+    solve = qp.solve_lattice_poisson
+
+    def perturbed(lattice, *args):
+        x = solve(lattice, *args)
+        x[lattice.free[lattice.free.size // 2]] += 1e-6
+        return x
+
+    monkeypatch.setattr(qp, "solve_lattice_poisson", perturbed)
+    with pytest.raises(LinearSolverError, match="state equation: relative residual"):
+        mesh_state(ybar)
+
+
 def test_cg_flags_negative_curvature():
     m = mesh.build_template(8)
     ybar = fem.NodalField(mesh=m, values=np.zeros(m.n_vertices))

@@ -306,6 +306,13 @@ def test_retract_takes_one_step_and_raises_on_inversion():
     np.testing.assert_allclose(moved.interface_points, target, atol=1e-14)
 
 
+def test_extend_refuses_a_step_of_another_mesh():
+    m, w, _ = inverting_step()
+    twin = straight(8)
+    with pytest.raises(ValueError, match="different mesh"):
+        shape.extend(twin, w, fem.assemble_stiffness(twin))
+
+
 def test_failed_retraction_frees_the_source_mesh_without_gc():
     # A failed trial must not leave its source mesh, or the extension that
     # refers to it, in a reference cycle that only the collector can free.
@@ -385,12 +392,12 @@ def test_start_curve_ends_are_exact_without_being_set():
 
 
 def test_start_curve_offset_integral_is_calibrated():
+    # The offset integral that shape._KNOT_OFFSET is calibrated to.
+    start_offset_integral = 0.0706
     fine = shape.bspline_initial_interface(4001)
-    assert shape.polyline_distance(fine) == pytest.approx(
-        shape.START_OFFSET_INTEGRAL, abs=1e-5)
+    assert shape.polyline_distance(fine) == pytest.approx(start_offset_integral, abs=1e-5)
     coarse = shape.bspline_initial_interface(55)
-    assert shape.polyline_distance(coarse) == pytest.approx(
-        shape.START_OFFSET_INTEGRAL, rel=5e-2)
+    assert shape.polyline_distance(coarse) == pytest.approx(start_offset_integral, rel=5e-2)
 
 
 @pytest.mark.parametrize("m", [3, 5, 55, 217, 433])
